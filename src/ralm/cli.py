@@ -4,9 +4,9 @@ Subcommands: ``solve``, ``figure1``, ``sphere-l1``, ``rmc``, ``analyze``.
 All artifacts are UTF-8 comma-separated files with ``.`` decimal points,
 written into the --out directory.
 
-Exit codes: 0 success, 1 usage/config error, 2 partial convergence or failed
-polish, 3 a reproduction check failed (known-solution mismatch, rate-ordering
-violation).
+Exit codes: 0 success, 1 usage/config error or a rank-deficient instance, 2
+partial convergence or failed polish, 3 a reproduction check failed
+(known-solution mismatch, rate-ordering violation).
 """
 from __future__ import annotations
 
@@ -23,7 +23,14 @@ import numpy as np
 
 from .analysis import calmness_probe, condition_report, error_bound_fit, polish_kkt
 from .config import ConfigError, RunConfig, apply_flag_overrides, parse_problem_file
-from .manifolds import FixedRank, Point, nearest_rank_r, random_point, sphere_point
+from .manifolds import (
+    FixedRank,
+    Point,
+    RankDeficiencyError,
+    nearest_rank_r,
+    random_point,
+    sphere_point,
+)
 from .problems import (
     RMC,
     SPHERE_L1_DEMO_A,
@@ -591,7 +598,7 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return cmd_analyze(cfg)
         parser.error(f"unknown command {args.command}")
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError, ValueError, RankDeficiencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_ERROR

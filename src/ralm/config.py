@@ -95,9 +95,12 @@ def parse_problem_file(path: str) -> RunConfig:
                 continue
             if section == "matrix":
                 try:
-                    matrix_rows.append([float(tok) for tok in line.split()])
+                    row = [float(tok) for tok in line.split()]
                 except ValueError as exc:
                     raise ConfigError(f"bad matrix row {line!r}", lineno) from exc
+                if not np.isfinite(row).all():
+                    raise ConfigError(f"non-finite entry in matrix row {line!r}", lineno)
+                matrix_rows.append(row)
                 continue
             if "=" not in line:
                 raise ConfigError(f"expected key=value, got {line!r}", lineno)

@@ -235,36 +235,53 @@ def lagrangian_rgrad(p: ProblemInstance, x: Point, y, z=None) -> np.ndarray:
     return project_tangent(p.manifold, x, _ambient_lagrangian_grad(p, x.ambient, y, z))
 
 
-def aug_lagrangian_value(p: ProblemInstance, x: Point, w, p_mult, rho: float) -> float:
+def merit_shifts(p: ProblemInstance, w, p_mult, rho: float):
+    """The constant shifts (w/rho, p/rho) inside L_rho; p/rho is None without Q."""
     if rho <= 0:
         raise ValueError("rho must be positive")
+    p_shift = None if p.q is None else np.asarray(p_mult) / rho
+    return np.asarray(w) / rho, p_shift
+
+
+def merit_eval(p: ProblemInstance, x: Point, shifts, rho: float):
+    """L_rho(x, w, p) together with the envelope and distance gradients.
+
+    L_rho(x, w, p) = f(x) + env_rho(g1(x) + w/rho) + (rho/2) dist^2(g2(x) + p/rho, Q),
+    with ``shifts`` from ``merit_shifts``.  Returns ``(value, (env_grad, d_grad))``
+    (d_grad is None without Q); ``merit_rgrad`` completes the Riemannian
+    gradient from the pair, so a point whose gradient is needed is still
+    evaluated only once.
+    """
+    w_shift, p_shift = shifts
     xa = x.ambient
-    env_val, _ = moreau_env(p.theta, p.g1.value(xa) + np.asarray(w) / rho, rho)
+    env_val, env_grad = moreau_env(p.theta, p.g1.value(xa) + w_shift, rho)
     val = p.f.value(xa) + env_val
+    d_grad = None
     if p.q is not None:
-        d_val, _ = dist2_grad(p.q, p.g2.value(xa) + np.asarray(p_mult) / rho, rho)
+        d_val, d_grad = dist2_grad(p.q, p.g2.value(xa) + p_shift, rho)
         val += d_val
-    return val
+    return val, (env_grad, d_grad)
+
+
+def merit_rgrad(p: ProblemInstance, x: Point, grads) -> np.ndarray:
+    """Riemannian gradient of L_rho at x from the gradients ``merit_eval`` returned:
+    the envelope/distance chain rule followed by a tangent projection."""
+    env_grad, d_grad = grads
+    xa = x.ambient
+    ambient = p.f.egrad(xa) + p.g1.jacobian_adjoint(xa, env_grad)
+    if d_grad is not None:
+        ambient = ambient + p.g2.jacobian_adjoint(xa, d_grad)
+    return project_tangent(p.manifold, x, ambient)
+
+
+def aug_lagrangian_value(p: ProblemInstance, x: Point, w, p_mult, rho: float) -> float:
+    return merit_eval(p, x, merit_shifts(p, w, p_mult, rho), rho)[0]
 
 
 def aug_lagrangian(p: ProblemInstance, x: Point, w, p_mult, rho: float):
-    """Augmented Lagrangian value and its exact Riemannian gradient.
-
-    L_rho(x, w, p) = f(x) + env_rho(g1(x) + w/rho) + (rho/2) dist^2(g2(x) + p/rho, Q),
-    with gradient obtained through the envelope/distance chain rule and a
-    final tangent projection.
-    """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    xa = x.ambient
-    env_val, env_grad = moreau_env(p.theta, p.g1.value(xa) + np.asarray(w) / rho, rho)
-    val = p.f.value(xa) + env_val
-    ambient = p.f.egrad(xa) + p.g1.jacobian_adjoint(xa, env_grad)
-    if p.q is not None:
-        d_val, d_grad = dist2_grad(p.q, p.g2.value(xa) + np.asarray(p_mult) / rho, rho)
-        val += d_val
-        ambient = ambient + p.g2.jacobian_adjoint(xa, d_grad)
-    return val, project_tangent(p.manifold, x, ambient)
+    """Augmented Lagrangian value and its exact Riemannian gradient."""
+    val, grads = merit_eval(p, x, merit_shifts(p, w, p_mult, rho), rho)
+    return val, merit_rgrad(p, x, grads)
 
 
 def tilted_instance(p: ProblemInstance, a=None, b=None, c=None) -> ProblemInstance:

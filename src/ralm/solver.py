@@ -19,7 +19,7 @@ import numpy as np
 
 from .convex import project_set, prox
 from .manifolds import Point, RankDeficiencyError, check_point, distance, retract
-from .problems import ProblemInstance, aug_lagrangian, aug_lagrangian_value, lagrangian_rgrad
+from .problems import ProblemInstance, lagrangian_rgrad, merit_eval, merit_rgrad, merit_shifts
 
 
 class SolveStatus(Enum):
@@ -106,9 +106,10 @@ class IterationRecord:
 @dataclass
 class SubproblemResult:
     x: Point
+    grad: np.ndarray  # Riemannian gradient of the merit at x
     grad_norm: float
-    iters: int
-    stalled: bool = False
+    iters: int  # accepted steps
+    stalled: bool
 
 
 @dataclass
@@ -207,36 +208,39 @@ def subproblem_solve(
     Once the requested Armijo decrease falls below the rounding noise of the
     merit value, steps are instead accepted when the value does not increase
     beyond that noise and the gradient norm does not grow; the best iterate
-    seen is tracked and returned.  Retractions that drop rank count as failed
-    trials and shrink the step.
+    seen is tracked and returned with its gradient.  Retractions that drop
+    rank count as failed trials and shrink the step.
+
+    Each trial point is evaluated once (``merit_eval``, with the shifts w/rho
+    and p/rho computed once per call).  Its gradient is completed from that
+    evaluation (``merit_rgrad``) only where it is needed: at an accepted
+    point, and at a noise-floor trial whose gradient norm decides acceptance.
+    ``iters`` counts the accepted steps.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     inner = inner or InnerConfig()
+    shifts = merit_shifts(p, w, p_mult, rho)
     x = x_init
-    val, grad = aug_lagrangian(p, x, w, p_mult, rho)
+    val, grads = merit_eval(p, x, shifts, rho)
+    grad = merit_rgrad(p, x, grads)
     grad_norm = float(np.linalg.norm(grad))
-    best_x, best_gn = x, grad_norm
+    best_x, best_grad, best_gn = x, grad, grad_norm
     step = inner.init_step
     no_improve = 0
-    it = 0
-    for it in range(inner.max_iters):
-        if best_gn <= eps:
-            return SubproblemResult(x=best_x, grad_norm=best_gn, iters=it)
-        if no_improve >= 100:
-            break
+    iters = 0
+    while iters < inner.max_iters and best_gn > eps and no_improve < 100:
         t = step
         accepted = False
         # below this decrease the merit comparison is pure rounding noise
         slack = 1e-14 * (1.0 + abs(val))
-        grad_try = None
         for _ in range(60):
             try:
                 x_try = retract(p.manifold, x, -t * grad)
             except RankDeficiencyError:
                 t *= inner.backtrack
                 continue
-            val_try = aug_lagrangian_value(p, x_try, w, p_mult, rho)
+            val_try, grads = merit_eval(p, x_try, shifts, rho)
             required = inner.armijo_c * t * grad_norm**2
             grad_try = None
             if required >= 10.0 * slack:
@@ -246,35 +250,33 @@ def subproblem_solve(
             elif val_try <= val + slack:
                 # requested decrease is unresolvable in floating point; keep
                 # polishing as long as the gradient norm does not grow
-                _, grad_try = aug_lagrangian(p, x_try, w, p_mult, rho)
+                grad_try = merit_rgrad(p, x_try, grads)
                 if float(np.linalg.norm(grad_try)) <= grad_norm:
                     accepted = True
                     break
             t *= inner.backtrack
         if not accepted:
-            return SubproblemResult(x=best_x, grad_norm=best_gn, iters=it, stalled=True)
+            break
         if grad_try is None:
-            val_new, grad_new = aug_lagrangian(p, x_try, w, p_mult, rho)
-        else:
-            val_new, grad_new = val_try, grad_try
+            grad_try = merit_rgrad(p, x_try, grads)
         if inner.use_bb:
             # BB1 estimate with the ambient difference as a cheap transport
             s_vec = x_try.ambient - x.ambient
-            y_vec = grad_new - grad
+            y_vec = grad_try - grad
             sy = float(np.sum(s_vec * y_vec))
             if sy > 1e-30:
                 step = float(np.clip(np.sum(s_vec * s_vec) / sy, 1e-12, 1e10))
             else:
                 step = min(4.0 * t, inner.init_step * 1e6)
-        x, val, grad = x_try, val_new, grad_new
+        x, val, grad = x_try, val_try, grad_try
         grad_norm = float(np.linalg.norm(grad))
+        iters += 1
         if grad_norm < best_gn:
-            best_x, best_gn = x, grad_norm
+            best_x, best_grad, best_gn = x, grad, grad_norm
             no_improve = 0
         else:
             no_improve += 1
-    stalled = best_gn > eps
-    return SubproblemResult(x=best_x, grad_norm=best_gn, iters=it, stalled=stalled)
+    return SubproblemResult(best_x, best_grad, best_gn, iters, stalled=best_gn > eps)
 
 
 def _clip_multiplier(v, bound: float):
@@ -355,8 +357,7 @@ def alm_run(
 
         # invariant diagnostics (see module tests): chain identity, multiplier
         # consistency, and the per-iteration residual bound
-        _, rg_aug = aug_lagrangian(p, x, w, p_mult, rho)
-        chain_gap = float(np.linalg.norm(rg_aug - lagrangian_rgrad(p, x, y_new, z_new)))
+        chain_gap = float(np.linalg.norm(sub.grad - lagrangian_rgrad(p, x, y_new, z_new)))
         g1 = p.g1.value(x.ambient)
         lhs = float(np.linalg.norm(g1 - prox(p.theta, g1 + y_new)))
         rhs = float(np.linalg.norm(g1 - prox(p.theta, g1 + w / rho, 1.0 / rho)))
@@ -388,9 +389,9 @@ def alm_run(
         y, z, v_prev, r_sum = y_new, z_new, v_new, r_new
         if max(comps) <= config.kkt_tol:
             return ALMResult(SolveStatus.CONVERGED, x, y, z, history)
-        # a stalled subproblem is reported in the record but the outer loop
-        # keeps going: the multiplier/penalty updates often repair it; give up
-        # only after repeated stalls with no residual progress
+        # a stalled subproblem does not end the run: the multiplier/penalty
+        # updates often repair it; give up only after repeated stalls with no
+        # residual progress
         if sub.stalled and max(comps) >= 0.9 * best_maxcomp:
             stall_streak += 1
             if stall_streak >= 5:

@@ -135,6 +135,16 @@ class TestConfigParsing:
         f.write_text("[problem]\nfamily=circle\n[alm]\nrho0=-1\n")
         assert main(["solve", "--config", str(f), "--out", str(tmp_path / "o")]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_matrix_entry_reports_line(self, tmp_path, entry):
+        f = tmp_path / "nan.cfg"
+        f.write_text(f"[problem]\nfamily=sphere-l1\n[matrix]\n1.0 2.0\n3.0 {entry}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_problem_file(str(f))
+        assert err.value.line == 5
+        code = main(["sphere-l1", "--config", str(f), "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+
 
 class TestFigure1Command:
     def test_artifacts_and_ordering(self, tmp_path):
@@ -256,6 +266,14 @@ class TestRmcCommand:
         a, mask, a_exact = rmc_basic_instance(seed=42)
         assert mask.all()
         assert np.linalg.norm(a - a_exact) > 0  # outliers present in the builtin
+
+    def test_rank_deficient_instance_exits_one_line(self, tmp_path, capsys):
+        # too few samples for a rank-2 spectral initialisation
+        argv = ["rmc", "--mode", "random", "--m", "6", "--n", "6", "--r", "2"]
+        code = main(argv + ["--oversample", "0.01", "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_generator_shapes_and_budget(self):
         a, mask, a_exact = generate_rmc_instance(30, 20, 2, 3.0, 1)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ralm.convex import NonnegOrthant, prox, project_set
+from ralm.cli import rmc_basic_instance
+from ralm.convex import NonnegOrthant, dist2_grad, moreau_env, prox, project_set
 from ralm.manifolds import Sphere, project_tangent, random_point, random_tangent, retract, sphere_point
 from ralm.problems import (
     RMC,
@@ -15,6 +16,9 @@ from ralm.problems import (
     hess_quadform,
     lagrangian_rgrad,
     lagrangian_value,
+    merit_eval,
+    merit_rgrad,
+    merit_shifts,
     objective_value,
     rmc_mask,
     tilted_instance,
@@ -238,6 +242,47 @@ class TestAugmentedLagrangian:
                 bound += np.sum(pm**2) / (2 * rho)
             assert aug_lagrangian_value(p, x, w, pm, rho) <= bound + 1e-12
             checked += 1
+
+
+def reference_aug_lagrangian(p, x, w, p_mult, rho):
+    """L_rho value and Riemannian gradient in one pass, in the original operation order."""
+    xa = x.ambient
+    env_val, env_grad = moreau_env(p.theta, p.g1.value(xa) + np.asarray(w) / rho, rho)
+    val = p.f.value(xa) + env_val
+    ambient = p.f.egrad(xa) + p.g1.jacobian_adjoint(xa, env_grad)
+    if p.q is not None:
+        d_val, d_grad = dist2_grad(p.q, p.g2.value(xa) + np.asarray(p_mult) / rho, rho)
+        val += d_val
+        ambient = ambient + p.g2.jacobian_adjoint(xa, d_grad)
+    return val, project_tangent(p.manifold, x, ambient)
+
+
+def acceptance_families():
+    a, mask, _ = rmc_basic_instance()
+    return {
+        "circle": build_family(CircleExample()),
+        "sphere-l1-builtin5x5": build_family(SphereL1(SPHERE_L1_DEMO_A, mu=0.25)),
+        "rmc-basic5x5": build_family(RMC(a, mask, 3)),
+    }
+
+
+class TestFusedMerit:
+    @pytest.mark.parametrize("name", ["circle", "sphere-l1-builtin5x5", "rmc-basic5x5"])
+    def test_wrappers_and_fused_pair_match_reference_bitwise(self, name):
+        p = acceptance_families()[name]
+        rng = np.random.default_rng(19)
+        for rho in (0.3, 1.0, 10.0, 1e4):
+            for _ in range(10):
+                x = random_point(p.manifold, rng)
+                w, pm = multipliers_like(p, rng, scale=3.0)
+                ref_val, ref_grad = reference_aug_lagrangian(p, x, w, pm, rho)
+                val, grads = merit_eval(p, x, merit_shifts(p, w, pm, rho), rho)
+                assert val == ref_val
+                assert np.array_equal(merit_rgrad(p, x, grads), ref_grad)
+                assert aug_lagrangian_value(p, x, w, pm, rho) == ref_val
+                wrap_val, wrap_grad = aug_lagrangian(p, x, w, pm, rho)
+                assert wrap_val == ref_val
+                assert np.array_equal(wrap_grad, ref_grad)
 
 
 class TestTiltedInstance:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import ralm.problems
+import ralm.solver
+from ralm.cli import rmc_basic_instance
 from ralm.convex import prox
 from ralm.manifolds import check_point, random_point, sphere_point
 from ralm.problems import (
@@ -8,6 +11,7 @@ from ralm.problems import (
     SPHERE_L1_DEMO_A,
     CircleExample,
     SphereL1,
+    aug_lagrangian,
     build_family,
     objective_value,
 )
@@ -169,6 +173,52 @@ class TestSubproblem:
         p = build_family(CircleExample())
         with pytest.raises(ValueError):
             subproblem_solve(p, np.zeros(1), np.zeros(1), 1.0, sphere_point([1, 0]), 0.0)
+
+    def test_iters_counts_every_step_when_max_iters_runs_out(self):
+        p = build_family(CircleExample())
+        x0 = sphere_point([0.0, 1.0])
+        inner = InnerConfig(max_iters=3)
+        res = subproblem_solve(p, np.zeros(1), np.zeros(1), 10.0, x0, 1e-15, inner)
+        assert res.iters == 3
+        assert res.stalled
+
+
+class TestSubproblemEvaluationReuse:
+    @staticmethod
+    def counting(monkeypatch, module, name, counts):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            counts[name] += 1
+            return result
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    @pytest.mark.parametrize("family", ["circle", "sphere-l1", "rmc"])
+    def test_one_envelope_evaluation_per_trial_point(self, monkeypatch, family):
+        rng = np.random.default_rng(3)
+        if family == "circle":
+            p = build_family(CircleExample())
+            w, pm, x0 = np.array([0.3]), np.array([0.1]), sphere_point([0.0, 1.0])
+        elif family == "sphere-l1":
+            p = build_family(SphereL1(SPHERE_L1_DEMO_A, mu=0.25))
+            w, pm, x0 = np.zeros(5), None, random_point(p.manifold, rng)
+        else:
+            a, mask, _ = rmc_basic_instance()
+            p = build_family(RMC(a, mask, 3))
+            w, pm, x0 = np.zeros((5, 5)), None, random_point(p.manifold, rng)
+        counts = {"moreau_env": 0, "retract": 0}
+        self.counting(monkeypatch, ralm.problems, "moreau_env", counts)
+        # only retractions that return produce a trial point
+        self.counting(monkeypatch, ralm.solver, "retract", counts)
+        res = subproblem_solve(p, w, pm, 10.0, x0, 1e-9)
+        assert res.iters > 0
+        assert counts["retract"] >= res.iters
+        assert counts["moreau_env"] == counts["retract"] + 1
+        # the returned gradient is the merit gradient at the returned point
+        _, grad = aug_lagrangian(p, res.x, w, pm, 10.0)
+        assert np.array_equal(res.grad, grad)
 
 
 class TestALMRun:
