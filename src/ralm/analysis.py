@@ -2,8 +2,6 @@
 
 The checks operate at (approximate) KKT triples:
 
-* ``natural_map`` stacks the stationarity, prox and projection residual
-  blocks whose blockwise norms sum to the KKT residual.
 * ``msrcq_check`` tests the strict constraint qualification by assembling a
   spanning set from the tangent image of the constraint Jacobians and the
   closed-form sign-pattern generators of the l1 critical cone.
@@ -29,18 +27,19 @@ from .convex import (
     NonnegOrthant,
     ZeroSet,
     epiderivative_down,
-    project_set,
-    prox,
     psi_conjugate,
     tangent_cone_member,
 )
 from .manifolds import Point, distance, project_tangent, retract, tangent_basis
-from .problems import ProblemInstance, hess_quadform, lagrangian_rgrad, tilted_instance
+from .problems import ProblemInstance, hess_quadform, tilted_instance
 from .solver import ALMConfig, alm_run, kkt_residual
 
 KKT_GATE = 1e-6
 RANK_TOL = 1e-8
 CONE_TOL = 1e-8
+# Largest dense system the condition checks build: the MSRCQ stack has
+# dim_y + dim_z rows and up to dim M + dim_y + dim_z columns.
+MAX_DENSE_ENTRIES = 10**8
 
 
 @dataclass(frozen=True)
@@ -49,28 +48,6 @@ class KKTTriple:
     y: np.ndarray
     z: Optional[np.ndarray]
     residual: float
-
-
-@dataclass
-class NaturalMap:
-    grad_block: np.ndarray
-    theta_block: np.ndarray
-    set_block: Optional[np.ndarray]
-    stacked: np.ndarray
-
-
-def natural_map(p: ProblemInstance, x: Point, y, z=None) -> NaturalMap:
-    """Fixed-point reformulation of the KKT system; zero exactly at KKT points."""
-    grad_block = lagrangian_rgrad(p, x, y, z)
-    g1 = p.g1.value(x.ambient)
-    theta_block = g1 - prox(p.theta, g1 + np.asarray(y))
-    set_block = None
-    parts = [grad_block.ravel(), theta_block.ravel()]
-    if p.q is not None and z is not None:
-        g2 = p.g2.value(x.ambient)
-        set_block = g2 - project_set(p.q, g2 + np.asarray(z))
-        parts.append(set_block.ravel())
-    return NaturalMap(grad_block, theta_block, set_block, np.concatenate(parts))
 
 
 def polish_kkt(
@@ -85,8 +62,22 @@ def polish_kkt(
     """Refine an approximate KKT triple with a tight warm-started run."""
     cfg = ALMConfig(rho0=rho0, kkt_tol=tol, eps_floor=tol / 10.0, max_outer=max_outer)
     res = alm_run(p, cfg, x, y, z)
-    r = kkt_residual(p, res.x, res.y, res.z)
-    return KKTTriple(res.x, res.y, res.z, r)
+    return KKTTriple(res.x, res.y, res.z, res.history[-1].kkt_residual)
+
+
+def check_condition_size(p: ProblemInstance):
+    """(dim_y, dim_z) of the multipliers; raises ValueError when the dense
+    condition systems would exceed ``MAX_DENSE_ENTRIES``."""
+    dim_y = int(np.prod(p.g1.out_shape))
+    dim_z = int(np.prod(p.g2.out_shape)) if p.q is not None else 0
+    rows = dim_y + dim_z
+    cols = p.manifold.dim + rows
+    if rows * cols > MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"condition check too large: dense {rows} x {cols} system "
+            f"exceeds {MAX_DENSE_ENTRIES:.0e} entries"
+        )
+    return dim_y, dim_z
 
 
 def _require_kkt(p: ProblemInstance, x: Point, y, z, gate: float = KKT_GATE) -> None:
@@ -208,11 +199,11 @@ def msrcq_check(p: ProblemInstance, x: Point, y, z=None, tol: float = RANK_TOL) 
     Stacks the images of an orthonormal tangent basis under the constraint
     Jacobians with the closed-form cone generators and passes when the
     resulting matrix has full row rank (singular values above tol * sigma_max).
+    Instances whose stack exceeds ``MAX_DENSE_ENTRIES`` raise ValueError.
     """
+    dim_y, dim_z = check_condition_size(p)
     _require_kkt(p, x, y, z)
     xa = x.ambient
-    dim_y = int(np.prod(p.g1.out_shape))
-    dim_z = int(np.prod(p.g2.out_shape)) if p.q is not None else 0
     dim_total = dim_y + dim_z
 
     cols = []
@@ -323,8 +314,10 @@ def msosc_check(
 
     A trivial cone is certified exactly; otherwise unit critical directions
     are sampled and the quadratic form
-    ``<xi, Hess_x l(x, z) xi> - psi*(y)`` must stay above tol.
+    ``<xi, Hess_x l(x, z) xi> - psi*(y)`` must stay above tol.  Refuses the
+    same instance sizes as ``msrcq_check``.
     """
+    check_condition_size(p)
     _require_kkt(p, x, y, z)
     basis, eq_rows, ineq_rows = _critical_cone_system(p, x, y, z, tol)
     k0 = len(basis)

@@ -4,9 +4,10 @@ Subcommands: ``solve``, ``figure1``, ``sphere-l1``, ``rmc``, ``analyze``.
 All artifacts are UTF-8 comma-separated files with ``.`` decimal points,
 written into the --out directory.
 
-Exit codes: 0 success, 1 usage/config error or a rank-deficient instance, 2
-partial convergence or failed polish, 3 a reproduction check failed
-(known-solution mismatch, rate-ordering violation).
+Exit codes: 0 success, 1 usage/config error, a rank-deficient instance, a
+non-finite KKT residual or an analysis instance above the size cap, 2 partial
+convergence or failed polish, 3 a reproduction check failed (known-solution
+mismatch, rate-ordering violation).
 """
 from __future__ import annotations
 
@@ -16,12 +17,17 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import calmness_probe, condition_report, error_bound_fit, polish_kkt
+from .analysis import (
+    calmness_probe,
+    check_condition_size,
+    condition_report,
+    error_bound_fit,
+    polish_kkt,
+)
 from .config import ConfigError, RunConfig, apply_flag_overrides, parse_problem_file
 from .manifolds import (
     FixedRank,
@@ -331,7 +337,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_figure1(cfg: RunConfig) -> int:
     out = _ensure_out(cfg)
-    p, x0, ref, _ = build_problem(replace_family(cfg, "circle"))
+    p, x0, ref = build_circle_problem()
 
     def run_one(rho):
         return alm_run(p, figure1_config(rho), x0, reference=ref)
@@ -378,11 +384,6 @@ def cmd_figure1(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def replace_family(cfg: RunConfig, family: str) -> RunConfig:
-    cfg.family = family
-    return cfg
-
-
 def _write_figure1_gnuplot(path: Path) -> None:
     lines = [
         "set datafile separator ','",
@@ -411,6 +412,7 @@ def cmd_sphere_l1(cfg: RunConfig) -> int:
     mode = cfg.mode or "builtin5x5"
     cfg.mode = mode
     p, x0, _ = build_sphere_problem(cfg)
+    check_condition_size(p)  # the condition report follows the solve
     t0 = time.perf_counter()
     res = alm_run(p, cfg.alm, x0)
     elapsed = time.perf_counter() - t0
@@ -472,6 +474,7 @@ def cmd_rmc(cfg: RunConfig) -> int:
 def cmd_analyze(cfg: RunConfig) -> int:
     out = _ensure_out(cfg)
     p, x0, ref, a_exact = build_problem(cfg)
+    check_condition_size(p)  # refuse before the solve, not after it
     res = alm_run(p, cfg.alm, x0)
     if not res.converged:
         return EXIT_PARTIAL

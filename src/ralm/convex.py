@@ -27,8 +27,8 @@ class ScaledL1:
     mu: float
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
+        if not 0 <= self.mu < np.inf:
+            raise ValueError(f"mu must be finite and nonnegative, got {self.mu}")
 
 
 def l1_value(theta: ScaledL1, u) -> float:
@@ -191,19 +191,6 @@ def dist2_grad(q: ConvexSet, v, rho: float):
     v = np.asarray(v, dtype=float)
     resid = v - project_set(q, v)
     return 0.5 * rho * float(np.sum(resid * resid)), rho * resid
-
-
-def set_member(q: ConvexSet, s, tol: float = 1e-8) -> bool:
-    return bool(np.linalg.norm(np.asarray(s, dtype=float) - project_set(q, s)) <= tol)
-
-
-def normal_cone_member(q: ConvexSet, s, z, tol: float = 1e-8) -> bool:
-    """z in N_Q(s), via the projection characterisation s = proj_Q(s + z)."""
-    s = np.asarray(s, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if not set_member(q, s, tol):
-        raise ValueError("s is not in Q within tolerance")
-    return bool(np.linalg.norm(project_set(q, s + z) - s) <= tol)
 
 
 def tangent_cone_member(q: ConvexSet, s, d, tol: float = 1e-8) -> bool:

@@ -12,7 +12,7 @@ space, and retractions map tangent vectors back onto the manifold:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -100,18 +100,6 @@ def fixed_rank_point_from_factors(u, s, v) -> Point:
         raise RankDeficiencyError(f"singular value below threshold: min(s) = {s.min():.3e}")
     ambient = (u * s) @ v.T
     return Point(ambient=_readonly(ambient), u=_readonly(u), s=_readonly(s), v=_readonly(v))
-
-
-def fixed_rank_point(ambient, r: int) -> Point:
-    """Factor an ambient matrix assumed to have rank r (truncation checked)."""
-    ambient = np.asarray(ambient, dtype=float)
-    uu, ss, vvt = np.linalg.svd(ambient, full_matrices=False)
-    if ss[r - 1] <= SV_RANK_TOL:
-        raise RankDeficiencyError(f"matrix has numerical rank below {r}")
-    tail = ss[r:]
-    if tail.size and tail[0] > 1e-10 * ss[0]:
-        raise ValueError("ambient matrix is not numerically rank r")
-    return fixed_rank_point_from_factors(uu[:, :r], ss[:r], vvt[:r].T)
 
 
 def nearest_rank_r(manifold: FixedRank, ambient) -> Point:
@@ -210,19 +198,15 @@ def _fixed_rank_retract(manifold: FixedRank, x: Point, xi: np.ndarray) -> Point:
     return fixed_rank_point_from_factors(u_new, sk[:r], v_new)
 
 
-def retract(manifold: Manifold, x: Point, xi, *, normalize_only: bool = False) -> Point:
+def retract(manifold: Manifold, x: Point, xi) -> Point:
     """Map a tangent vector back onto the manifold.
 
-    Sphere: exact exponential map (or metric projection x+xi / |x+xi| when
-    ``normalize_only``).  Fixed rank: metric projection, i.e. the rank-r
-    truncated SVD of x + xi; raises RankDeficiencyError if that truncation
-    is not well defined.
+    Sphere: exact exponential map.  Fixed rank: metric projection, i.e. the
+    rank-r truncated SVD of x + xi; raises RankDeficiencyError if that
+    truncation is not well defined.
     """
     xi = _check_shape(manifold, xi)
     if isinstance(manifold, Sphere):
-        if normalize_only:
-            out = x.ambient + xi
-            return Point(ambient=_readonly(out / np.linalg.norm(out)))
         return Point(ambient=_readonly(_sphere_exp(x.ambient, xi)))
     return _fixed_rank_retract(manifold, x, xi)
 
@@ -233,53 +217,6 @@ def distance(manifold: Manifold, x: Point, y: Point) -> float:
         c = float(np.clip(x.ambient @ y.ambient, -1.0, 1.0))
         return float(np.arccos(c))
     return float(np.linalg.norm(x.ambient - y.ambient))
-
-
-def riemannian_grad(manifold: Manifold, x: Point, egrad) -> np.ndarray:
-    """Riemannian gradient: projection of the ambient Euclidean gradient."""
-    return project_tangent(manifold, x, egrad)
-
-
-def riemannian_hess_apply(
-    manifold: Manifold,
-    x: Point,
-    egrad,
-    ehess_xi,
-    xi,
-    *,
-    egrad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    step: float = 1e-6,
-) -> np.ndarray:
-    """Riemannian Hessian applied to a tangent vector xi.
-
-    On the sphere the curvature correction is closed form:
-    ``Pi_x(ehess_xi) - <x, egrad> xi``.  If ``ehess_xi`` is None it is
-    produced by central differences of ``egrad_fn`` along the ambient line.
-    On the fixed-rank manifold no closed form is used; the projected gradient
-    field is centrally differenced along the retraction (requires
-    ``egrad_fn``).
-    """
-    xi = _check_shape(manifold, xi)
-    if isinstance(manifold, Sphere):
-        egrad = _check_shape(manifold, egrad)
-        if ehess_xi is None:
-            if egrad_fn is None:
-                raise ValueError("need ehess_xi or egrad_fn")
-            h = step * (1.0 + np.linalg.norm(x.ambient)) / max(1.0, np.linalg.norm(xi))
-            ehess_xi = (egrad_fn(x.ambient + h * xi) - egrad_fn(x.ambient - h * xi)) / (2 * h)
-        ehess_xi = _check_shape(manifold, ehess_xi)
-        return project_tangent(manifold, x, ehess_xi) - float(x.ambient @ egrad) * xi
-    if egrad_fn is None:
-        raise ValueError("fixed-rank Hessian products need egrad_fn (finite-difference mode)")
-    nrm = np.linalg.norm(xi)
-    if nrm == 0.0:
-        return np.zeros(manifold.ambient_shape)
-    h = step / nrm
-    xp = retract(manifold, x, h * xi)
-    xm = retract(manifold, x, -h * xi)
-    gp = project_tangent(manifold, xp, egrad_fn(xp.ambient))
-    gm = project_tangent(manifold, xm, egrad_fn(xm.ambient))
-    return project_tangent(manifold, x, (gp - gm) / (2 * h))
 
 
 def random_point(manifold: Manifold, seed) -> Point:

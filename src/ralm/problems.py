@@ -103,17 +103,6 @@ SPHERE_L1_DEMO_A = np.array(
 )
 
 
-def rmc_mask(m: int, n: int, omega) -> np.ndarray:
-    """Boolean observation mask from an index set (iterable of (i, j) pairs)."""
-    mask = np.zeros((m, n), dtype=bool)
-    for idx in omega:
-        i, j = int(idx[0]), int(idx[1])
-        if not (0 <= i < m and 0 <= j < n):
-            raise ValueError(f"observation index out of range: {(i, j)}")
-        mask[i, j] = True
-    return mask
-
-
 def build_family(family) -> ProblemInstance:
     if isinstance(family, CircleExample):
         return _build_circle()

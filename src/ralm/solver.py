@@ -46,7 +46,7 @@ class InnerConfig:
             raise ValueError("armijo_c must lie in (0, 1)")
         if not (0 < self.backtrack < 1):
             raise ValueError("backtrack must lie in (0, 1)")
-        if self.init_step <= 0:
+        if not self.init_step > 0:
             raise ValueError("init_step must be positive")
 
 
@@ -65,21 +65,21 @@ class ALMConfig:
     inner: InnerConfig = field(default_factory=InnerConfig)
 
     def validate(self):
-        if self.rho0 <= 0:
+        if not self.rho0 > 0:
             raise ValueError("rho0 must be positive")
-        if self.gamma <= 1:
+        if not self.gamma > 1:
             raise ValueError("gamma must be > 1")
         if not (0 < self.tau < 1):
             raise ValueError("tau must lie in (0, 1)")
-        if self.eps0 <= 0:
+        if not self.eps0 > 0:
             raise ValueError("eps0 must be positive")
         if not (0 < self.eps_decay < 1):
             raise ValueError("eps_decay must lie in (0, 1)")
-        if self.eps_floor <= 0:
+        if not self.eps_floor > 0:
             raise ValueError("eps_floor must be positive")
-        if self.multiplier_bound <= 0:
+        if not self.multiplier_bound > 0:
             raise ValueError("multiplier_bound must be positive")
-        if self.kkt_tol <= 0:
+        if not self.kkt_tol > 0:
             raise ValueError("kkt_tol must be positive")
         if self.max_outer < 0:
             raise ValueError("max_outer must be >= 0")
@@ -125,62 +125,70 @@ class ALMResult:
         return self.status is SolveStatus.CONVERGED
 
 
-def kkt_residual_components(p: ProblemInstance, x: Point, y, z=None):
-    """The three blockwise norms whose sum is the KKT residual R.
+def kkt_blocks(p: ProblemInstance, x: Point, y, z=None):
+    """The three blocks of the KKT natural map; all vanish exactly at KKT points.
 
-    stationarity:  |grad_x L(x, y, z)|
-    theta block:   |g1(x) - prox_theta(g1(x) + y)|
-    set block:     |g2(x) - proj_Q(g2(x) + z)|   (0 when Q is absent)
+    stationarity:  grad_x L(x, y, z)
+    theta block:   g1(x) - prox_theta(g1(x) + y)
+    set block:     g2(x) - proj_Q(g2(x) + z)   (None when Q is absent)
     """
-    grad_norm = float(np.linalg.norm(lagrangian_rgrad(p, x, y, z)))
+    grad = lagrangian_rgrad(p, x, y, z)
     g1 = p.g1.value(x.ambient)
-    theta_norm = float(np.linalg.norm(g1 - prox(p.theta, g1 + np.asarray(y))))
+    theta_block = g1 - prox(p.theta, g1 + np.asarray(y))
+    set_block = None
     if p.q is not None and z is not None:
         g2 = p.g2.value(x.ambient)
-        set_norm = float(np.linalg.norm(g2 - project_set(p.q, g2 + np.asarray(z))))
-    else:
-        set_norm = 0.0
-    return grad_norm, theta_norm, set_norm
+        set_block = g2 - project_set(p.q, g2 + np.asarray(z))
+    return grad, theta_block, set_block
+
+
+def _block_norms(blocks):
+    grad, theta_block, set_block = blocks
+    set_norm = 0.0 if set_block is None else float(np.linalg.norm(set_block))
+    return float(np.linalg.norm(grad)), float(np.linalg.norm(theta_block)), set_norm
+
+
+def kkt_residual_components(p: ProblemInstance, x: Point, y, z=None):
+    """The norms of the three ``kkt_blocks``; their sum is the KKT residual R
+    (the set norm is 0 when Q is absent)."""
+    return _block_norms(kkt_blocks(p, x, y, z))
 
 
 def kkt_residual(p: ProblemInstance, x: Point, y, z=None) -> float:
     return float(sum(kkt_residual_components(p, x, y, z)))
 
 
-def auxiliary_v(p: ProblemInstance, x: Point, y, z, rho: float) -> float:
-    """Feasibility progress measure driving the penalty update.
+def update_multipliers(p: ProblemInstance, x_next: Point, w, p_mult, rho: float):
+    """Multiplier step: y+ = rho [u - prox_{theta/rho}(u)] with u = g1 + w/rho,
+    and the analogous projection step for the set constraint.
 
-    max( |g1(x) - prox_{theta/rho}(g1(x) + y/rho)|,
-         |g2(x) - proj_Q(g2(x) + z/rho)| ).
-
-    With the multipliers produced by ``update_multipliers`` the first term
-    equals |y_next - y| / rho, so V measures the scaled multiplier increment;
-    it vanishes at a KKT pair for every rho (which is what makes the
-    penalty-update test meaningful).
+    Also returns the gaps (|g1 - prox_{theta/rho}(u)|, |g2 - proj_Q(s)|) with
+    s = g2 + p/rho (the second is 0 without Q).  Their max is the feasibility
+    measure V driving the penalty update; the first equals |y+ - w| / rho.
+    Both vanish at a KKT pair for every rho, which is what makes the
+    penalty-update test meaningful.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    g1 = p.g1.value(x.ambient)
-    first = float(np.linalg.norm(g1 - prox(p.theta, g1 + np.asarray(y) / rho, 1.0 / rho)))
-    second = 0.0
-    if p.q is not None and z is not None:
-        g2 = p.g2.value(x.ambient)
-        second = float(np.linalg.norm(g2 - project_set(p.q, g2 + np.asarray(z) / rho)))
-    return max(first, second)
-
-
-def update_multipliers(p: ProblemInstance, x_next: Point, w, p_mult, rho: float):
-    """Multiplier step: y+ = rho [u - prox_{theta/rho}(u)] with u = g1 + w/rho,
-    and the analogous projection step for the set constraint."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    u = p.g1.value(x_next.ambient) + np.asarray(w) / rho
-    y_next = rho * (u - prox(p.theta, u, 1.0 / rho))
+    g1 = p.g1.value(x_next.ambient)
+    u = g1 + np.asarray(w) / rho
+    pr = prox(p.theta, u, 1.0 / rho)
+    y_next = rho * (u - pr)
+    theta_gap = float(np.linalg.norm(g1 - pr))
     z_next = None
+    set_gap = 0.0
     if p.q is not None and p_mult is not None:
-        s = p.g2.value(x_next.ambient) + np.asarray(p_mult) / rho
-        z_next = rho * (s - project_set(p.q, s))
-    return y_next, z_next
+        g2 = p.g2.value(x_next.ambient)
+        s = g2 + np.asarray(p_mult) / rho
+        proj = project_set(p.q, s)
+        z_next = rho * (s - proj)
+        set_gap = float(np.linalg.norm(g2 - proj))
+    return y_next, z_next, (theta_gap, set_gap)
+
+
+def auxiliary_v(p: ProblemInstance, x: Point, y, z, rho: float) -> float:
+    """Feasibility measure V at (x, y, z): the larger ``update_multipliers`` gap."""
+    return max(update_multipliers(p, x, y, z, rho)[2])
 
 
 def penalty_update(v_new: float, v_prev, rho: float, gamma: float, tau: float, k: int) -> float:
@@ -295,6 +303,14 @@ def _distance_to_reference(p: ProblemInstance, x, y, z, reference):
     return d
 
 
+def _finite_residual(comps, k: int) -> float:
+    """The KKT residual R from its components; a NaN or infinite R ends the run."""
+    r_sum = float(sum(comps))
+    if not np.isfinite(r_sum):
+        raise ValueError(f"non-finite KKT residual at outer iteration {k}")
+    return r_sum
+
+
 def alm_run(
     p: ProblemInstance,
     config: ALMConfig,
@@ -313,7 +329,8 @@ def alm_run(
     than the residual.
 
     Returns the final triple with one history record per outer iteration
-    (plus a k = 0 record for the initial state).
+    (plus a k = 0 record for the initial state).  Raises ValueError at the
+    first outer iteration whose KKT residual is not finite.
     """
     config.validate()
     check_point(p.manifold, x0)
@@ -326,7 +343,7 @@ def alm_run(
     t_start = time.perf_counter()
 
     comps = kkt_residual_components(p, x, y, z)
-    r_sum = float(sum(comps))
+    r_sum = _finite_residual(comps, 0)
     history = [
         IterationRecord(
             k=0,
@@ -352,19 +369,16 @@ def alm_run(
         eps_k = max(config.eps_floor, min(config.eps0 * config.eps_decay**k, 0.1 * r_sum))
         sub = subproblem_solve(p, w, p_mult, rho, x, eps_k, config.inner)
         x = sub.x
-        y_new, z_new = update_multipliers(p, x, w, p_mult, rho)
-        v_new = auxiliary_v(p, x, w, p_mult, rho)
+        y_new, z_new, gaps = update_multipliers(p, x, w, p_mult, rho)
+        v_new = max(gaps)
+        blocks = kkt_blocks(p, x, y_new, z_new)
+        comps = _block_norms(blocks)
+        r_new = _finite_residual(comps, k + 1)
 
         # invariant diagnostics (see module tests): chain identity, multiplier
         # consistency, and the per-iteration residual bound
-        chain_gap = float(np.linalg.norm(sub.grad - lagrangian_rgrad(p, x, y_new, z_new)))
-        g1 = p.g1.value(x.ambient)
-        lhs = float(np.linalg.norm(g1 - prox(p.theta, g1 + y_new)))
-        rhs = float(np.linalg.norm(g1 - prox(p.theta, g1 + w / rho, 1.0 / rho)))
-        mult_gap = lhs - rhs
-
-        comps = kkt_residual_components(p, x, y_new, z_new)
-        r_new = float(sum(comps))
+        chain_gap = float(np.linalg.norm(sub.grad - blocks[0]))
+        mult_gap = comps[1] - gaps[0]
         bound = sub.grad_norm + float(np.linalg.norm(y_new - w)) / rho
         if z_new is not None:
             bound += float(np.linalg.norm(z_new - p_mult)) / rho

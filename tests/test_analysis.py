@@ -8,11 +8,10 @@ from ralm.analysis import (
     error_bound_fit,
     msosc_check,
     msrcq_check,
-    natural_map,
     polish_kkt,
 )
 from ralm.convex import ScaledL1
-from ralm.manifolds import Sphere, random_point, random_tangent, sphere_point
+from ralm.manifolds import FixedRank, Sphere, random_point, random_tangent, sphere_point
 from ralm.problems import (
     RMC,
     SPHERE_L1_DEMO_A,
@@ -24,13 +23,18 @@ from ralm.problems import (
     build_family,
     tilted_instance,
 )
-from ralm.solver import ALMConfig, alm_run, kkt_residual
+from ralm.solver import ALMConfig, alm_run, kkt_blocks, kkt_residual
 
 RT2 = np.sqrt(2.0) / 2.0
 
 
 def circle_solution():
     return sphere_point([RT2, RT2]), np.array([RT2]), np.array([0.0])
+
+
+def stacked(blocks):
+    """The natural map: the KKT blocks flattened into one vector."""
+    return np.concatenate([b.ravel() for b in blocks if b is not None])
 
 
 def solved_sphere_demo():
@@ -44,8 +48,7 @@ class TestNaturalMap:
     def test_zero_at_known_solution(self):
         p = build_family(CircleExample())
         x, y, z = circle_solution()
-        nm = natural_map(p, x, y, z)
-        assert np.linalg.norm(nm.stacked) <= 1e-12
+        assert np.linalg.norm(stacked(kkt_blocks(p, x, y, z))) <= 1e-12
 
     def test_blockwise_norms_sum_to_residual(self):
         p = build_family(CircleExample())
@@ -54,29 +57,30 @@ class TestNaturalMap:
             x = random_point(p.manifold, rng)
             y = rng.standard_normal(1)
             z = rng.standard_normal(1)
-            nm = natural_map(p, x, y, z)
+            grad_block, theta_block, set_block = kkt_blocks(p, x, y, z)
             total = (
-                np.linalg.norm(nm.grad_block)
-                + np.linalg.norm(nm.theta_block)
-                + np.linalg.norm(nm.set_block)
+                np.linalg.norm(grad_block)
+                + np.linalg.norm(theta_block)
+                + np.linalg.norm(set_block)
             )
             assert total == pytest.approx(kkt_residual(p, x, y, z), abs=1e-13)
 
     def test_residual_zero_iff_map_zero(self):
         p, trip = solved_sphere_demo()
-        nm = natural_map(p, trip.x, trip.y, trip.z)
-        assert np.linalg.norm(nm.stacked) <= 10 * max(trip.residual, 1e-12)
+        blocks = kkt_blocks(p, trip.x, trip.y, trip.z)
+        assert blocks[2] is None  # no set constraint
+        assert np.linalg.norm(stacked(blocks)) <= 10 * max(trip.residual, 1e-12)
 
     def test_perturbing_y_off_kink_moves_first_block_only(self):
         p = build_family(CircleExample())
         x, y, z = circle_solution()
         delta = 1e-3  # stays inside the prox-inactive band |g1 + y| < mu
-        nm0 = natural_map(p, x, y, z)
-        nm1 = natural_map(p, x, y + delta, z)
-        np.testing.assert_allclose(nm1.theta_block, nm0.theta_block, atol=1e-15)
-        np.testing.assert_allclose(nm1.set_block, nm0.set_block, atol=1e-15)
+        grad0, theta0, set0 = kkt_blocks(p, x, y, z)
+        grad1, theta1, set1 = kkt_blocks(p, x, y + delta, z)
+        np.testing.assert_allclose(theta1, theta0, atol=1e-15)
+        np.testing.assert_allclose(set1, set0, atol=1e-15)
         expected = p.g1.jacobian_adjoint(x.ambient, np.array([delta]))
-        moved = nm1.grad_block - nm0.grad_block
+        moved = grad1 - grad0
         from ralm.manifolds import project_tangent
 
         np.testing.assert_allclose(moved, project_tangent(p.manifold, x, expected), atol=1e-14)
@@ -166,6 +170,16 @@ class TestMsrcq:
             res = alm_run(p, ALMConfig(), random_point(p.manifold, seed + 50))
             trip = polish_kkt(p, res.x, res.y, res.z, tol=1e-10)
             assert msrcq_check(p, trip.x, trip.y, trip.z).passed
+
+    def test_refuses_dense_stack_over_size_cap(self):
+        # rmc 200x200 r=5: a 40000 x (1975 + 40000) stack, far above the cap;
+        # the size is refused before the KKT gate and the tangent basis
+        rng = np.random.default_rng(0)
+        p = build_family(RMC(rng.standard_normal((200, 200)), rng.random((200, 200)) < 0.15, 5))
+        x = random_point(FixedRank(200, 200, 5), 1)
+        for check in (msrcq_check, msosc_check):
+            with pytest.raises(ValueError, match="dense 40000 x 41975 system"):
+                check(p, x, np.zeros((200, 200)))
 
 
 class TestMsosc:
@@ -305,26 +319,23 @@ class TestBuiltinFamilyProbes:
             x = random_point(p_circle.manifold, rng)
             y = rng.standard_normal(1)
             z = rng.standard_normal(1)
-            nm = natural_map(p_circle, x, y, z)
-            total = (
-                np.linalg.norm(nm.grad_block)
-                + np.linalg.norm(nm.theta_block)
-                + np.linalg.norm(nm.set_block)
-            )
+            blocks = kkt_blocks(p_circle, x, y, z)
+            total = sum(np.linalg.norm(b) for b in blocks)
             r = kkt_residual(p_circle, x, y, z)
             assert total == pytest.approx(r, abs=1e-13)
-            assert (r <= 1e-12) == (np.linalg.norm(nm.stacked) <= 1e-12)
+            assert (r <= 1e-12) == (np.linalg.norm(stacked(blocks)) <= 1e-12)
         # the three built-in KKT points are zeros of both
         x, y, z = circle_solution()
-        assert np.linalg.norm(natural_map(p_circle, x, y, z).stacked) <= 1e-12
+        assert np.linalg.norm(stacked(kkt_blocks(p_circle, x, y, z))) <= 1e-12
         p_s, trip_s = solved_sphere_demo()
-        assert np.linalg.norm(natural_map(p_s, trip_s.x, trip_s.y, trip_s.z).stacked) <= 1e-9
+        assert np.linalg.norm(stacked(kkt_blocks(p_s, trip_s.x, trip_s.y, trip_s.z))) <= 1e-9
         p_r, trip_r = solved_rmc_basic()
-        assert np.linalg.norm(natural_map(p_r, trip_r.x, trip_r.y, trip_r.z).stacked) <= 1e-9
+        assert np.linalg.norm(stacked(kkt_blocks(p_r, trip_r.x, trip_r.y, trip_r.z))) <= 1e-9
 
     def test_polished_triple_residual_consistent(self):
         p, trip = solved_sphere_demo()
-        assert abs(kkt_residual(p, trip.x, trip.y, trip.z) - trip.residual) <= 1e-12
+        # polish_kkt reads R from the run's last record: the same float
+        assert kkt_residual(p, trip.x, trip.y, trip.z) == trip.residual
 
     def test_error_bound_positive_for_all_families(self):
         p_c = build_family(CircleExample())

@@ -227,6 +227,13 @@ class TestSphereL1Command:
         for row in rows[2:]:
             assert float(row[2]) == pytest.approx(float(row[4]), abs=1e-15)
 
+    @pytest.mark.parametrize("flag", ["--mu", "--rho0", "--kkt-tol", "--gamma"])
+    def test_nan_flag_exits_one_line(self, tmp_path, capsys, flag):
+        code = main(["sphere-l1", flag, "nan", "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestRmcCommand:
     def test_basic_recovery(self, tmp_path):
@@ -288,6 +295,14 @@ class TestRmcCommand:
 
 
 class TestAnalyzeCommand:
+    def test_oversized_instance_refused_before_the_solve(self, tmp_path, capsys):
+        argv = ["analyze", "--family", "rmc", "--mode", "random", "--m", "200", "--n", "200"]
+        code = main(argv + ["--r", "5", "--out", str(tmp_path / "big")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: condition check too large") and err.count("\n") == 1
+        assert not (tmp_path / "big" / "summary.txt").exists()
+
     def test_circle_analysis_artifacts(self, tmp_path):
         out = tmp_path / "ana"
         code = main(["analyze", "--family", "circle", "--out", str(out)])

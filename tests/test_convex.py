@@ -14,7 +14,6 @@ from ralm.convex import (
     epiderivative_down2,
     l1_value,
     moreau_env,
-    normal_cone_member,
     project_set,
     prox,
     prox_residual,
@@ -357,14 +356,12 @@ class TestSets:
             project_set(NonnegOrthant((3,)), np.ones(2))
 
     def test_normal_cone_examples(self):
+        # z in N_Q(s) iff proj_Q(s + z) = s: the KKT set block vanishes exactly then
         q = NonnegOrthant((2,))
-        assert normal_cone_member(q, np.array([0.0, 2.0]), np.array([-3.0, 0.0]))
-        assert normal_cone_member(q, np.array([0.0, 2.0]), np.zeros(2))
-        assert not normal_cone_member(q, np.array([0.0, 2.0]), np.array([0.0, 1.0]))
-
-    def test_normal_cone_membership_needs_feasible_base(self):
-        with pytest.raises(ValueError):
-            normal_cone_member(NonnegOrthant((1,)), np.array([-1.0]), np.array([0.0]))
+        s = np.array([0.0, 2.0])
+        np.testing.assert_array_equal(project_set(q, s + np.array([-3.0, 0.0])), s)
+        np.testing.assert_array_equal(project_set(q, s + np.zeros(2)), s)
+        assert not np.array_equal(project_set(q, s + np.array([0.0, 1.0])), s)
 
     def test_tangent_cone_membership(self):
         q = NonnegOrthant((2,))
@@ -405,6 +402,11 @@ class TestScaledL1Basics:
         with pytest.raises(ValueError):
             ScaledL1(-0.1)
         ScaledL1(0.0)  # smooth edge case is allowed
+
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+    def test_non_finite_mu_rejected(self, mu):
+        with pytest.raises(ValueError, match="finite"):
+            ScaledL1(mu)
 
     @given(arrays(np.float64, 4, elements=st.floats(-5, 5)))
     @settings(max_examples=100, deadline=None, derandomize=True)

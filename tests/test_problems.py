@@ -20,7 +20,6 @@ from ralm.problems import (
     merit_rgrad,
     merit_shifts,
     objective_value,
-    rmc_mask,
     tilted_instance,
 )
 
@@ -85,12 +84,6 @@ class TestFamilies:
         p = build_family(RMC(a, np.ones((3, 3), dtype=bool), 1))
         x = rng.standard_normal((3, 3))
         np.testing.assert_allclose(p.g1.value(x), x - a)
-
-    def test_rmc_mask_from_indices(self):
-        mask = rmc_mask(2, 3, [(0, 0), (1, 2)])
-        assert mask.sum() == 2 and mask[0, 0] and mask[1, 2]
-        with pytest.raises(ValueError):
-            rmc_mask(2, 3, [(2, 0)])
 
     def test_rmc_masking_is_self_adjoint(self):
         rng = np.random.default_rng(2)

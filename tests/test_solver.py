@@ -4,7 +4,7 @@ import pytest
 import ralm.problems
 import ralm.solver
 from ralm.cli import rmc_basic_instance
-from ralm.convex import prox
+from ralm.convex import project_set, prox
 from ralm.manifolds import check_point, random_point, sphere_point
 from ralm.problems import (
     RMC,
@@ -13,6 +13,7 @@ from ralm.problems import (
     SphereL1,
     aug_lagrangian,
     build_family,
+    lagrangian_rgrad,
     objective_value,
 )
 from ralm.solver import (
@@ -21,6 +22,7 @@ from ralm.solver import (
     SolveStatus,
     alm_run,
     auxiliary_v,
+    kkt_blocks,
     kkt_residual,
     kkt_residual_components,
     penalty_update,
@@ -65,21 +67,21 @@ class TestUpdateMultipliers:
         # craft x so g1(x) + w/rho = (0.1, ...): use w to steer
         x = sphere_point([1.0, 0.0])
         w = np.array([-0.9, 0.0])
-        y, z = update_multipliers(p, x, w, None, 1.0)
+        y, z, _ = update_multipliers(p, x, w, None, 1.0)
         assert z is None
         assert y[0] == pytest.approx(0.1, abs=1e-15)
 
     def test_zero_argument_gives_zero(self):
         p = build_family(SphereL1(np.eye(2), mu=1.0))
         x = sphere_point([1.0, 0.0])
-        y, _ = update_multipliers(p, x, np.array([-1.0, 0.0]), None, 1.0)
+        y, _, _ = update_multipliers(p, x, np.array([-1.0, 0.0]), None, 1.0)
         assert y[0] == 0.0
 
     def test_projection_branch(self):
         p = build_family(CircleExample())
         # g2(x) + p/rho = -1.5 with x = (-1, 0): g2 = -2, p = 1
         x = sphere_point([-1.0, 0.0])
-        _, z = update_multipliers(p, x, np.zeros(1), np.array([1.0]), 2.0)
+        _, z, _ = update_multipliers(p, x, np.zeros(1), np.array([1.0]), 2.0)
         assert z[0] == pytest.approx(-3.0)
 
     def test_multiplier_in_subdifferential(self):
@@ -89,7 +91,7 @@ class TestUpdateMultipliers:
             x = random_point(p.manifold, rng)
             w = rng.standard_normal(5)
             rho = float(rng.uniform(0.5, 20))
-            y, _ = update_multipliers(p, x, w, None, rho)
+            y, _, _ = update_multipliers(p, x, w, None, rho)
             assert np.all(np.abs(y) <= p.theta.mu + 1e-12)
 
 
@@ -118,12 +120,81 @@ class TestAuxiliaryV:
             w = rng.standard_normal(1)
             pm = rng.standard_normal(1)
             rho = float(rng.uniform(0.5, 50))
-            y_next, z_next = update_multipliers(p, x, w, pm, rho)
+            y_next, z_next, _ = update_multipliers(p, x, w, pm, rho)
             v = auxiliary_v(p, x, w, pm, rho)
             expected = max(
                 np.linalg.norm(y_next - w) / rho, np.linalg.norm(z_next - pm) / rho
             )
             assert v == pytest.approx(expected, abs=1e-12)
+
+
+def reference_kkt_components(p, x, y, z=None):
+    """The three residual norms, in the operation order of the original formula."""
+    grad_norm = float(np.linalg.norm(lagrangian_rgrad(p, x, y, z)))
+    g1 = p.g1.value(x.ambient)
+    theta_norm = float(np.linalg.norm(g1 - prox(p.theta, g1 + np.asarray(y))))
+    if p.q is not None and z is not None:
+        g2 = p.g2.value(x.ambient)
+        set_norm = float(np.linalg.norm(g2 - project_set(p.q, g2 + np.asarray(z))))
+    else:
+        set_norm = 0.0
+    return grad_norm, theta_norm, set_norm
+
+
+def reference_multiplier_step(p, x, w, p_mult, rho):
+    """(y+, z+, V, multiplier consistency gap) with a separate prox/projection each."""
+    u = p.g1.value(x.ambient) + np.asarray(w) / rho
+    y_next = rho * (u - prox(p.theta, u, 1.0 / rho))
+    z_next = None
+    if p.q is not None and p_mult is not None:
+        s = p.g2.value(x.ambient) + np.asarray(p_mult) / rho
+        z_next = rho * (s - project_set(p.q, s))
+    g1 = p.g1.value(x.ambient)
+    first = float(np.linalg.norm(g1 - prox(p.theta, g1 + np.asarray(w) / rho, 1.0 / rho)))
+    second = 0.0
+    if p.q is not None and p_mult is not None:
+        g2 = p.g2.value(x.ambient)
+        second = float(np.linalg.norm(g2 - project_set(p.q, g2 + np.asarray(p_mult) / rho)))
+    lhs = float(np.linalg.norm(g1 - prox(p.theta, g1 + y_next)))
+    rhs = float(np.linalg.norm(g1 - prox(p.theta, g1 + w / rho, 1.0 / rho)))
+    return y_next, z_next, max(first, second), lhs - rhs
+
+
+def acceptance_families():
+    a, mask, _ = rmc_basic_instance()
+    return {
+        "circle": build_family(CircleExample()),
+        "sphere-l1-builtin5x5": build_family(SphereL1(SPHERE_L1_DEMO_A, mu=0.25)),
+        "rmc-basic5x5": build_family(RMC(a, mask, 3)),
+    }
+
+
+class TestOneKKTSource:
+    @pytest.mark.parametrize("name", ["circle", "sphere-l1-builtin5x5", "rmc-basic5x5"])
+    def test_blocks_and_multiplier_gaps_match_reference_bitwise(self, name):
+        p = acceptance_families()[name]
+        rng = np.random.default_rng(29)
+        for rho in (0.3, 1.0, 10.0, 1e4):
+            for _ in range(10):
+                x = random_point(p.manifold, rng)
+                y = 3.0 * rng.standard_normal(p.g1.out_shape)
+                z = 3.0 * rng.standard_normal(p.g2.out_shape) if p.q is not None else None
+                ref = reference_kkt_components(p, x, y, z)
+                grad, theta_block, set_block = kkt_blocks(p, x, y, z)
+                assert np.array_equal(grad, lagrangian_rgrad(p, x, y, z))
+                assert float(np.linalg.norm(theta_block)) == ref[1]
+                assert (set_block is None) == (p.q is None)
+                assert kkt_residual_components(p, x, y, z) == ref
+                assert kkt_residual(p, x, y, z) == float(sum(ref))
+
+                ref_y, ref_z, ref_v, ref_gap = reference_multiplier_step(p, x, y, z, rho)
+                y_next, z_next, gaps = update_multipliers(p, x, y, z, rho)
+                assert np.array_equal(y_next, ref_y)
+                assert (z_next is None and ref_z is None) or np.array_equal(z_next, ref_z)
+                assert max(gaps) == ref_v
+                assert auxiliary_v(p, x, y, z, rho) == ref_v
+                # alm_run's consistency diagnostic: theta norm at y+ minus the first gap
+                assert kkt_residual_components(p, x, y_next, z_next)[1] - gaps[0] == ref_gap
 
 
 class TestPenaltyUpdate:
@@ -307,7 +378,7 @@ class TestALMRun:
             x = random_point(p.manifold, rng)
             w = rng.standard_normal(5)
             rho = float(rng.uniform(0.5, 30))
-            y_next, _ = update_multipliers(p, x, w, None, rho)
+            y_next, _, _ = update_multipliers(p, x, w, None, rho)
             g1 = p.g1.value(x.ambient)
             lhs = np.linalg.norm(g1 - prox(p.theta, g1 + y_next))
             rhs = np.linalg.norm(g1 - prox(p.theta, g1 + w / rho, 1.0 / rho))
@@ -348,6 +419,26 @@ class TestALMRun:
         assert res.converged
         assert len(res.history) - 1 <= 3
         assert np.linalg.norm(res.x.ambient - a) <= 1e-8
+
+    def test_non_finite_data_raises_at_first_outer_iteration(self):
+        a = SPHERE_L1_DEMO_A.copy()
+        a[2, 3] = np.nan
+        p = build_family(SphereL1(a, mu=0.25))
+        with pytest.raises(ValueError, match="non-finite KKT residual at outer iteration 0"):
+            alm_run(p, ALMConfig(), sphere_point(np.ones(5) / np.sqrt(5)))
+
+    @pytest.mark.parametrize(
+        "field",
+        ["rho0", "gamma", "tau", "eps0", "eps_decay", "eps_floor", "multiplier_bound", "kkt_tol"],
+    )
+    def test_nan_config_value_rejected(self, field):
+        with pytest.raises(ValueError):
+            ALMConfig(**{field: float("nan")}).validate()
+
+    @pytest.mark.parametrize("field", ["armijo_c", "backtrack", "init_step"])
+    def test_nan_inner_config_value_rejected(self, field):
+        with pytest.raises(ValueError):
+            ALMConfig(inner=InnerConfig(**{field: float("nan")})).validate()
 
     def test_plain_inner_mode(self):
         p = build_family(CircleExample())
