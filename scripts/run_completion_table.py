@@ -9,8 +9,7 @@ import time
 
 import numpy as np
 
-from ralm.cli import generate_rmc_instance, rmc_spectral_init
-from ralm.problems import RMC, build_family
+from ralm.problems import RMC, build_family, generate_rmc_instance, rmc_spectral_init
 from ralm.solver import ALMConfig, alm_run, kkt_residual_components
 
 

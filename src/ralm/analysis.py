@@ -14,6 +14,7 @@ The checks operate at (approximate) KKT triples:
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -485,15 +486,11 @@ def calmness_probe(
     for i, radius in enumerate(radii):
         tol = min(1e-10, radius * 1e-3)
         cfg = replace(base, kkt_tol=tol, eps_floor=min(base.eps_floor, tol / 10.0))
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(
-                    pool.map(lambda s: run_trial(radius, cfg, s), seeds[i])
-                )
-        else:
-            outcomes = [run_trial(radius, cfg, s) for s in seeds[i]]
+        # results are read once the pool has drained: waiting on each future
+        # in turn wakes this thread per trial and slows a one-worker run
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(run_trial, radius, cfg, s) for s in seeds[i]]
+        outcomes = [f.result() for f in futures]
         ratios = [o for o in outcomes if o is not None]
         failures = trials_per_radius - len(ratios)
         records.append(

@@ -29,21 +29,18 @@ from .analysis import (
     polish_kkt,
 )
 from .config import ConfigError, RunConfig, apply_flag_overrides, parse_problem_file
-from .manifolds import (
-    FixedRank,
-    Point,
-    RankDeficiencyError,
-    nearest_rank_r,
-    random_point,
-    sphere_point,
-)
+from .manifolds import FixedRank, RankDeficiencyError, nearest_rank_r, random_point, sphere_point
 from .problems import (
     RMC,
     SPHERE_L1_DEMO_A,
     CircleExample,
     SphereL1,
     build_family,
+    circle_reference,
+    generate_rmc_instance,
     objective_value,
+    rmc_basic_instance,
+    rmc_spectral_init,
 )
 from .solver import ALMConfig, alm_run, kkt_residual_components
 
@@ -54,122 +51,52 @@ EXIT_CHECK_FAILED = 3
 
 FIGURE1_RHOS = (1.0, 10.0, 100.0, 1000.0)
 
+# the mode a family runs when neither --mode nor the config file names one;
+# sphere-l1 and rmc also have a "random" mode
+DEFAULT_MODES = {"circle": None, "sphere-l1": "builtin5x5", "rmc": "basic5x5"}
+
 
 # ---------------------------------------------------------------------------
-# problem builders
+# problem builder
 
 
-def circle_reference():
-    s2 = math.sqrt(2.0) / 2.0
-    return sphere_point([s2, s2]), np.array([s2]), np.array([0.0])
+def _mode(cfg: RunConfig):
+    if cfg.family not in DEFAULT_MODES:
+        raise ConfigError(f"unknown family {cfg.family!r}")
+    return cfg.mode or DEFAULT_MODES[cfg.family]
 
 
-def build_circle_problem():
-    p = build_family(CircleExample())
-    x0 = sphere_point([1.0, 0.0])
-    return p, x0, circle_reference()
-
-
-def build_sphere_problem(cfg: RunConfig):
-    mode = cfg.mode or "builtin5x5"
-    if mode == "builtin5x5":
-        a = cfg.matrix if cfg.matrix is not None else SPHERE_L1_DEMO_A
-        p = build_family(SphereL1(a, mu=cfg.mu))
-        n = a.shape[0]
-        x0 = sphere_point(np.ones(n) / math.sqrt(n))
-        return p, x0, None
-    if mode == "random":
+def build_problem(cfg: RunConfig):
+    """Returns (problem, x0, reference-triple-or-None, exact-matrix-or-None)."""
+    mode = _mode(cfg)
+    if cfg.family == "circle":
+        return build_family(CircleExample()), sphere_point([1.0, 0.0]), circle_reference(), None
+    if mode not in (DEFAULT_MODES[cfg.family], "random"):
+        raise ConfigError(f"unknown {cfg.family} mode {mode!r}")
+    if cfg.family == "sphere-l1":
         seed = cfg.seed if cfg.seed is not None else 0
-        rng = np.random.default_rng(seed)
-        a = cfg.matrix if cfg.matrix is not None else rng.standard_normal((cfg.n, cfg.n))
+        if cfg.matrix is not None:
+            a = cfg.matrix
+        elif mode == "random":
+            a = np.random.default_rng(seed).standard_normal((cfg.n, cfg.n))
+        else:
+            a = SPHERE_L1_DEMO_A
         p = build_family(SphereL1(a, mu=cfg.mu))
-        x0 = random_point(p.manifold, np.random.default_rng([seed, 1]))
-        return p, x0, None
-    raise ConfigError(f"unknown sphere-l1 mode {mode!r}")
-
-
-def rmc_basic_instance(seed: int = 42):
-    """The fixed 5x5 rank-3 instance with outliers in the lower-right block."""
-    s2 = math.sqrt(2.0) / 2.0
-    u = np.array(
-        [[1, 0, 0], [0, -s2, s2], [0, s2, s2], [0, 0, 0], [0, 0, 0]], dtype=float
-    )
-    v = np.array(
-        [[1, 0, 0], [0, 0.6, -0.8], [0, 0.8, 0.6], [0, 0, 0], [0, 0, 0]], dtype=float
-    )
-    s = np.diag([1.0, 2.0, 3.0])
-    a_exact = u @ s @ v.T
-    e_out = np.zeros((5, 5))
-    # outliers live in the normal space of A_exact; scale 0.5 keeps A_exact the
-    # global optimum
-    e_out[3:, 3:] = 0.5 * np.random.default_rng(seed).standard_normal((2, 2))
-    return a_exact + e_out, np.ones((5, 5), dtype=bool), a_exact
-
-
-def generate_rmc_instance(m: int, n: int, r: int, oversample: float, seed: int):
-    """Random low-rank ground truth, uniform mask, sparse exponential outliers.
-
-    Sample size oversample*(m+n-r)*r; 3% of the samples carry exponential
-    (mean 10) outliers.
-    """
-    rng = np.random.default_rng(seed)
-    left = rng.standard_normal((m, r))
-    right = rng.standard_normal((n, r))
-    a_exact = left @ right.T
-    n_samp = int(oversample * (m + n - r) * r)
-    if n_samp > m * n:
-        raise ConfigError("oversample too large: more samples than entries")
-    idx = rng.choice(m * n, size=n_samp, replace=False)
-    mask = np.zeros(m * n, dtype=bool)
-    mask[idx] = True
-    mask = mask.reshape(m, n)
-    n_out = int(round(0.03 * n_samp))
-    out_pos = rng.choice(idx, size=n_out, replace=False)
-    e_flat = np.zeros(m * n)
-    e_flat[out_pos] = rng.exponential(10.0, size=n_out)
-    a = np.where(mask, a_exact + e_flat.reshape(m, n), 0.0)
-    return a, mask, a_exact
-
-
-def rmc_spectral_init(a, mask, r) -> Point:
-    """Winsorised spectral initialisation (heavy outliers are clipped first)."""
-    vals = np.abs(a[mask])
-    cap = 3.0 * float(np.quantile(vals, 0.75)) if vals.size else 1.0
-    frac = mask.sum() / mask.size
-    filled = np.where(mask, np.clip(a, -cap, cap), 0.0) / max(frac, 1e-12)
-    return nearest_rank_r(FixedRank(a.shape[0], a.shape[1], r), filled)
-
-
-def build_rmc_problem(cfg: RunConfig):
-    mode = cfg.mode or "basic5x5"
-    if mode == "basic5x5":
-        seed = cfg.seed if cfg.seed is not None else 42
-        a, mask, a_exact = rmc_basic_instance(seed)
-        r = 3
-        x0 = nearest_rank_r(FixedRank(5, 5, r), a)
-    elif mode == "random":
+        if mode == "random":
+            x0 = random_point(p.manifold, np.random.default_rng([seed, 1]))
+        else:
+            x0 = sphere_point(np.ones(a.shape[0]) / math.sqrt(a.shape[0]))
+        return p, x0, None, None
+    if mode == "random":
         seed = cfg.seed if cfg.seed is not None else 1
         a, mask, a_exact = generate_rmc_instance(cfg.m, cfg.n, cfg.r, cfg.oversample, seed)
         r = cfg.r
         x0 = rmc_spectral_init(a, mask, r)
     else:
-        raise ConfigError(f"unknown rmc mode {mode!r}")
-    p = build_family(RMC(a, mask, r))
-    return p, x0, a_exact
-
-
-def build_problem(cfg: RunConfig):
-    """Returns (problem, x0, reference-triple-or-None, exact-matrix-or-None)."""
-    if cfg.family == "circle":
-        p, x0, ref = build_circle_problem()
-        return p, x0, ref, None
-    if cfg.family == "sphere-l1":
-        p, x0, _ = build_sphere_problem(cfg)
-        return p, x0, None, None
-    if cfg.family == "rmc":
-        p, x0, a_exact = build_rmc_problem(cfg)
-        return p, x0, None, a_exact
-    raise ConfigError(f"unknown family {cfg.family!r}")
+        a, mask, a_exact = rmc_basic_instance(cfg.seed if cfg.seed is not None else 42)
+        r = 3
+        x0 = nearest_rank_r(FixedRank(5, 5, r), a)
+    return build_family(RMC(a, mask, r)), x0, None, a_exact
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +229,7 @@ def figure1_config(rho: float) -> ALMConfig:
 # commands
 
 
-def _ensure_out(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _summary_entries(p, cfg, res, elapsed, a_exact=None):
+def _summary_entries(p, res, elapsed, a_exact=None):
     comps = kkt_residual_components(p, res.x, res.y, res.z)
     entries = {
         "family": p.label,
@@ -324,29 +245,32 @@ def _summary_entries(p, cfg, res, elapsed, a_exact=None):
     return entries
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    out = _ensure_out(cfg)
+def _solve(cfg: RunConfig, conditions: bool = False):
+    """Returns (problem, result, solve seconds, exact-matrix-or-None); with
+    ``conditions``, an instance too large for the condition checks is refused
+    before the solve, not after it."""
     p, x0, ref, a_exact = build_problem(cfg)
+    if conditions:
+        check_condition_size(p)
     t0 = time.perf_counter()
     res = alm_run(p, cfg.alm, x0, reference=ref)
-    elapsed = time.perf_counter() - t0
+    return p, res, time.perf_counter() - t0, a_exact
+
+
+def cmd_solve(cfg: RunConfig, out: Path) -> int:
+    p, res, elapsed, a_exact = _solve(cfg)
     write_history_csv(out / "history.csv", res.history)
-    write_summary(out / "summary.txt", _summary_entries(p, cfg, res, elapsed, a_exact))
+    write_summary(out / "summary.txt", _summary_entries(p, res, elapsed, a_exact))
     return EXIT_OK if res.converged else EXIT_PARTIAL
 
 
-def cmd_figure1(cfg: RunConfig) -> int:
-    out = _ensure_out(cfg)
-    p, x0, ref = build_circle_problem()
-
-    def run_one(rho):
-        return alm_run(p, figure1_config(rho), x0, reference=ref)
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(run_one, FIGURE1_RHOS))
-    else:
-        results = [run_one(rho) for rho in FIGURE1_RHOS]
+def cmd_figure1(cfg: RunConfig, out: Path) -> int:
+    p, x0, ref, _ = build_problem(cfg)
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        futures = [
+            pool.submit(alm_run, p, figure1_config(rho), x0, reference=ref) for rho in FIGURE1_RHOS
+        ]
+    results = [f.result() for f in futures]
 
     header = ["k"]
     for rho in FIGURE1_RHOS:
@@ -385,50 +309,39 @@ def cmd_figure1(cfg: RunConfig) -> int:
 
 
 def _write_figure1_gnuplot(path: Path) -> None:
+    """Residual (figure1.csv column 2, 4, ...) and distance (3, 5, ...) plots."""
     lines = [
         "set datafile separator ','",
         "set logscale y",
         "set xlabel 'outer iteration k'",
         "set key top right",
         "set terminal pngcairo size 800,600",
-        "set output 'figure1_residual.png'",
-        "set ylabel 'KKT residual R'",
-        "plot 'figure1.csv' using 1:2 with linespoints title 'rho=1', \\",
-        "     'figure1.csv' using 1:4 with linespoints title 'rho=10', \\",
-        "     'figure1.csv' using 1:6 with linespoints title 'rho=100', \\",
-        "     'figure1.csv' using 1:8 with linespoints title 'rho=1000'",
-        "set output 'figure1_distance.png'",
-        "set ylabel 'distance to reference triple'",
-        "plot 'figure1.csv' using 1:3 with linespoints title 'rho=1', \\",
-        "     'figure1.csv' using 1:5 with linespoints title 'rho=10', \\",
-        "     'figure1.csv' using 1:7 with linespoints title 'rho=100', \\",
-        "     'figure1.csv' using 1:9 with linespoints title 'rho=1000'",
     ]
+    plots = (("residual", "KKT residual R", 2), ("distance", "distance to reference triple", 3))
+    for name, ylabel, first_col in plots:
+        curves = ", \\\n     ".join(
+            f"'figure1.csv' using 1:{first_col + 2 * i} with linespoints title 'rho={rho:g}'"
+            for i, rho in enumerate(FIGURE1_RHOS)
+        )
+        lines += [f"set output 'figure1_{name}.png'", f"set ylabel '{ylabel}'", "plot " + curves]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def cmd_sphere_l1(cfg: RunConfig) -> int:
-    out = _ensure_out(cfg)
-    mode = cfg.mode or "builtin5x5"
-    cfg.mode = mode
-    p, x0, _ = build_sphere_problem(cfg)
-    check_condition_size(p)  # the condition report follows the solve
-    t0 = time.perf_counter()
-    res = alm_run(p, cfg.alm, x0)
-    elapsed = time.perf_counter() - t0
+def cmd_sphere_l1(cfg: RunConfig, out: Path) -> int:
+    p, res, elapsed, _ = _solve(cfg, conditions=True)
     write_history_csv(out / "history.csv", res.history)
+    entries = _summary_entries(p, res, elapsed)
     if not res.converged:
-        write_summary(out / "summary.txt", _summary_entries(p, cfg, res, elapsed))
+        write_summary(out / "summary.txt", entries)
         return EXIT_PARTIAL
     trip = polish_kkt(p, res.x, res.y, res.z, tol=1e-10)
     report = condition_report(p, trip.x, trip.y, trip.z)
     write_conditions(out / "conditions.txt", report)
-    entries = _summary_entries(p, cfg, res, elapsed)
     entries["msrcq"] = "pass" if report.msrcq.passed else "fail"
     entries["msosc"] = report.msosc.status
 
     code = EXIT_OK
-    if mode == "builtin5x5":
+    if _mode(cfg) == "builtin5x5":
         x = trip.x.ambient
         sign = 1.0 if x[1] >= 0 else -1.0
         e2 = np.zeros(x.size)
@@ -443,39 +356,29 @@ def cmd_sphere_l1(cfg: RunConfig) -> int:
     return code
 
 
-def cmd_rmc(cfg: RunConfig) -> int:
-    out = _ensure_out(cfg)
-    mode = cfg.mode or "basic5x5"
-    cfg.mode = mode
-    p, x0, a_exact = build_rmc_problem(cfg)
-    t0 = time.perf_counter()
-    res = alm_run(p, cfg.alm, x0)
-    elapsed = time.perf_counter() - t0
+def cmd_rmc(cfg: RunConfig, out: Path) -> int:
+    p, res, elapsed, a_exact = _solve(cfg)
     write_history_csv(out / "history.csv", res.history)
-    entries = _summary_entries(p, cfg, res, elapsed, a_exact)
-    m, n = a_exact.shape
-    entries["m"] = m
-    entries["n"] = n
+    entries = _summary_entries(p, res, elapsed, a_exact)
+    entries["m"], entries["n"] = a_exact.shape
     entries["r"] = p.manifold.r
     write_summary(out / "summary.txt", entries)
     if not res.converged:
         return EXIT_PARTIAL
-    if mode == "basic5x5":
-        if entries["recovery_error"] > 1e-6 or entries["max_kkt_residual"] > 1e-7:
-            print(
-                f"rmc basic5x5 check failed: recovery {entries['recovery_error']:.3e}, "
-                f"max residual {entries['max_kkt_residual']:.3e}",
-                file=sys.stderr,
-            )
-            return EXIT_CHECK_FAILED
+    if _mode(cfg) == "basic5x5" and (
+        entries["recovery_error"] > 1e-6 or entries["max_kkt_residual"] > 1e-7
+    ):
+        print(
+            f"rmc basic5x5 check failed: recovery {entries['recovery_error']:.3e}, "
+            f"max residual {entries['max_kkt_residual']:.3e}",
+            file=sys.stderr,
+        )
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    out = _ensure_out(cfg)
-    p, x0, ref, a_exact = build_problem(cfg)
-    check_condition_size(p)  # refuse before the solve, not after it
-    res = alm_run(p, cfg.alm, x0)
+def cmd_analyze(cfg: RunConfig, out: Path) -> int:
+    p, res, _, _ = _solve(cfg, conditions=True)
     if not res.converged:
         return EXIT_PARTIAL
     trip = polish_kkt(p, res.x, res.y, res.z, tol=1e-12)
@@ -532,79 +435,64 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-outer", dest="max_outer", type=int, default=None)
 
 
+# every problem flag; solve and analyze take them all, the family commands
+# take their family's FAMILY_FLAGS
+PROBLEM_FLAGS = {
+    "family": dict(choices=tuple(DEFAULT_MODES)),
+    "mode": {},
+    "n": dict(type=int),
+    "m": dict(type=int),
+    "r": dict(type=int),
+    "mu": dict(type=float),
+    "oversample": dict(type=float),
+}
+FAMILY_FLAGS = {
+    "circle": (),
+    "sphere-l1": ("mode", "n", "mu"),
+    "rmc": ("mode", "m", "n", "r", "oversample"),
+}
+
+# subcommand: (handler, help, the family it fixes or None)
+COMMANDS = {
+    "solve": (cmd_solve, "run the solver on a problem family", None),
+    "figure1": (cmd_figure1, "fixed-penalty rate study on the circle instance", "circle"),
+    "sphere-l1": (cmd_sphere_l1, "l1-penalised quadratic on the sphere", "sphere-l1"),
+    "rmc": (cmd_rmc, "robust matrix completion on the fixed-rank manifold", "rmc"),
+    "analyze": (cmd_analyze, "optimality conditions, calmness and error-bound probes", None),
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ralm",
         description="Augmented Lagrangian solver on matrix manifolds with a KKT analysis suite",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("solve", help="run the solver on a problem family")
-    ps.add_argument("--family", choices=("circle", "sphere-l1", "rmc"), default=None)
-    ps.add_argument("--mode", default=None)
-    ps.add_argument("--n", type=int, default=None)
-    ps.add_argument("--m", type=int, default=None)
-    ps.add_argument("--r", type=int, default=None)
-    ps.add_argument("--mu", type=float, default=None)
-    ps.add_argument("--oversample", type=float, default=None)
-    _add_common(ps)
-
-    pf = sub.add_parser("figure1", help="fixed-penalty rate study on the circle instance")
-    _add_common(pf)
-
-    pl = sub.add_parser("sphere-l1", help="l1-penalised quadratic on the sphere")
-    pl.add_argument("--mode", choices=("builtin5x5", "random"), default=None)
-    pl.add_argument("--n", type=int, default=None)
-    pl.add_argument("--mu", type=float, default=None)
-    _add_common(pl)
-
-    pr = sub.add_parser("rmc", help="robust matrix completion on the fixed-rank manifold")
-    pr.add_argument("--mode", choices=("basic5x5", "random"), default=None)
-    pr.add_argument("--m", type=int, default=None)
-    pr.add_argument("--n", type=int, default=None)
-    pr.add_argument("--r", type=int, default=None)
-    pr.add_argument("--oversample", type=float, default=None)
-    _add_common(pr)
-
-    pa = sub.add_parser("analyze", help="optimality conditions, calmness and error-bound probes")
-    pa.add_argument("--family", choices=("circle", "sphere-l1", "rmc"), default=None)
-    pa.add_argument("--mode", default=None)
-    pa.add_argument("--n", type=int, default=None)
-    pa.add_argument("--m", type=int, default=None)
-    pa.add_argument("--r", type=int, default=None)
-    pa.add_argument("--mu", type=float, default=None)
-    pa.add_argument("--oversample", type=float, default=None)
-    _add_common(pa)
+    for name, (_, help_text, family) in COMMANDS.items():
+        ps = sub.add_parser(name, help=help_text)
+        for flag in FAMILY_FLAGS[family] if family else PROBLEM_FLAGS:
+            spec = PROBLEM_FLAGS[flag]
+            if flag == "mode" and family:
+                spec = dict(choices=(DEFAULT_MODES[family], "random"))
+            ps.add_argument(f"--{flag}", default=None, **spec)
+        _add_common(ps)
+        if family:
+            ps.set_defaults(family=family)
     return parser
 
 
-def _load_config(args) -> RunConfig:
-    cfg = parse_problem_file(args.config) if getattr(args, "config", None) else RunConfig()
-    return apply_flag_overrides(cfg, args)
-
-
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "figure1":
-            return cmd_figure1(cfg)
-        if args.command == "sphere-l1":
-            cfg.family = "sphere-l1"
-            return cmd_sphere_l1(cfg)
-        if args.command == "rmc":
-            cfg.family = "rmc"
-            return cmd_rmc(cfg)
-        if args.command == "analyze":
-            return cmd_analyze(cfg)
-        parser.error(f"unknown command {args.command}")
+        cfg = parse_problem_file(args.config) if args.config else RunConfig()
+        cfg = apply_flag_overrides(cfg, args)
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        handler = COMMANDS[args.command][0]
+        return handler(cfg, out)
     except (ConfigError, FileNotFoundError, ValueError, RankDeficiencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -149,5 +149,7 @@ def apply_flag_overrides(cfg: RunConfig, args) -> RunConfig:
     # store_true flag: only an explicit --fixed-rho can turn it on
     if getattr(args, "fixed_rho", False):
         cfg.alm.fixed_rho = True
+    if cfg.jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
     cfg.alm.validate()
     return cfg

@@ -5,10 +5,12 @@ derivatives supplied in ambient coordinates and projected onto tangent spaces
 when Riemannian quantities are needed.  Three built-in families cover the
 experiments: a two-dimensional circle instance with an inequality constraint,
 an l1-penalised quadratic on the sphere, and robust matrix completion on the
-fixed-rank manifold.
+fixed-rank manifold.  The instance data of the experiments (the circle's KKT
+triple, the RMC instances and their initial point) live here too.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -20,8 +22,10 @@ from .manifolds import (
     Manifold,
     Point,
     Sphere,
+    nearest_rank_r,
     project_tangent,
     retract,
+    sphere_point,
 )
 
 
@@ -101,6 +105,66 @@ SPHERE_L1_DEMO_A = np.array(
         [0.0, 0.0, 0.0, 0.0, 8.0],
     ]
 )
+
+
+def circle_reference():
+    """The circle instance's KKT triple (x, y, z): the solver's reference point."""
+    s2 = math.sqrt(2.0) / 2.0
+    return sphere_point([s2, s2]), np.array([s2]), np.array([0.0])
+
+
+def rmc_basic_instance(seed: int = 42):
+    """The fixed 5x5 rank-3 instance with outliers in the lower-right block."""
+    s2 = math.sqrt(2.0) / 2.0
+    u = np.array(
+        [[1, 0, 0], [0, -s2, s2], [0, s2, s2], [0, 0, 0], [0, 0, 0]], dtype=float
+    )
+    v = np.array(
+        [[1, 0, 0], [0, 0.6, -0.8], [0, 0.8, 0.6], [0, 0, 0], [0, 0, 0]], dtype=float
+    )
+    s = np.diag([1.0, 2.0, 3.0])
+    a_exact = u @ s @ v.T
+    e_out = np.zeros((5, 5))
+    # outliers live in the normal space of A_exact; scale 0.5 keeps A_exact the
+    # global optimum
+    e_out[3:, 3:] = 0.5 * np.random.default_rng(seed).standard_normal((2, 2))
+    return a_exact + e_out, np.ones((5, 5), dtype=bool), a_exact
+
+
+def generate_rmc_instance(m: int, n: int, r: int, oversample: float, seed: int):
+    """Random low-rank ground truth, uniform mask, sparse exponential outliers.
+
+    Sample size oversample*(m+n-r)*r; 3% of the samples carry exponential
+    (mean 10) outliers.
+    """
+    if not 0 < oversample < math.inf:
+        raise ValueError(f"oversample must be positive and finite, got {oversample}")
+    rng = np.random.default_rng(seed)
+    left = rng.standard_normal((m, r))
+    right = rng.standard_normal((n, r))
+    a_exact = left @ right.T
+    n_samp = int(oversample * (m + n - r) * r)
+    if n_samp > m * n:
+        raise ValueError("oversample too large: more samples than entries")
+    idx = rng.choice(m * n, size=n_samp, replace=False)
+    mask = np.zeros(m * n, dtype=bool)
+    mask[idx] = True
+    mask = mask.reshape(m, n)
+    n_out = int(round(0.03 * n_samp))
+    out_pos = rng.choice(idx, size=n_out, replace=False)
+    e_flat = np.zeros(m * n)
+    e_flat[out_pos] = rng.exponential(10.0, size=n_out)
+    a = np.where(mask, a_exact + e_flat.reshape(m, n), 0.0)
+    return a, mask, a_exact
+
+
+def rmc_spectral_init(a, mask, r) -> Point:
+    """Winsorised spectral initialisation (heavy outliers are clipped first)."""
+    vals = np.abs(a[mask])
+    cap = 3.0 * float(np.quantile(vals, 0.75)) if vals.size else 1.0
+    frac = mask.sum() / mask.size
+    filled = np.where(mask, np.clip(a, -cap, cap), 0.0) / max(frac, 1e-12)
+    return nearest_rank_r(FixedRank(a.shape[0], a.shape[1], r), filled)
 
 
 def build_family(family) -> ProblemInstance:

@@ -10,8 +10,9 @@ gradient norm reaches the requested tolerance.
 """
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional
 
@@ -20,6 +21,14 @@ import numpy as np
 from .convex import project_set, prox
 from .manifolds import Point, RankDeficiencyError, check_point, distance, retract
 from .problems import ProblemInstance, lagrangian_rgrad, merit_eval, merit_rgrad, merit_shifts
+
+
+def _require_finite(cfg) -> None:
+    """Reject a NaN or infinite float field of a config dataclass, naming it."""
+    for f in fields(cfg):
+        val = getattr(cfg, f.name)
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ValueError(f"{f.name} must be finite, got {val}")
 
 
 class SolveStatus(Enum):
@@ -40,6 +49,7 @@ class InnerConfig:
     use_bb: bool = True
 
     def validate(self):
+        _require_finite(self)
         if self.max_iters < 0:
             raise ValueError("inner max_iters must be >= 0")
         if not (0 < self.armijo_c < 1):
@@ -65,22 +75,16 @@ class ALMConfig:
     inner: InnerConfig = field(default_factory=InnerConfig)
 
     def validate(self):
-        if not self.rho0 > 0:
-            raise ValueError("rho0 must be positive")
+        _require_finite(self)
+        for name in ("rho0", "eps0", "eps_floor", "multiplier_bound", "kkt_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if not self.gamma > 1:
             raise ValueError("gamma must be > 1")
         if not (0 < self.tau < 1):
             raise ValueError("tau must lie in (0, 1)")
-        if not self.eps0 > 0:
-            raise ValueError("eps0 must be positive")
         if not (0 < self.eps_decay < 1):
             raise ValueError("eps_decay must lie in (0, 1)")
-        if not self.eps_floor > 0:
-            raise ValueError("eps_floor must be positive")
-        if not self.multiplier_bound > 0:
-            raise ValueError("multiplier_bound must be positive")
-        if not self.kkt_tol > 0:
-            raise ValueError("kkt_tol must be positive")
         if self.max_outer < 0:
             raise ValueError("max_outer must be >= 0")
         self.inner.validate()

@@ -14,14 +14,7 @@ from ralm.analysis import (
     msrcq_check,
     polish_kkt,
 )
-from ralm.cli import (
-    figure1_config,
-    figure1_tail,
-    fit_log_linear,
-    generate_rmc_instance,
-    rmc_basic_instance,
-    rmc_spectral_init,
-)
+from ralm.cli import figure1_config, figure1_tail, fit_log_linear
 from ralm.convex import ScaledL1, moreau_env, prox
 from ralm.manifolds import (
     FixedRank,
@@ -41,6 +34,9 @@ from ralm.problems import (
     aug_lagrangian,
     aug_lagrangian_value,
     build_family,
+    generate_rmc_instance,
+    rmc_basic_instance,
+    rmc_spectral_init,
 )
 from ralm.solver import ALMConfig, alm_run, kkt_residual_components
 

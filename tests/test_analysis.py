@@ -250,8 +250,8 @@ class TestMsosc:
         assert rep.min_value > 0
 
     def test_rmc_basic_vacuous(self):
-        from ralm.cli import rmc_basic_instance
         from ralm.manifolds import FixedRank, nearest_rank_r
+        from ralm.problems import rmc_basic_instance
 
         a, mask, a_exact = rmc_basic_instance(42)
         p = build_family(RMC(a, mask, 3))
@@ -302,8 +302,8 @@ class TestCalmnessProbe:
 
 
 def solved_rmc_basic():
-    from ralm.cli import rmc_basic_instance
     from ralm.manifolds import FixedRank, nearest_rank_r
+    from ralm.problems import rmc_basic_instance
 
     a, mask, _ = rmc_basic_instance(42)
     p = build_family(RMC(a, mask, 3))

@@ -9,11 +9,10 @@ from ralm.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     fit_log_linear,
-    generate_rmc_instance,
     main,
-    rmc_basic_instance,
 )
 from ralm.config import ConfigError, parse_problem_file
+from ralm.problems import rmc_basic_instance
 
 
 def read_csv(path):
@@ -25,6 +24,56 @@ def strip_wall_time(rows):
     header = rows[0]
     idx = header.index("wall_time")
     return [[c for i, c in enumerate(row) if i != idx] for row in rows]
+
+
+FIGURE1_GP = """\
+set datafile separator ','
+set logscale y
+set xlabel 'outer iteration k'
+set key top right
+set terminal pngcairo size 800,600
+set output 'figure1_residual.png'
+set ylabel 'KKT residual R'
+plot 'figure1.csv' using 1:2 with linespoints title 'rho=1', \\
+     'figure1.csv' using 1:4 with linespoints title 'rho=10', \\
+     'figure1.csv' using 1:6 with linespoints title 'rho=100', \\
+     'figure1.csv' using 1:8 with linespoints title 'rho=1000'
+set output 'figure1_distance.png'
+set ylabel 'distance to reference triple'
+plot 'figure1.csv' using 1:3 with linespoints title 'rho=1', \\
+     'figure1.csv' using 1:5 with linespoints title 'rho=10', \\
+     'figure1.csv' using 1:7 with linespoints title 'rho=100', \\
+     'figure1.csv' using 1:9 with linespoints title 'rho=1000'
+"""
+
+# every file each subcommand writes into --out on a successful default run
+WRITTEN_FILES = {
+    "solve": ["history.csv", "summary.txt"],
+    "figure1": ["figure1.csv", "figure1.gp", "summary.txt"],
+    "sphere-l1": ["conditions.txt", "history.csv", "summary.txt"],
+    "rmc": ["history.csv", "summary.txt"],
+    "analyze": ["conditions.txt", "probe.csv", "summary.txt"],
+}
+
+
+class TestCommandOutputs:
+    @pytest.mark.parametrize("command", list(WRITTEN_FILES))
+    def test_command_writes_exactly_its_files(self, tmp_path, command):
+        out = tmp_path / "o"
+        assert main([command, "--out", str(out)]) == EXIT_OK
+        assert sorted(f.name for f in out.iterdir()) == WRITTEN_FILES[command]
+
+    def test_figure1_gnuplot_script_bytes(self, tmp_path):
+        assert main(["figure1", "--out", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "figure1.gp").read_bytes() == FIGURE1_GP.encode("utf-8")
+
+    @pytest.mark.parametrize("command", ["solve", "figure1"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_one_line(self, tmp_path, capsys, command, jobs):
+        code = main([command, "--jobs", jobs, "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSolveCommand:
@@ -227,9 +276,16 @@ class TestSphereL1Command:
         for row in rows[2:]:
             assert float(row[2]) == pytest.approx(float(row[4]), abs=1e-15)
 
-    @pytest.mark.parametrize("flag", ["--mu", "--rho0", "--kkt-tol", "--gamma"])
-    def test_nan_flag_exits_one_line(self, tmp_path, capsys, flag):
-        code = main(["sphere-l1", flag, "nan", "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            pytest.param(flag, value, id=flag + suffix)
+            for flag in ["--mu", "--rho0", "--kkt-tol", "--gamma"]
+            for value, suffix in (("nan", ""), ("inf", "-inf"))
+        ],
+    )
+    def test_nan_flag_exits_one_line(self, tmp_path, capsys, flag, value):
+        code = main(["sphere-l1", flag, value, "--out", str(tmp_path / "o")])
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -282,16 +338,14 @@ class TestRmcCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_generator_shapes_and_budget(self):
-        a, mask, a_exact = generate_rmc_instance(30, 20, 2, 3.0, 1)
-        assert a.shape == (30, 20) and mask.shape == (30, 20)
-        assert mask.sum() == int(3.0 * (30 + 20 - 2) * 2)
-        n_out = np.sum(np.abs(a - np.where(mask, a_exact, 0.0))[mask] > 1e-12)
-        assert n_out == int(round(0.03 * mask.sum()))
-
-    def test_oversample_budget_guard(self):
-        with pytest.raises(ConfigError):
-            generate_rmc_instance(5, 5, 3, 10.0, 0)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_bad_oversample_exits_one_line(self, tmp_path, capsys, value):
+        argv = ["rmc", "--mode", "random", "--m", "8", "--n", "8", "--r", "2"]
+        code = main(argv + ["--oversample", value, "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "oversample" in err and "Traceback" not in err
 
 
 class TestAnalyzeCommand:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ralm.cli import rmc_basic_instance
 from ralm.convex import NonnegOrthant, dist2_grad, moreau_env, prox, project_set
 from ralm.manifolds import Sphere, project_tangent, random_point, random_tangent, retract, sphere_point
 from ralm.problems import (
@@ -13,6 +12,7 @@ from ralm.problems import (
     aug_lagrangian,
     aug_lagrangian_value,
     build_family,
+    generate_rmc_instance,
     hess_quadform,
     lagrangian_rgrad,
     lagrangian_value,
@@ -20,6 +20,7 @@ from ralm.problems import (
     merit_rgrad,
     merit_shifts,
     objective_value,
+    rmc_basic_instance,
     tilted_instance,
 )
 
@@ -99,6 +100,17 @@ class TestFamilies:
         p = build_family(CircleExample())
         with pytest.raises(ValueError):
             ProblemInstance(manifold=p.manifold, f=p.f, g1=p.g1, theta=p.theta, g2=p.g2, q=None)
+
+    def test_generator_shapes_and_budget(self):
+        a, mask, a_exact = generate_rmc_instance(30, 20, 2, 3.0, 1)
+        assert a.shape == (30, 20) and mask.shape == (30, 20)
+        assert mask.sum() == int(3.0 * (30 + 20 - 2) * 2)
+        n_out = np.sum(np.abs(a - np.where(mask, a_exact, 0.0))[mask] > 1e-12)
+        assert n_out == int(round(0.03 * mask.sum()))
+
+    def test_oversample_budget_guard(self):
+        with pytest.raises(ValueError, match="oversample"):
+            generate_rmc_instance(5, 5, 3, 10.0, 0)
 
 
 class TestLagrangian:

@@ -3,7 +3,6 @@ import pytest
 
 import ralm.problems
 import ralm.solver
-from ralm.cli import rmc_basic_instance
 from ralm.convex import project_set, prox
 from ralm.manifolds import check_point, random_point, sphere_point
 from ralm.problems import (
@@ -15,6 +14,7 @@ from ralm.problems import (
     build_family,
     lagrangian_rgrad,
     objective_value,
+    rmc_basic_instance,
 )
 from ralm.solver import (
     ALMConfig,
@@ -292,6 +292,15 @@ class TestSubproblemEvaluationReuse:
         assert np.array_equal(res.grad, grad)
 
 
+def non_finite_cases(fields):
+    """(field, value) cases: NaN under the field's name, +inf under name-inf."""
+    return [
+        pytest.param(f, value, id=f + suffix)
+        for f in fields
+        for value, suffix in ((float("nan"), ""), (float("inf"), "-inf"))
+    ]
+
+
 class TestALMRun:
     def test_circle_converges_to_known_triple(self):
         p = build_family(CircleExample())
@@ -428,17 +437,19 @@ class TestALMRun:
             alm_run(p, ALMConfig(), sphere_point(np.ones(5) / np.sqrt(5)))
 
     @pytest.mark.parametrize(
-        "field",
-        ["rho0", "gamma", "tau", "eps0", "eps_decay", "eps_floor", "multiplier_bound", "kkt_tol"],
+        "field,value",
+        non_finite_cases(
+            ["rho0", "gamma", "tau", "eps0", "eps_decay", "eps_floor", "multiplier_bound", "kkt_tol"]
+        ),
     )
-    def test_nan_config_value_rejected(self, field):
-        with pytest.raises(ValueError):
-            ALMConfig(**{field: float("nan")}).validate()
+    def test_nan_config_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ALMConfig(**{field: value}).validate()
 
-    @pytest.mark.parametrize("field", ["armijo_c", "backtrack", "init_step"])
-    def test_nan_inner_config_value_rejected(self, field):
-        with pytest.raises(ValueError):
-            ALMConfig(inner=InnerConfig(**{field: float("nan")})).validate()
+    @pytest.mark.parametrize("field,value", non_finite_cases(["armijo_c", "backtrack", "init_step"]))
+    def test_nan_inner_config_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ALMConfig(inner=InnerConfig(**{field: value})).validate()
 
     def test_plain_inner_mode(self):
         p = build_family(CircleExample())
