@@ -6,7 +6,7 @@ conditions (strict constraint qualification, second-order sufficiency),
 calmness and two-sided KKT error bounds at the computed solutions.
 """
 
-from .convex import Box, FullSpace, NonnegOrthant, ScaledL1, ZeroSet
+from .convex import Box, ScaledL1
 from .manifolds import FixedRank, Point, RankDeficiencyError, Sphere
 from .problems import RMC, CircleExample, ProblemInstance, SphereL1, build_family
 from .solver import ALMConfig, ALMResult, InnerConfig, SolveStatus, alm_run
@@ -17,9 +17,7 @@ __all__ = [
     "Box",
     "CircleExample",
     "FixedRank",
-    "FullSpace",
     "InnerConfig",
-    "NonnegOrthant",
     "Point",
     "ProblemInstance",
     "RMC",
@@ -28,7 +26,6 @@ __all__ = [
     "SolveStatus",
     "Sphere",
     "SphereL1",
-    "ZeroSet",
     "alm_run",
     "build_family",
 ]

@@ -2,9 +2,10 @@
 
 The checks operate at (approximate) KKT triples:
 
-* ``msrcq_check`` tests the strict constraint qualification by assembling a
-  spanning set from the tangent image of the constraint Jacobians and the
-  closed-form sign-pattern generators of the l1 critical cone.
+* ``msrcq_check`` tests the strict constraint qualification: the tangent
+  image of the constraint Jacobians plus the closed-form sign-pattern
+  generators of the cones must span the constraint space, which is decided
+  by a rank test on the image rows no generator covers.
 * ``msosc_check`` certifies a trivial critical cone exactly (linear plus
   sign-pattern feasibility) or samples directions from it and evaluates the
   curvature quadratic form.
@@ -22,15 +23,7 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 
-from .convex import (
-    Box,
-    FullSpace,
-    NonnegOrthant,
-    ZeroSet,
-    epiderivative_down,
-    psi_conjugate,
-    tangent_cone_member,
-)
+from .convex import epiderivative_down, psi_conjugate, tangent_cone_member
 from .manifolds import Point, distance, project_tangent, retract, tangent_basis
 from .problems import ProblemInstance, hess_quadform, tilted_instance
 from .solver import ALMConfig, alm_run, kkt_residual
@@ -38,8 +31,9 @@ from .solver import ALMConfig, alm_run, kkt_residual
 KKT_GATE = 1e-6
 RANK_TOL = 1e-8
 CONE_TOL = 1e-8
-# Largest dense system the condition checks build: the MSRCQ stack has
-# dim_y + dim_z rows and up to dim M + dim_y + dim_z columns.
+# Cap on the condition checks' dense work, counted as the spanning system of
+# dim_y + dim_z rows and up to dim M + dim_y + dim_z columns (tangent image
+# plus one unit generator per constraint coordinate).
 MAX_DENSE_ENTRIES = 10**8
 
 
@@ -143,46 +137,41 @@ def _ctheta_generator_signs(theta, u, y, tol):
 
 
 def _tq_capz_generators(q, s, z, tol):
-    """Per-coordinate generators of T_Q(s) intersected with z-perp."""
+    """Per-coordinate generators of T_Q(s) intersected with z-perp for a box.
+
+    A pinned coordinate (lower = upper) has none, an interior one spans a
+    line, and one at a bound spans the inward ray when its multiplier is zero.
+    """
     s = np.ravel(np.asarray(s, dtype=float))
     z = np.ravel(np.asarray(z, dtype=float))
-    dim = s.size
-    free = np.zeros(dim, dtype=bool)
-    pos = np.zeros(dim, dtype=bool)
-    neg = np.zeros(dim, dtype=bool)
-    if isinstance(q, FullSpace):
-        free[:] = True
-    elif isinstance(q, ZeroSet):
-        pass
-    elif isinstance(q, NonnegOrthant):
-        inactive = s > tol
-        free[inactive] = True
-        pos[~inactive & (np.abs(z) <= tol)] = True
-    elif isinstance(q, Box):
-        lo = np.ravel(q.lower)
-        hi = np.ravel(q.upper)
-        pinned = hi - lo <= tol
-        at_lo = ~pinned & (s <= lo + tol)
-        at_hi = ~pinned & (s >= hi - tol)
-        interior = ~pinned & ~at_lo & ~at_hi
-        free[interior] = True
-        pos[at_lo & (np.abs(z) <= tol)] = True
-        neg[at_hi & (np.abs(z) <= tol)] = True
-    else:
-        raise TypeError(f"unsupported set {q!r}")
-    return free, pos, neg
+    lo = np.ravel(q.lower)
+    hi = np.ravel(q.upper)
+    pinned = hi - lo <= tol
+    at_lo = ~pinned & (s <= lo + tol)
+    at_hi = ~pinned & (s >= hi - tol)
+    unloaded = np.abs(z) <= tol
+    return ~pinned & ~at_lo & ~at_hi, at_lo & unloaded, at_hi & unloaded
 
 
-def _basis_columns(dim, free, pos, neg):
-    cols = []
-    eye = np.eye(dim)
-    for i in np.flatnonzero(free):
-        cols.append(eye[i])
-    for i in np.flatnonzero(pos):
-        cols.append(eye[i])
-    for i in np.flatnonzero(neg):
-        cols.append(-eye[i])
-    return cols
+def _condition_system(p: ProblemInstance, x: Point, y, z, tol):
+    """The tangent basis, its Jacobian image and the cone-generator masks.
+
+    The image has one column per basis vector and stacks the g1 rows over
+    the g2 rows.  The (free, pos, neg) masks run over the same rows: a free
+    row's unit vector spans a line of the cones (of theta at g1(x), and of
+    T_Q(g2(x)) cut by z-perp), a pos/neg row's +/- unit vector a ray.
+    """
+    xa = x.ambient
+    basis = tangent_basis(p.manifold, x)
+    maps = (p.g1,) if p.q is None else (p.g1, p.g2)
+    img = np.column_stack(
+        [np.concatenate([np.ravel(g.jacobian_apply(xa, b)) for g in maps]) for b in basis]
+    )
+    masks = _ctheta_generator_signs(p.theta, p.g1.value(xa), y, tol)
+    if p.q is not None:
+        masks_q = _tq_capz_generators(p.q, p.g2.value(xa), z, tol)
+        masks = tuple(np.concatenate(pair) for pair in zip(masks, masks_q))
+    return basis, img, masks
 
 
 @dataclass
@@ -197,39 +186,23 @@ class MsrcqReport:
 def msrcq_check(p: ProblemInstance, x: Point, y, z=None, tol: float = RANK_TOL) -> MsrcqReport:
     """Strict constraint qualification as a numerical spanning test.
 
-    Stacks the images of an orthonormal tangent basis under the constraint
-    Jacobians with the closed-form cone generators and passes when the
-    resulting matrix has full row rank (singular values above tol * sigma_max).
-    Instances whose stack exceeds ``MAX_DENSE_ENTRIES`` raise ValueError.
+    Passes when the images of an orthonormal tangent basis under the
+    constraint Jacobians, together with the closed-form cone generators,
+    span the constraint space.  The generators are unit vectors, so the rank
+    is the number of rows they cover plus the rank of the image on the other
+    rows (singular values above tol * max(1, sigma_max)).
+    Instances above ``MAX_DENSE_ENTRIES`` raise ValueError.
     """
     dim_y, dim_z = check_condition_size(p)
     _require_kkt(p, x, y, z)
-    xa = x.ambient
-    dim_total = dim_y + dim_z
-
-    cols = []
-    for b in tangent_basis(p.manifold, x):
-        top = np.ravel(p.g1.jacobian_apply(xa, b))
-        if dim_z:
-            bottom = np.ravel(p.g2.jacobian_apply(xa, b))
-            cols.append(np.concatenate([top, bottom]))
-        else:
-            cols.append(top)
-
-    free, pos, neg = _ctheta_generator_signs(p.theta, p.g1.value(xa), y, CONE_TOL)
-    for g in _basis_columns(dim_y, free, pos, neg):
-        cols.append(np.concatenate([g, np.zeros(dim_z)]) if dim_z else g)
-    if dim_z:
-        freeq, posq, negq = _tq_capz_generators(p.q, p.g2.value(xa), z, CONE_TOL)
-        for g in _basis_columns(dim_z, freeq, posq, negq):
-            cols.append(np.concatenate([np.zeros(dim_y), g]))
-
-    if not cols:
-        return MsrcqReport(False, 0, dim_total, 0, tol)
-    mat = np.column_stack(cols)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(svals > tol * svals[0])) if svals.size and svals[0] > 0 else 0
-    return MsrcqReport(rank == dim_total, rank, dim_total, len(cols), tol)
+    basis, img, (free, pos, neg) = _condition_system(p, x, y, z, CONE_TOL)
+    # each generator's unit column covers its own row, so
+    # rank([img | generators]) = |covered| + rank(img[~covered])
+    covered = free | pos | neg
+    svals = np.linalg.svd(img[~covered], compute_uv=False)
+    n_covered = int(np.sum(covered))
+    rank = n_covered + int(np.sum(svals > tol * max(1.0, svals.max(initial=0.0))))
+    return MsrcqReport(rank == dim_y + dim_z, rank, dim_y + dim_z, len(basis) + n_covered, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -249,30 +222,6 @@ class MsoscReport:
         return self.status in ("pass", "vacuous")
 
 
-def _critical_cone_system(p: ProblemInstance, x: Point, y, z, tol):
-    """Equality/inequality rows describing the critical cone over a tangent basis.
-
-    Returns (basis, eq_rows, ineq_rows) where rows act on basis coefficients;
-    inequality rows are oriented so that feasible directions satisfy row >= 0.
-    """
-    xa = x.ambient
-    basis = tangent_basis(p.manifold, x)
-    img1 = np.column_stack([np.ravel(p.g1.jacobian_apply(xa, b)) for b in basis])
-    free, pos, neg = _ctheta_generator_signs(p.theta, p.g1.value(xa), y, tol)
-    zero_rows = ~(free | pos | neg)
-    eq_rows = [img1[i] for i in np.flatnonzero(zero_rows)]
-    ineq_rows = [img1[i] for i in np.flatnonzero(pos)]
-    ineq_rows += [-img1[i] for i in np.flatnonzero(neg)]
-    if p.q is not None:
-        img2 = np.column_stack([np.ravel(p.g2.jacobian_apply(xa, b)) for b in basis])
-        freeq, posq, negq = _tq_capz_generators(p.q, p.g2.value(xa), z, tol)
-        zq = ~(freeq | posq | negq)
-        eq_rows += [img2[i] for i in np.flatnonzero(zq)]
-        ineq_rows += [img2[i] for i in np.flatnonzero(posq)]
-        ineq_rows += [-img2[i] for i in np.flatnonzero(negq)]
-    return basis, eq_rows, ineq_rows
-
-
 def _cone_is_trivial(nullspace_dim, a_ineq):
     """Decide whether {lam : A lam >= 0} inside the nullspace is {0}.
 
@@ -281,7 +230,7 @@ def _cone_is_trivial(nullspace_dim, a_ineq):
     """
     if nullspace_dim == 0:
         return True, None
-    if a_ineq is None or a_ineq.shape[0] == 0:
+    if a_ineq.shape[0] == 0:
         return False, np.eye(nullspace_dim)[0]
     lin = null_space(a_ineq)
     if lin.shape[1] > 0:
@@ -320,15 +269,13 @@ def msosc_check(
     """
     check_condition_size(p)
     _require_kkt(p, x, y, z)
-    basis, eq_rows, ineq_rows = _critical_cone_system(p, x, y, z, tol)
-    k0 = len(basis)
-    if eq_rows:
-        nmat = null_space(np.vstack(eq_rows), rcond=1e-10)
-    else:
-        nmat = np.eye(k0)
+    # the critical cone in basis coefficients: the image rows no generator
+    # covers vanish, and the ray rows are >= 0 once oriented by their sign
+    basis, img, (free, pos, neg) = _condition_system(p, x, y, z, tol)
+    eq_rows = img[~(free | pos | neg)]
+    nmat = null_space(eq_rows, rcond=1e-10) if len(eq_rows) else np.eye(len(basis))
     k1 = nmat.shape[1]
-    a_ineq = np.vstack(ineq_rows) @ nmat if ineq_rows else None
-    trivial, witness = _cone_is_trivial(k1, a_ineq)
+    trivial, witness = _cone_is_trivial(k1, np.vstack([img[pos], -img[neg]]) @ nmat)
     if trivial:
         return MsoscReport("vacuous", float("nan"), 0, k1, tol)
 

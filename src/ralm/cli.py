@@ -69,10 +69,10 @@ def _mode(cfg: RunConfig):
 def build_problem(cfg: RunConfig):
     """Returns (problem, x0, reference-triple-or-None, exact-matrix-or-None)."""
     mode = _mode(cfg)
+    if mode != DEFAULT_MODES[cfg.family] and (mode != "random" or cfg.family == "circle"):
+        raise ConfigError(f"unknown {cfg.family} mode {mode!r}")
     if cfg.family == "circle":
         return build_family(CircleExample()), sphere_point([1.0, 0.0]), circle_reference(), None
-    if mode not in (DEFAULT_MODES[cfg.family], "random"):
-        raise ConfigError(f"unknown {cfg.family} mode {mode!r}")
     if cfg.family == "sphere-l1":
         seed = cfg.seed if cfg.seed is not None else 0
         if cfg.matrix is not None:

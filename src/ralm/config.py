@@ -149,7 +149,8 @@ def apply_flag_overrides(cfg: RunConfig, args) -> RunConfig:
     # store_true flag: only an explicit --fixed-rho can turn it on
     if getattr(args, "fixed_rho", False):
         cfg.alm.fixed_rho = True
-    if cfg.jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
+    for name in ("n", "m", "r", "jobs"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     cfg.alm.validate()
     return cfg

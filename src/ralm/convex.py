@@ -9,7 +9,6 @@ converged points can pass a looser one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -138,23 +137,23 @@ def psi_conjugate(
 
 
 @dataclass(frozen=True)
-class ZeroSet:
-    shape: tuple
-
-
-@dataclass(frozen=True)
-class NonnegOrthant:
-    shape: tuple
-
-
-@dataclass(frozen=True)
 class Box:
+    """{v : lower <= v <= upper} with possibly infinite bounds.
+
+    Every polyhedral set of the experiments is a box: the zero set has bounds
+    (0, 0), the nonnegative orthant (0, inf) and the full space (-inf, inf).
+    """
+
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float)
         upper = np.asarray(self.upper, dtype=float)
+        if lower.shape != upper.shape:
+            raise ValueError(f"box bounds differ in shape: {lower.shape} vs {upper.shape}")
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise ValueError("box bounds must not be NaN")
         if np.any(lower > upper):
             raise ValueError("box bounds must satisfy lower <= upper")
         object.__setattr__(self, "lower", lower)
@@ -165,45 +164,24 @@ class Box:
         return self.lower.shape
 
 
-@dataclass(frozen=True)
-class FullSpace:
-    shape: tuple
-
-
-ConvexSet = Union[ZeroSet, NonnegOrthant, Box, FullSpace]
-
-
-def project_set(q: ConvexSet, v) -> np.ndarray:
+def project_set(q: Box, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != tuple(q.shape):
         raise ValueError(f"shape mismatch: expected {tuple(q.shape)}, got {v.shape}")
-    if isinstance(q, ZeroSet):
-        return np.zeros_like(v)
-    if isinstance(q, NonnegOrthant):
-        return np.maximum(v, 0.0)
-    if isinstance(q, Box):
-        return np.clip(v, q.lower, q.upper)
-    return v.copy()
+    return np.clip(v, q.lower, q.upper)
 
 
-def dist2_grad(q: ConvexSet, v, rho: float):
+def dist2_grad(q: Box, v, rho: float):
     """(rho/2) dist(v, Q)^2 and its gradient rho (v - proj_Q v)."""
     v = np.asarray(v, dtype=float)
     resid = v - project_set(q, v)
     return 0.5 * rho * float(np.sum(resid * resid)), rho * resid
 
 
-def tangent_cone_member(q: ConvexSet, s, d, tol: float = 1e-8) -> bool:
-    """d in T_Q(s) for the polyhedral sets, decided by the active sign pattern."""
+def tangent_cone_member(q: Box, s, d, tol: float = 1e-8) -> bool:
+    """d in T_Q(s), decided by the active bounds."""
     s = np.asarray(s, dtype=float)
     d = np.asarray(d, dtype=float)
-    if isinstance(q, ZeroSet):
-        return bool(np.linalg.norm(d) <= tol)
-    if isinstance(q, FullSpace):
-        return True
-    if isinstance(q, NonnegOrthant):
-        active = s <= tol
-        return bool(np.all(d[active] >= -tol))
     lo_active = s <= q.lower + tol
     hi_active = s >= q.upper - tol
     return bool(np.all(d[lo_active] >= -tol) and np.all(d[hi_active] <= tol))

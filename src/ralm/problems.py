@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .convex import ConvexSet, NonnegOrthant, ScaledL1, dist2_grad, l1_value, moreau_env
+from .convex import Box, ScaledL1, dist2_grad, l1_value, moreau_env
 from .manifolds import (
     FixedRank,
     Manifold,
@@ -58,7 +58,7 @@ class ProblemInstance:
     g1: SmoothMap
     theta: ScaledL1
     g2: Optional[SmoothMap] = None
-    q: Optional[ConvexSet] = None
+    q: Optional[Box] = None
     label: str = ""
 
     def __post_init__(self):
@@ -137,6 +137,8 @@ def generate_rmc_instance(m: int, n: int, r: int, oversample: float, seed: int):
     Sample size oversample*(m+n-r)*r; 3% of the samples carry exponential
     (mean 10) outliers.
     """
+    if not 1 <= r <= min(m, n):
+        raise ValueError(f"rank must satisfy 1 <= r <= min(m, n), got {r}")
     if not 0 < oversample < math.inf:
         raise ValueError(f"oversample must be positive and finite, got {oversample}")
     rng = np.random.default_rng(seed)
@@ -203,7 +205,7 @@ def _build_circle() -> ProblemInstance:
         g1=g1,
         theta=ScaledL1(1.0),
         g2=g2,
-        q=NonnegOrthant((1,)),
+        q=Box(np.zeros(1), np.full(1, np.inf)),
         label="circle",
     )
 

@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from ralm import analysis
 from ralm.analysis import (
+    _ctheta_generator_signs,
+    _tq_capz_generators,
     calmness_probe,
     condition_report,
     critical_cone_member,
@@ -10,8 +15,17 @@ from ralm.analysis import (
     msrcq_check,
     polish_kkt,
 )
-from ralm.convex import ScaledL1
-from ralm.manifolds import FixedRank, Sphere, random_point, random_tangent, sphere_point
+from ralm.cli import build_problem
+from ralm.config import RunConfig
+from ralm.convex import Box, ScaledL1
+from ralm.manifolds import (
+    FixedRank,
+    Sphere,
+    random_point,
+    random_tangent,
+    sphere_point,
+    tangent_basis,
+)
 from ralm.problems import (
     RMC,
     SPHERE_L1_DEMO_A,
@@ -180,6 +194,116 @@ class TestMsrcq:
         for check in (msrcq_check, msosc_check):
             with pytest.raises(ValueError, match="dense 40000 x 41975 system"):
                 check(p, x, np.zeros((200, 200)))
+
+
+def dense_msrcq_rank(p, x, y, z, tol=1e-8, cone_tol=1e-8):
+    """Reference spanning test: SVD of the tangent image stacked with one
+    +/- unit column per cone generator; returns (rank, number of columns)."""
+    xa = x.ambient
+    dim_y = int(np.prod(p.g1.out_shape))
+    dim_z = int(np.prod(p.g2.out_shape)) if p.q is not None else 0
+    cols = []
+    for b in tangent_basis(p.manifold, x):
+        top = np.ravel(p.g1.jacobian_apply(xa, b))
+        bottom = np.ravel(p.g2.jacobian_apply(xa, b)) if dim_z else np.zeros(0)
+        cols.append(np.concatenate([top, bottom]))
+    blocks = [(0, _ctheta_generator_signs(p.theta, p.g1.value(xa), y, cone_tol))]
+    if dim_z:
+        blocks.append((dim_y, _tq_capz_generators(p.q, p.g2.value(xa), z, cone_tol)))
+    eye = np.eye(dim_y + dim_z)
+    for offset, (free, pos, neg) in blocks:
+        for mask, sign in ((free, 1.0), (pos, 1.0), (neg, -1.0)):
+            cols += [sign * eye[offset + i] for i in np.flatnonzero(mask)]
+    if not cols:
+        return 0, 0
+    svals = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+    rank = int(np.sum(svals > tol * svals[0])) if svals[0] > 0 else 0
+    return rank, len(cols)
+
+
+def affine_map(mat, offset):
+    return SmoothMap(
+        value=lambda x: mat @ x - offset,
+        jacobian_apply=lambda x, xi: mat @ xi,
+        jacobian_adjoint=lambda x, w: mat.T @ w,
+        out_shape=(mat.shape[0],),
+        linear=True,
+    )
+
+
+def polished_cli_instance(**fields):
+    p, x0, _, _ = build_problem(RunConfig(**fields))
+    res = alm_run(p, ALMConfig(), x0)
+    return p, polish_kkt(p, res.x, res.y, res.z, tol=1e-12)
+
+
+def polished_circle_with_box(lower, upper):
+    p = replace(build_family(CircleExample()), q=Box(np.array([lower]), np.array([upper])))
+    res = alm_run(p, ALMConfig(), sphere_point([1.0, 0.0]))
+    return p, polish_kkt(p, res.x, res.y, res.z, tol=1e-12)
+
+
+class TestMsrcqReduction:
+    """The row-reduced rank equals the dense stacked-column rank."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: polished_cli_instance(family="circle"), id="circle"),
+            pytest.param(lambda: polished_cli_instance(family="sphere-l1"), id="sphere-builtin5x5"),
+            *[
+                pytest.param(
+                    lambda n=n: polished_cli_instance(family="sphere-l1", mode="random", n=n),
+                    id=f"sphere-random{n}",
+                )
+                for n in (5, 12, 30)
+            ],
+            pytest.param(lambda: polished_cli_instance(family="rmc"), id="rmc-basic5x5"),
+            pytest.param(
+                lambda: polished_cli_instance(family="rmc", mode="random", m=20, n=20, r=2, seed=1),
+                id="rmc-random20-seed1",
+            ),
+            pytest.param(lambda: polished_circle_with_box(0.0, 0.0), id="circle-zero-set"),
+            pytest.param(lambda: polished_circle_with_box(-np.inf, np.inf), id="circle-full-space"),
+        ],
+    )
+    def test_matches_dense_stack(self, build):
+        p, trip = build()
+        rep = msrcq_check(p, trip.x, trip.y, trip.z)
+        assert (rep.rank_found, rep.n_generators) == dense_msrcq_rank(p, trip.x, trip.y, trip.z)
+
+    def test_matches_dense_stack_on_random_rank_deficient_systems(self, monkeypatch):
+        # the reduction is linear algebra, independent of the KKT gate
+        monkeypatch.setattr(analysis, "_require_kkt", lambda *args: None)
+        rng = np.random.default_rng(0)
+        n, dim_y, dim_z = 6, 5, 3
+        for trial in range(300):
+            scale = 10.0 ** rng.uniform(-3, 2)
+            mat = scale * rng.standard_normal((dim_y + dim_z, 2)) @ rng.standard_normal((2, n))
+            x = random_point(Sphere(n), rng)
+            # about half the rows vanish at x, so multiplier and bounds decide them
+            offset = (mat @ x.ambient) * (rng.random(dim_y + dim_z) < 0.5)
+            y = rng.choice([-1.0, 0.0, 1.0], size=dim_y)
+            g2 = q = z = None
+            if trial % 2:
+                g2 = affine_map(mat[dim_y:], offset[dim_y:])
+                q = Box(rng.choice([0.0, -np.inf], dim_z), rng.choice([0.0, np.inf], dim_z))
+                z = rng.choice([0.0, 1.0], size=dim_z)
+            p = ProblemInstance(
+                manifold=Sphere(n),
+                f=Objective(value=lambda v: 0.0, egrad=lambda v: np.zeros(n)),
+                g1=affine_map(mat[:dim_y], offset[:dim_y]),
+                theta=ScaledL1(1.0),
+                g2=g2,
+                q=q,
+            )
+            rep = msrcq_check(p, x, y, z)
+            assert (rep.rank_found, rep.n_generators) == dense_msrcq_rank(p, x, y, z)
+
+    def test_rmc_random_20_seed1_rank(self):
+        p, trip = polished_cli_instance(family="rmc", mode="random", m=20, n=20, r=2, seed=1)
+        rep = msrcq_check(p, trip.x, trip.y, trip.z)
+        assert (rep.rank_found, rep.rank_required) == (83, 400)
 
 
 class TestMsosc:

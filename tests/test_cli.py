@@ -75,6 +75,22 @@ class TestCommandOutputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["sphere-l1", "--mode", "random", "--n", "-2"], "n"),
+            (["rmc", "--mode", "random", "--m", "-3", "--n", "10", "--r", "2"], "m"),
+            (["rmc", "--mode", "random", "--m", "10", "--n", "10", "--r", "-1"], "r"),
+        ],
+        ids=["sphere-l1-n", "rmc-m", "rmc-r"],
+    )
+    def test_dimension_below_one_names_its_field(self, tmp_path, capsys, argv, field):
+        code = main(argv + ["--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be >= 1") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestSolveCommand:
     def test_circle_converges_with_artifacts(self, tmp_path):
@@ -119,6 +135,13 @@ class TestSolveCommand:
         assert strip_wall_time(read_csv(out1 / "history.csv")) == strip_wall_time(
             read_csv(out2 / "history.csv")
         )
+
+    @pytest.mark.parametrize("mode", ["xyz", "random"])
+    def test_circle_rejects_any_mode(self, tmp_path, capsys, mode):
+        code = main(["solve", "--family", "circle", "--mode", mode, "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: unknown circle mode {mode!r}\n"
 
     def test_sphere_random_family(self, tmp_path):
         code = main(

@@ -5,10 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from ralm.convex import (
     Box,
-    FullSpace,
-    NonnegOrthant,
     ScaledL1,
-    ZeroSet,
     dist2_grad,
     epiderivative_down,
     epiderivative_down2,
@@ -326,9 +323,21 @@ class TestPsiConjugate:
 # polyhedral sets
 
 
+def zero_set(n):
+    return Box(np.zeros(n), np.zeros(n))
+
+
+def orthant(n):
+    return Box(np.zeros(n), np.full(n, np.inf))
+
+
+def full_space(n):
+    return Box(np.full(n, -np.inf), np.full(n, np.inf))
+
+
 class TestSets:
     def test_orthant_projection(self):
-        q = NonnegOrthant((2,))
+        q = orthant(2)
         np.testing.assert_array_equal(project_set(q, np.array([-1.0, 2.0])), [0.0, 2.0])
 
     def test_member_projects_to_itself(self):
@@ -348,39 +357,39 @@ class TestSets:
 
     def test_zero_set_and_full_space(self):
         v = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(project_set(ZeroSet((2,)), v), np.zeros(2))
-        np.testing.assert_array_equal(project_set(FullSpace((2,)), v), v)
+        np.testing.assert_array_equal(project_set(zero_set(2), v), np.zeros(2))
+        np.testing.assert_array_equal(project_set(full_space(2), v), v)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            project_set(NonnegOrthant((3,)), np.ones(2))
+            project_set(orthant(3), np.ones(2))
 
     def test_normal_cone_examples(self):
         # z in N_Q(s) iff proj_Q(s + z) = s: the KKT set block vanishes exactly then
-        q = NonnegOrthant((2,))
+        q = orthant(2)
         s = np.array([0.0, 2.0])
         np.testing.assert_array_equal(project_set(q, s + np.array([-3.0, 0.0])), s)
         np.testing.assert_array_equal(project_set(q, s + np.zeros(2)), s)
         assert not np.array_equal(project_set(q, s + np.array([0.0, 1.0])), s)
 
     def test_tangent_cone_membership(self):
-        q = NonnegOrthant((2,))
+        q = orthant(2)
         s = np.array([0.0, 1.0])
         assert tangent_cone_member(q, s, np.array([1.0, -5.0]))
         assert not tangent_cone_member(q, s, np.array([-1.0, 0.0]))
         b = Box(np.zeros(2), np.ones(2))
         assert tangent_cone_member(b, np.array([0.0, 1.0]), np.array([0.5, -0.5]))
         assert not tangent_cone_member(b, np.array([0.0, 1.0]), np.array([0.5, 0.5]))
-        assert tangent_cone_member(FullSpace((2,)), s, np.array([9.0, 9.0]))
-        assert not tangent_cone_member(ZeroSet((2,)), np.zeros(2), np.array([1e-3, 0.0]))
+        assert tangent_cone_member(full_space(2), s, np.array([9.0, 9.0]))
+        assert not tangent_cone_member(zero_set(2), np.zeros(2), np.array([1e-3, 0.0]))
 
     @pytest.mark.parametrize(
         "q",
         [
-            NonnegOrthant((4,)),
+            orthant(4),
             Box(-np.ones(4), np.ones(4)),
-            ZeroSet((4,)),
-            FullSpace((4,)),
+            zero_set(4),
+            full_space(4),
         ],
     )
     def test_firmly_nonexpansive(self, q):
@@ -395,6 +404,10 @@ class TestSets:
     def test_box_bounds_validated(self):
         with pytest.raises(ValueError):
             Box(np.ones(2), np.zeros(2))
+        with pytest.raises(ValueError, match="NaN"):
+            Box(np.array([np.nan]), np.array([1.0]))
+        with pytest.raises(ValueError, match="shape"):
+            Box(np.zeros(2), np.ones(3))
 
 
 class TestScaledL1Basics:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ralm.convex import NonnegOrthant, dist2_grad, moreau_env, prox, project_set
+from ralm.convex import dist2_grad, moreau_env, prox, project_set
 from ralm.manifolds import Sphere, project_tangent, random_point, random_tangent, retract, sphere_point
 from ralm.problems import (
     RMC,
@@ -67,7 +67,8 @@ class TestFamilies:
         p = build_family(CircleExample())
         assert isinstance(p.manifold, Sphere) and p.manifold.n == 2
         assert p.theta.mu == 1.0
-        assert isinstance(p.q, NonnegOrthant)
+        np.testing.assert_array_equal(p.q.lower, [0.0])
+        np.testing.assert_array_equal(p.q.upper, [np.inf])
         x = np.array([1.0, 0.0])
         np.testing.assert_allclose(p.g1.value(x), [1.0])
         np.testing.assert_allclose(p.g1.jacobian_adjoint(x, np.array([2.0])), [2.0, -2.0])
@@ -111,6 +112,10 @@ class TestFamilies:
     def test_oversample_budget_guard(self):
         with pytest.raises(ValueError, match="oversample"):
             generate_rmc_instance(5, 5, 3, 10.0, 0)
+
+    def test_rank_above_dimensions_rejected_before_budget(self):
+        with pytest.raises(ValueError, match="rank"):
+            generate_rmc_instance(10, 10, 12, 3.0, 1)
 
 
 class TestLagrangian:
