@@ -152,5 +152,7 @@ def apply_flag_overrides(cfg: RunConfig, args) -> RunConfig:
     for name in ("n", "m", "r", "jobs"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+    if cfg.seed is not None and cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     cfg.alm.validate()
     return cfg

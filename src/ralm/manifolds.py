@@ -232,12 +232,6 @@ def random_point(manifold: Manifold, seed) -> Point:
     return fixed_rank_point_from_factors(u, s, v)
 
 
-def random_tangent(manifold: Manifold, x: Point, seed) -> np.ndarray:
-    """Deterministic random tangent vector at x (ambient Gaussian, projected)."""
-    rng = np.random.default_rng(seed)
-    return project_tangent(manifold, x, rng.standard_normal(manifold.ambient_shape))
-
-
 def tangent_basis(manifold: Manifold, x: Point) -> list[np.ndarray]:
     """Orthonormal basis of T_x M in ambient coordinates (analysis-scale only)."""
     if isinstance(manifold, Sphere):

@@ -4,14 +4,14 @@ The outer loop alternates an inexact minimisation of the smooth augmented
 Lagrangian on the manifold with closed-form multiplier updates, growing the
 penalty only when the feasibility measure V fails to contract by a factor
 tau.  The inner solver is Riemannian gradient descent with a Barzilai-Borwein
-trial step and Armijo backtracking along the retraction, which keeps the
-merit value monotone (up to floating-point slack) and terminates when the
-gradient norm reaches the requested tolerance.
+trial step and nonmonotone Armijo backtracking along the retraction; it
+terminates when the gradient norm reaches the requested tolerance.
 """
 from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional
@@ -21,6 +21,12 @@ import numpy as np
 from .convex import project_set, prox
 from .manifolds import Point, RankDeficiencyError, check_point, distance, retract
 from .problems import ProblemInstance, lagrangian_rgrad, merit_eval, merit_rgrad, merit_shifts
+
+
+# Accepted iterates the Barzilai-Borwein mode compares a trial against
+# (Grippo-Lampariello-Lucidi reference); the plain mode compares against the
+# current iterate only.
+NONMONOTONE_MEMORY = 5
 
 
 def _require_finite(cfg) -> None:
@@ -43,9 +49,8 @@ class InnerConfig:
     backtrack: float = 0.5
     init_step: float = 1.0
     # Barzilai-Borwein trial steps accelerate ill-conditioned subproblems; the
-    # plain mode backtracks from init_step every iteration, which makes the
-    # achieved gradient norm track the requested tolerance closely (used by
-    # the fixed-penalty rate study).
+    # plain mode backtracks from init_step every iteration and accepts only
+    # steps that improve on the current iterate.
     use_bb: bool = True
 
     def validate(self):
@@ -216,12 +221,16 @@ def subproblem_solve(
     """Drive |grad L_rho(x, w, p)| below eps by Riemannian gradient descent.
 
     Trial steps come from a safeguarded Barzilai-Borwein estimate (or the
-    fixed init_step) and are backtracked until the Armijo condition holds.
-    Once the requested Armijo decrease falls below the rounding noise of the
-    merit value, steps are instead accepted when the value does not increase
-    beyond that noise and the gradient norm does not grow; the best iterate
-    seen is tracked and returned with its gradient.  Retractions that drop
-    rank count as failed trials and shrink the step.
+    fixed init_step) and are backtracked until the Armijo condition holds
+    against a reference value.  Once the requested Armijo decrease falls
+    below the rounding noise of the merit value, steps are instead accepted
+    when the value does not exceed the reference beyond that noise and the
+    gradient norm does not exceed a reference norm.  With BB steps both
+    references are the maxima over the last ``NONMONOTONE_MEMORY`` accepted
+    iterates, since BB steps are nonmonotone by nature; in the plain mode
+    they are the current iterate's value and norm.  The best iterate seen is
+    tracked and returned with its gradient.  Retractions that drop rank count
+    as failed trials and shrink the step.
 
     Each trial point is evaluated once (``merit_eval``, with the shifts w/rho
     and p/rho computed once per call).  Its gradient is completed from that
@@ -238,6 +247,9 @@ def subproblem_solve(
     grad = merit_rgrad(p, x, grads)
     grad_norm = float(np.linalg.norm(grad))
     best_x, best_grad, best_gn = x, grad, grad_norm
+    memory = NONMONOTONE_MEMORY if inner.use_bb else 1
+    recent_vals = deque([val], maxlen=memory)
+    recent_gns = deque([grad_norm], maxlen=memory)
     step = inner.init_step
     no_improve = 0
     iters = 0
@@ -246,6 +258,7 @@ def subproblem_solve(
         accepted = False
         # below this decrease the merit comparison is pure rounding noise
         slack = 1e-14 * (1.0 + abs(val))
+        ref_val, ref_gn = max(recent_vals), max(recent_gns)
         for _ in range(60):
             try:
                 x_try = retract(p.manifold, x, -t * grad)
@@ -256,14 +269,14 @@ def subproblem_solve(
             required = inner.armijo_c * t * grad_norm**2
             grad_try = None
             if required >= 10.0 * slack:
-                if val_try <= val - required:
+                if val_try <= ref_val - required:
                     accepted = True
                     break
-            elif val_try <= val + slack:
+            elif val_try <= ref_val + slack:
                 # requested decrease is unresolvable in floating point; keep
-                # polishing as long as the gradient norm does not grow
+                # polishing as long as the gradient norm stays within reference
                 grad_try = merit_rgrad(p, x_try, grads)
-                if float(np.linalg.norm(grad_try)) <= grad_norm:
+                if float(np.linalg.norm(grad_try)) <= ref_gn:
                     accepted = True
                     break
             t *= inner.backtrack
@@ -282,6 +295,8 @@ def subproblem_solve(
                 step = min(4.0 * t, inner.init_step * 1e6)
         x, val, grad = x_try, val_try, grad_try
         grad_norm = float(np.linalg.norm(grad))
+        recent_vals.append(val)
+        recent_gns.append(grad_norm)
         iters += 1
         if grad_norm < best_gn:
             best_x, best_grad, best_gn = x, grad, grad_norm

@@ -22,7 +22,6 @@ from ralm.manifolds import (
     nearest_rank_r,
     project_tangent,
     random_point,
-    random_tangent,
     retract,
     sphere_point,
 )
@@ -39,6 +38,8 @@ from ralm.problems import (
     rmc_spectral_init,
 )
 from ralm.solver import ALMConfig, alm_run, kkt_residual_components
+
+from helpers import random_tangent
 
 RT2 = np.sqrt(2.0) / 2.0
 

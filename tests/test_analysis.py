@@ -22,7 +22,6 @@ from ralm.manifolds import (
     FixedRank,
     Sphere,
     random_point,
-    random_tangent,
     sphere_point,
     tangent_basis,
 )
@@ -38,6 +37,8 @@ from ralm.problems import (
     tilted_instance,
 )
 from ralm.solver import ALMConfig, alm_run, kkt_blocks, kkt_residual
+
+from helpers import random_tangent
 
 RT2 = np.sqrt(2.0) / 2.0
 

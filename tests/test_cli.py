@@ -91,6 +91,22 @@ class TestCommandOutputs:
         assert err.startswith(f"error: {field} must be >= 1") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sphere-l1", "--mode", "random", "--n", "5", "--seed", "-1"],
+            ["rmc", "--mode", "random", "--m", "20", "--n", "20", "--r", "2", "--seed", "-1"],
+            ["analyze", "--family", "circle", "--seed", "-2"],
+        ],
+        ids=["sphere-l1", "rmc", "analyze"],
+    )
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys, argv):
+        code = main(argv + ["--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: seed must be >= 0, got {argv[-1]}") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestSolveCommand:
     def test_circle_converges_with_artifacts(self, tmp_path):

@@ -12,12 +12,13 @@ from ralm.manifolds import (
     nearest_rank_r,
     project_tangent,
     random_point,
-    random_tangent,
     retract,
     sphere_point,
     tangent_basis,
 )
 from ralm.problems import CircleExample, SphereL1, build_family, hess_quadform, tilted_instance
+
+from helpers import random_tangent
 
 RT2 = np.sqrt(2.0) / 2.0
 

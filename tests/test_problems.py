@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ralm.convex import dist2_grad, moreau_env, prox, project_set
-from ralm.manifolds import Sphere, project_tangent, random_point, random_tangent, retract, sphere_point
+from ralm.manifolds import Sphere, project_tangent, random_point, retract, sphere_point
 from ralm.problems import (
     RMC,
     SPHERE_L1_DEMO_A,
@@ -23,6 +23,8 @@ from ralm.problems import (
     rmc_basic_instance,
     tilted_instance,
 )
+
+from helpers import random_tangent
 
 RT2 = np.sqrt(2.0) / 2.0
 

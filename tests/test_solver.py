@@ -1,18 +1,26 @@
+from typing import Optional
+
 import numpy as np
 import pytest
 
 import ralm.problems
 import ralm.solver
+from ralm.cli import build_problem
+from ralm.config import RunConfig
 from ralm.convex import project_set, prox
-from ralm.manifolds import check_point, random_point, sphere_point
+from ralm.manifolds import Point, RankDeficiencyError, check_point, random_point, retract, sphere_point
 from ralm.problems import (
     RMC,
     SPHERE_L1_DEMO_A,
     CircleExample,
+    ProblemInstance,
     SphereL1,
     aug_lagrangian,
     build_family,
     lagrangian_rgrad,
+    merit_eval,
+    merit_rgrad,
+    merit_shifts,
     objective_value,
     rmc_basic_instance,
 )
@@ -20,6 +28,7 @@ from ralm.solver import (
     ALMConfig,
     InnerConfig,
     SolveStatus,
+    SubproblemResult,
     alm_run,
     auxiliary_v,
     kkt_blocks,
@@ -254,18 +263,19 @@ class TestSubproblem:
         assert res.stalled
 
 
+def counting(monkeypatch, module, name, counts):
+    """Count the calls of module.name that return, in counts[name]."""
+    fn = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        counts[name] += 1
+        return result
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
 class TestSubproblemEvaluationReuse:
-    @staticmethod
-    def counting(monkeypatch, module, name, counts):
-        fn = getattr(module, name)
-
-        def wrapped(*args, **kwargs):
-            result = fn(*args, **kwargs)
-            counts[name] += 1
-            return result
-
-        monkeypatch.setattr(module, name, wrapped)
-
     @pytest.mark.parametrize("family", ["circle", "sphere-l1", "rmc"])
     def test_one_envelope_evaluation_per_trial_point(self, monkeypatch, family):
         rng = np.random.default_rng(3)
@@ -280,9 +290,9 @@ class TestSubproblemEvaluationReuse:
             p = build_family(RMC(a, mask, 3))
             w, pm, x0 = np.zeros((5, 5)), None, random_point(p.manifold, rng)
         counts = {"moreau_env": 0, "retract": 0}
-        self.counting(monkeypatch, ralm.problems, "moreau_env", counts)
+        counting(monkeypatch, ralm.problems, "moreau_env", counts)
         # only retractions that return produce a trial point
-        self.counting(monkeypatch, ralm.solver, "retract", counts)
+        counting(monkeypatch, ralm.solver, "retract", counts)
         res = subproblem_solve(p, w, pm, 10.0, x0, 1e-9)
         assert res.iters > 0
         assert counts["retract"] >= res.iters
@@ -291,6 +301,211 @@ class TestSubproblemEvaluationReuse:
         _, grad = aug_lagrangian(p, res.x, w, pm, 10.0)
         assert np.array_equal(res.grad, grad)
 
+
+def monotone_subproblem_solve(
+    p: ProblemInstance,
+    w,
+    p_mult,
+    rho: float,
+    x_init: Point,
+    eps: float,
+    inner: Optional[InnerConfig] = None,
+) -> SubproblemResult:
+    """The solver with the monotone acceptance rule, kept verbatim as the
+    reference the plain (use_bb=False) mode must reproduce exactly."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    inner = inner or InnerConfig()
+    shifts = merit_shifts(p, w, p_mult, rho)
+    x = x_init
+    val, grads = merit_eval(p, x, shifts, rho)
+    grad = merit_rgrad(p, x, grads)
+    grad_norm = float(np.linalg.norm(grad))
+    best_x, best_grad, best_gn = x, grad, grad_norm
+    step = inner.init_step
+    no_improve = 0
+    iters = 0
+    while iters < inner.max_iters and best_gn > eps and no_improve < 100:
+        t = step
+        accepted = False
+        # below this decrease the merit comparison is pure rounding noise
+        slack = 1e-14 * (1.0 + abs(val))
+        for _ in range(60):
+            try:
+                x_try = retract(p.manifold, x, -t * grad)
+            except RankDeficiencyError:
+                t *= inner.backtrack
+                continue
+            val_try, grads = merit_eval(p, x_try, shifts, rho)
+            required = inner.armijo_c * t * grad_norm**2
+            grad_try = None
+            if required >= 10.0 * slack:
+                if val_try <= val - required:
+                    accepted = True
+                    break
+            elif val_try <= val + slack:
+                # requested decrease is unresolvable in floating point; keep
+                # polishing as long as the gradient norm does not grow
+                grad_try = merit_rgrad(p, x_try, grads)
+                if float(np.linalg.norm(grad_try)) <= grad_norm:
+                    accepted = True
+                    break
+            t *= inner.backtrack
+        if not accepted:
+            break
+        if grad_try is None:
+            grad_try = merit_rgrad(p, x_try, grads)
+        if inner.use_bb:
+            # BB1 estimate with the ambient difference as a cheap transport
+            s_vec = x_try.ambient - x.ambient
+            y_vec = grad_try - grad
+            sy = float(np.sum(s_vec * y_vec))
+            if sy > 1e-30:
+                step = float(np.clip(np.sum(s_vec * s_vec) / sy, 1e-12, 1e10))
+            else:
+                step = min(4.0 * t, inner.init_step * 1e6)
+        x, val, grad = x_try, val_try, grad_try
+        grad_norm = float(np.linalg.norm(grad))
+        iters += 1
+        if grad_norm < best_gn:
+            best_x, best_grad, best_gn = x, grad, grad_norm
+            no_improve = 0
+        else:
+            no_improve += 1
+    return SubproblemResult(best_x, best_grad, best_gn, iters, stalled=best_gn > eps)
+
+
+def log_subproblems(monkeypatch):
+    """Log every subproblem_solve call of a run: its arguments and result, each
+    retraction (base point, direction, trial point) and each merit evaluation."""
+    calls = []
+    solve, retract_fn, merit_eval_fn = (
+        ralm.solver.subproblem_solve,
+        ralm.solver.retract,
+        ralm.solver.merit_eval,
+    )
+
+    def logged_solve(p, w, p_mult, rho, x_init, eps, inner=None):
+        call = {"args": (p, w, p_mult, rho, x_init), "retractions": [], "evals": {}}
+        calls.append(call)
+        call["result"] = solve(p, w, p_mult, rho, x_init, eps, inner)
+        return call["result"]
+
+    def logged_retract(manifold, x, xi):
+        out = retract_fn(manifold, x, xi)
+        calls[-1]["retractions"].append((x, xi, out))
+        return out
+
+    def logged_merit_eval(p, x, shifts, rho):
+        out = merit_eval_fn(p, x, shifts, rho)
+        calls[-1]["evals"][id(x)] = out
+        return out
+
+    monkeypatch.setattr(ralm.solver, "subproblem_solve", logged_solve)
+    monkeypatch.setattr(ralm.solver, "retract", logged_retract)
+    monkeypatch.setattr(ralm.solver, "merit_eval", logged_merit_eval)
+    return calls
+
+
+def accepted_iterates(call):
+    """The start point and the trial points one logged call accepted, in order."""
+    res = call["result"]
+    accepted = [call["args"][4]]
+    for base, _, _ in call["retractions"]:
+        if base is not accepted[-1]:
+            # a retraction from a new base: the previous trial point was accepted
+            accepted.append(base)
+    if res.iters == len(accepted):
+        # the loop ended right after accepting its last trial point
+        accepted.append(call["retractions"][-1][2])
+    assert len(accepted) == res.iters + 1
+    return accepted
+
+
+class TestNonmonotoneAcceptance:
+    @pytest.mark.parametrize("name", ["circle", "sphere-l1-builtin5x5", "rmc-basic5x5"])
+    def test_plain_mode_matches_monotone_reference(self, monkeypatch, name):
+        p = acceptance_families()[name]
+        x0 = random_point(p.manifold, np.random.default_rng(7))
+        solve = ralm.solver.subproblem_solve
+        compared = []
+
+        def both(p, w, p_mult, rho, x_init, eps, inner=None):
+            res = solve(p, w, p_mult, rho, x_init, eps, inner)
+            ref = monotone_subproblem_solve(p, w, p_mult, rho, x_init, eps, inner)
+            assert np.array_equal(res.x.ambient, ref.x.ambient)
+            assert np.array_equal(res.grad, ref.grad)
+            assert res.grad_norm == ref.grad_norm
+            assert res.iters == ref.iters
+            assert res.stalled == ref.stalled
+            compared.append(res.iters)
+            return res
+
+        monkeypatch.setattr(ralm.solver, "subproblem_solve", both)
+        res = alm_run(p, ALMConfig(inner=InnerConfig(use_bb=False)), x0)
+        assert len(compared) == len(res.history) - 1 and sum(compared) > 0
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            RunConfig(family="sphere-l1", mode="random", n=30, seed=1),
+            RunConfig(family="rmc", mode="random", m=20, n=20, r=2, seed=1),
+        ],
+        ids=["sphere-l1-30", "rmc-20"],
+    )
+    def test_bb_trials_meet_the_last_five_reference(self, monkeypatch, cfg):
+        """A BB trial is accepted exactly when it passes Armijo against the max of
+        the last 5 accepted merit values or, below the noise floor, comes within
+        slack of that max with a gradient norm within the last-5 max norm."""
+        p, x0, _, _ = build_problem(cfg)
+        calls = log_subproblems(monkeypatch)
+        alm_run(p, ALMConfig(), x0)
+        armijo_c = InnerConfig().armijo_c
+        rises = 0
+        for call in calls:
+            _, w, p_mult, rho, _ = call["args"]
+            res = call["result"]
+
+            def merit(x):
+                val, grads = call["evals"][id(x)]
+                grad = merit_rgrad(p, x, grads)
+                return val, grad, float(np.linalg.norm(grad))
+
+            accepted = accepted_iterates(call)
+            vals, grads, gns = zip(*map(merit, accepted))
+            for base, xi, out in call["retractions"]:
+                j = next(i for i, x in enumerate(accepted) if x is base)
+                ref_val, ref_gn = max(vals[max(0, j - 4) : j + 1]), max(gns[max(0, j - 4) : j + 1])
+                k = int(np.argmax(np.abs(grads[j])))
+                t = -xi.flat[k] / grads[j].flat[k]
+                required = armijo_c * t * gns[j] ** 2
+                slack = 1e-14 * (1.0 + abs(vals[j]))
+                val_try = call["evals"][id(out)][0]
+                if required >= 10.0 * slack:
+                    passes = val_try <= ref_val - required
+                else:
+                    passes = val_try <= ref_val + slack and merit(out)[2] <= ref_gn
+                is_accepted = j + 1 < len(accepted) and out is accepted[j + 1]
+                assert passes == is_accepted, (j, val_try, ref_val, required)
+                if is_accepted:
+                    rises += val_try > vals[j] + slack or gns[j + 1] > gns[j]
+            assert res.grad_norm == min(gns)
+            assert any(x is res.x for x in accepted)
+            _, grads_at_x = merit_eval(p, res.x, merit_shifts(p, w, p_mult, rho), rho)
+            assert np.array_equal(res.grad, merit_rgrad(p, res.x, grads_at_x))
+        # the memory is exercised: some accepted steps beat only an older iterate
+        assert rises > 0
+
+    def test_sphere_l1_random_retraction_budget(self, monkeypatch):
+        counts = {"retract": 0}
+        counting(monkeypatch, ralm.solver, "retract", counts)
+        for seed in (1, 2, 3):
+            a = np.random.default_rng(seed).standard_normal((50, 50))
+            p = build_family(SphereL1(a, mu=0.25))
+            x0 = random_point(p.manifold, np.random.default_rng([seed, 1]))
+            alm_run(p, ALMConfig(), x0)
+        # the monotone rule needs 4964 retractions here, the last-5 reference 2382
+        assert counts["retract"] <= 3000
 
 def non_finite_cases(fields):
     """(field, value) cases: NaN under the field's name, +inf under name-inf."""
