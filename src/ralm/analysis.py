@@ -12,10 +12,10 @@ The checks operate at (approximate) KKT triples:
 * ``calmness_probe`` and ``error_bound_fit`` estimate the Lipschitz modulus
   of the KKT solution under perturbations and the two-sided residual bound
   constants.
+* ``figure1_config``, ``figure1_tail`` and ``fit_log_linear`` run the rate study.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -26,7 +26,7 @@ from scipy.optimize import linprog
 from .convex import epiderivative_down, psi_conjugate, tangent_cone_member
 from .manifolds import Point, distance, project_tangent, retract, tangent_basis
 from .problems import ProblemInstance, hess_quadform, tilted_instance
-from .solver import ALMConfig, alm_run, kkt_residual
+from .solver import ALMConfig, alm_run, distance_to_reference, kkt_residual
 
 KKT_GATE = 1e-6
 RANK_TOL = 1e-8
@@ -398,15 +398,14 @@ def calmness_probe(
     trials_per_radius: int = 20,
     config: Optional[ALMConfig] = None,
     seed: int = 0,
-    jobs: int = 1,
 ) -> CalmnessReport:
     """Empirical Lipschitz modulus of the KKT solution under data perturbations.
 
     Solves the tilted/shifted instance warm-started at the unperturbed triple
     and records (distance moved) / (perturbation size); the multiplier set is
     treated as the singleton (y, z), which is why the strict constraint
-    qualification is verified first.  Trials are independent and may run on a
-    thread pool; results are merged by trial index.
+    qualification is verified first.  Trials run in order in the calling
+    thread, each from its own seed drawn before the first trial.
     """
     r0 = kkt_residual(p, x, y, z)
     if r0 > 1e-9:
@@ -425,19 +424,12 @@ def calmness_probe(
         res = alm_run(pert, cfg, x, y, z)
         if not res.converged:
             return None
-        moved = distance(p.manifold, res.x, x) + float(np.linalg.norm(res.y - np.asarray(y)))
-        if res.z is not None and z is not None:
-            moved += float(np.linalg.norm(res.z - np.asarray(z)))
-        return moved / radius
+        return distance_to_reference(p, res.x, res.y, res.z, (x, y, z)) / radius
 
     for i, radius in enumerate(radii):
         tol = min(1e-10, radius * 1e-3)
         cfg = replace(base, kkt_tol=tol, eps_floor=min(base.eps_floor, tol / 10.0))
-        # results are read once the pool has drained: waiting on each future
-        # in turn wakes this thread per trial and slows a one-worker run
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_trial, radius, cfg, s) for s in seeds[i]]
-        outcomes = [f.result() for f in futures]
+        outcomes = [run_trial(radius, cfg, s) for s in seeds[i]]
         ratios = [o for o in outcomes if o is not None]
         failures = trials_per_radius - len(ratios)
         records.append(
@@ -497,3 +489,46 @@ def error_bound_fit(
     if not ratios:
         return ErrorBoundFit(float("nan"), float("nan"), samples, degenerate=True)
     return ErrorBoundFit(c1=min(ratios), c2=max(ratios), samples=samples)
+
+
+# ---------------------------------------------------------------------------
+# fixed-penalty rate study
+
+
+def fit_log_linear(values):
+    """Least-squares slope and R^2 of log10(values) against the index."""
+    vals = [v for v in values if v > 0]
+    if len(vals) < 2:
+        return float("nan"), float("nan")
+    ks = np.arange(len(vals), dtype=float)
+    logs = np.log10(vals)
+    slope, intercept = np.polyfit(ks, logs, 1)
+    pred = slope * ks + intercept
+    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
+    if ss_tot == 0:
+        return float(slope), 1.0
+    r2 = 1.0 - float(np.sum((logs - pred) ** 2)) / ss_tot
+    return float(slope), r2
+
+
+def figure1_tail(history, max_len: int = 10):
+    """Residual window for the rate fit: the last completed iterations
+    strictly before the tolerance-reaching record (falls back to including
+    it when fewer than 3 points remain)."""
+    rs = [rec.kkt_residual for rec in history[1:]]
+    pre = [r for r in rs[:-1] if r > 0][-max_len:]
+    if len(pre) >= 3:
+        return pre
+    return [r for r in rs if r > 0][-max_len:]
+
+
+def figure1_config(rho: float) -> ALMConfig:
+    return ALMConfig(
+        rho0=rho,
+        fixed_rho=True,
+        kkt_tol=1e-10,
+        eps0=1e-3,
+        eps_decay=0.25,
+        eps_floor=1e-14,
+        max_outer=500,
+    )

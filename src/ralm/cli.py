@@ -16,7 +16,6 @@ import csv
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,9 @@ from .analysis import (
     check_condition_size,
     condition_report,
     error_bound_fit,
+    figure1_config,
+    figure1_tail,
+    fit_log_linear,
     polish_kkt,
 )
 from .config import ConfigError, RunConfig, apply_flag_overrides, parse_problem_file
@@ -42,7 +44,7 @@ from .problems import (
     rmc_basic_instance,
     rmc_spectral_init,
 )
-from .solver import ALMConfig, alm_run, kkt_residual_components
+from .solver import alm_run, kkt_residual_components
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -186,45 +188,6 @@ def write_probe_csv(path: Path, calm, ebfit) -> None:
             writer.writerow(["errorbound", "", i, "", _fmt(dist), _fmt(res)])
 
 
-def fit_log_linear(values):
-    """Least-squares slope and R^2 of log10(values) against the index."""
-    vals = [v for v in values if v > 0]
-    if len(vals) < 2:
-        return float("nan"), float("nan")
-    ks = np.arange(len(vals), dtype=float)
-    logs = np.log10(vals)
-    slope, intercept = np.polyfit(ks, logs, 1)
-    pred = slope * ks + intercept
-    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-    if ss_tot == 0:
-        return float(slope), 1.0
-    r2 = 1.0 - float(np.sum((logs - pred) ** 2)) / ss_tot
-    return float(slope), r2
-
-
-def figure1_tail(history, max_len: int = 10):
-    """Residual window for the rate fit: the last completed iterations
-    strictly before the tolerance-reaching record (falls back to including
-    it when fewer than 3 points remain)."""
-    rs = [rec.kkt_residual for rec in history[1:]]
-    pre = [r for r in rs[:-1] if r > 0][-max_len:]
-    if len(pre) >= 3:
-        return pre
-    return [r for r in rs if r > 0][-max_len:]
-
-
-def figure1_config(rho: float) -> ALMConfig:
-    return ALMConfig(
-        rho0=rho,
-        fixed_rho=True,
-        kkt_tol=1e-10,
-        eps0=1e-3,
-        eps_decay=0.25,
-        eps_floor=1e-14,
-        max_outer=500,
-    )
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -266,11 +229,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
 
 def cmd_figure1(cfg: RunConfig, out: Path) -> int:
     p, x0, ref, _ = build_problem(cfg)
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        futures = [
-            pool.submit(alm_run, p, figure1_config(rho), x0, reference=ref) for rho in FIGURE1_RHOS
-        ]
-    results = [f.result() for f in futures]
+    results = [alm_run(p, figure1_config(rho), x0, reference=ref) for rho in FIGURE1_RHOS]
 
     header = ["k"]
     for rho in FIGURE1_RHOS:
@@ -396,7 +355,6 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> int:
         radii=(1e-2, 1e-3, 1e-4, 1e-5),
         trials_per_radius=20,
         seed=seed,
-        jobs=cfg.jobs,
     )
     ebfit = error_bound_fit(p, trip.x, trip.y, trip.z, n_samples=500, radius=0.05, seed=seed)
     write_probe_csv(out / "probe.csv", calm, ebfit)
@@ -422,7 +380,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="problem configuration file")
     parser.add_argument("--seed", type=int, default=None, help="random seed")
     parser.add_argument("--out", metavar="DIR", default=None, help="output directory (default ./out)")
-    parser.add_argument("--jobs", type=int, default=None, help="worker threads for sub-runs")
     parser.add_argument(
         "--fixed-rho", action="store_true", help="disable penalty growth (tau = 1 semantics)"
     )
@@ -462,8 +419,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1 with one line; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ralm",
         description="Augmented Lagrangian solver on matrix manifolds with a KKT analysis suite",
     )
@@ -482,8 +446,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         cfg = parse_problem_file(args.config) if args.config else RunConfig()
         cfg = apply_flag_overrides(cfg, args)
         out = Path(cfg.out_dir)

@@ -35,7 +35,6 @@ class RunConfig:
     alm: ALMConfig = field(default_factory=ALMConfig)
     matrix: Optional[np.ndarray] = None
     out_dir: str = "out"
-    jobs: int = 1
 
 
 _PROBLEM_KEYS = {
@@ -134,7 +133,7 @@ def parse_problem_file(path: str) -> RunConfig:
 
 def apply_flag_overrides(cfg: RunConfig, args) -> RunConfig:
     """Command-line flags win over config-file values."""
-    for name in ("family", "n", "m", "r", "mu", "seed", "oversample", "mode", "jobs"):
+    for name in ("family", "n", "m", "r", "mu", "seed", "oversample", "mode"):
         val = getattr(args, name.replace("-", "_"), None)
         if val is not None:
             setattr(cfg, name, val)
@@ -149,7 +148,7 @@ def apply_flag_overrides(cfg: RunConfig, args) -> RunConfig:
     # store_true flag: only an explicit --fixed-rho can turn it on
     if getattr(args, "fixed_rho", False):
         cfg.alm.fixed_rho = True
-    for name in ("n", "m", "r", "jobs"):
+    for name in ("n", "m", "r"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     if cfg.seed is not None and cfg.seed < 0:

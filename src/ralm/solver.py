@@ -312,7 +312,8 @@ def _clip_multiplier(v, bound: float):
     return np.clip(np.asarray(v, dtype=float), -bound, bound)
 
 
-def _distance_to_reference(p: ProblemInstance, x, y, z, reference):
+def distance_to_reference(p: ProblemInstance, x, y, z, reference):
+    """d(x, x_ref) + ||y - y_ref|| + ||z - z_ref||; NaN without a reference."""
     if reference is None:
         return float("nan")
     x_ref, y_ref, z_ref = reference
@@ -373,7 +374,7 @@ def alm_run(
             inner_iters=0,
             eps_k=float("nan"),
             wall_time=time.perf_counter() - t_start,
-            dist_to_reference=_distance_to_reference(p, x, y, z, reference),
+            dist_to_reference=distance_to_reference(p, x, y, z, reference),
         )
     ]
     if max(comps) <= config.kkt_tol:
@@ -411,7 +412,7 @@ def alm_run(
                 inner_iters=sub.iters,
                 eps_k=eps_k,
                 wall_time=time.perf_counter() - t_start,
-                dist_to_reference=_distance_to_reference(p, x, y_new, z_new, reference),
+                dist_to_reference=distance_to_reference(p, x, y_new, z_new, reference),
                 chain_gap=chain_gap,
                 residual_bound_slack=r_new - bound,
                 multiplier_consistency_gap=mult_gap,

@@ -10,11 +10,13 @@ import numpy as np
 from ralm.analysis import (
     calmness_probe,
     error_bound_fit,
+    figure1_config,
+    figure1_tail,
+    fit_log_linear,
     msosc_check,
     msrcq_check,
     polish_kkt,
 )
-from ralm.cli import figure1_config, figure1_tail, fit_log_linear
 from ralm.convex import ScaledL1, moreau_env, prox
 from ralm.manifolds import (
     FixedRank,

@@ -1,9 +1,10 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ralm import analysis
+from ralm import analysis, cli
 from ralm.analysis import (
     _ctheta_generator_signs,
     _tq_capz_generators,
@@ -403,12 +404,25 @@ class TestCalmnessProbe:
         with pytest.raises(ValueError):
             calmness_probe(p, x0, np.zeros(1), np.zeros(1))
 
-    def test_threaded_matches_sequential(self):
+    def test_sub_solves_run_in_calling_thread(self, monkeypatch, tmp_path):
+        # figure1's four rate runs and every probe trial solve in this thread
+        threads = []
+
+        def recording(run):
+            def wrapped(*args, **kwargs):
+                threads.append(threading.get_ident())
+                return run(*args, **kwargs)
+
+            return wrapped
+
+        for module in (analysis, cli):
+            monkeypatch.setattr(module, "alm_run", recording(module.alm_run))
+        assert cli.main(["figure1", "--out", str(tmp_path)]) == cli.EXIT_OK
         p = build_family(CircleExample())
         x, y, z = circle_solution()
-        seq = calmness_probe(p, x, y, z, radii=(1e-3,), trials_per_radius=6, seed=3)
-        par = calmness_probe(p, x, y, z, radii=(1e-3,), trials_per_radius=6, seed=3, jobs=3)
-        np.testing.assert_allclose(seq.records[0].ratios, par.records[0].ratios)
+        calmness_probe(p, x, y, z, radii=(1e-3,), trials_per_radius=4)
+        assert len(threads) == 8
+        assert set(threads) == {threading.get_ident()}
 
     def test_constraint_shift_moves_solution_linearly(self):
         # displacement under a shift of the nonsmooth argument scales like the

@@ -3,12 +3,12 @@ import csv
 import numpy as np
 import pytest
 
+from ralm.analysis import fit_log_linear
 from ralm.cli import (
     EXIT_CHECK_FAILED,
     EXIT_ERROR,
     EXIT_OK,
     EXIT_PARTIAL,
-    fit_log_linear,
     main,
 )
 from ralm.config import ConfigError, parse_problem_file
@@ -67,13 +67,29 @@ class TestCommandOutputs:
         assert main(["figure1", "--out", str(tmp_path)]) == EXIT_OK
         assert (tmp_path / "figure1.gp").read_bytes() == FIGURE1_GP.encode("utf-8")
 
-    @pytest.mark.parametrize("command", ["solve", "figure1"])
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_exits_one_line(self, tmp_path, capsys, command, jobs):
-        code = main([command, "--jobs", jobs, "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--bogus", "1"],
+            ["rmc", "--mode", "xyz"],
+            ["solve", "--n", "abc"],
+            ["solve", "--jobs", "2"],
+        ],
+        ids=["unknown-flag", "bad-choice", "bad-int", "removed-jobs"],
+    )
+    def test_usage_error_exits_one_line(self, tmp_path, capsys, argv):
+        code = main(argv + ["--out", str(tmp_path / "o")])
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", list(WRITTEN_FILES))
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--jobs" not in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv,field",
