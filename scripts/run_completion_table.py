@@ -5,10 +5,12 @@ Each row reports the same columns as the solver summary: size, rank, outer
 iterations, wall time, final maximum KKT residual and recovery error.
 """
 import argparse
+import sys
 import time
 
 import numpy as np
 
+from ralm.manifolds import RankDeficiencyError
 from ralm.problems import RMC, build_family, generate_rmc_instance, rmc_spectral_init
 from ralm.solver import ALMConfig, alm_run, kkt_residual_components
 
@@ -25,18 +27,20 @@ def run_case(m, n, r, oversample, seed):
     return len(res.history) - 1, elapsed, max_res, rec, res.status.value
 
 
-if __name__ == "__main__":
+def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", default="100,200", help="comma-separated square sizes")
     ap.add_argument("--rank", type=int, default=5)
     ap.add_argument("--oversample", type=float, default=3.0)
     ap.add_argument("--seeds", default="1,2,3")
     args = ap.parse_args()
+    sizes = [int(s) for s in args.sizes.split(",")]
+    seeds = [int(s) for s in args.seeds.split(",")]
 
     print(f"{'m':>6} {'n':>6} {'r':>3} {'seed':>4} {'iters':>5} {'time(s)':>8} "
           f"{'max residual':>13} {'recovery':>10}  status")
-    for size in (int(s) for s in args.sizes.split(",")):
-        for seed in (int(s) for s in args.seeds.split(",")):
+    for size in sizes:
+        for seed in seeds:
             iters, elapsed, max_res, rec, status = run_case(
                 size, size, args.rank, args.oversample, seed
             )
@@ -44,3 +48,11 @@ if __name__ == "__main__":
                 f"{size:>6} {size:>6} {args.rank:>3} {seed:>4} {iters:>5} "
                 f"{elapsed:>8.2f} {max_res:>13.3e} {rec:>10.3e}  {status}"
             )
+
+
+if __name__ == "__main__":
+    try:
+        main()
+    except (ValueError, RankDeficiencyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1)

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import linprog
 
 from .convex import epiderivative_down, psi_conjugate, tangent_cone_member
 from .manifolds import Point, distance, project_tangent, retract, tangent_basis
@@ -222,6 +220,17 @@ class MsoscReport:
         return self.status in ("pass", "vacuous")
 
 
+def _null_space(a, rcond=None):
+    """Orthonormal basis of the null space of ``a``, by the same SVD rule as
+    ``scipy.linalg.null_space``: singular values above max(s) * rcond count
+    as rank, and rcond defaults to eps * max(m, n)."""
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    if rcond is None:
+        rcond = np.finfo(s.dtype).eps * max(a.shape)
+    num = int(np.sum(s > np.max(s, initial=0.0) * rcond))
+    return vh[num:].T
+
+
 def _cone_is_trivial(nullspace_dim, a_ineq):
     """Decide whether {lam : A lam >= 0} inside the nullspace is {0}.
 
@@ -232,9 +241,13 @@ def _cone_is_trivial(nullspace_dim, a_ineq):
         return True, None
     if a_ineq.shape[0] == 0:
         return False, np.eye(nullspace_dim)[0]
-    lin = null_space(a_ineq)
+    lin = _null_space(a_ineq)
     if lin.shape[1] > 0:
         return False, lin[:, 0]
+    # imported here, not at module level: SciPy takes longer to load than
+    # NumPy and ralm together, and only this LP needs it
+    from scipy.optimize import linprog
+
     # nonzero feasible lam exists iff {A lam >= 0, sum(A lam) = 1} is feasible
     c = np.zeros(a_ineq.shape[1])
     res = linprog(
@@ -273,7 +286,7 @@ def msosc_check(
     # covers vanish, and the ray rows are >= 0 once oriented by their sign
     basis, img, (free, pos, neg) = _condition_system(p, x, y, z, tol)
     eq_rows = img[~(free | pos | neg)]
-    nmat = null_space(eq_rows, rcond=1e-10) if len(eq_rows) else np.eye(len(basis))
+    nmat = _null_space(eq_rows, rcond=1e-10) if len(eq_rows) else np.eye(len(basis))
     k1 = nmat.shape[1]
     trivial, witness = _cone_is_trivial(k1, np.vstack([img[pos], -img[neg]]) @ nmat)
     if trivial:

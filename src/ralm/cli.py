@@ -197,6 +197,7 @@ def _summary_entries(p, res, elapsed, a_exact=None):
     entries = {
         "family": p.label,
         "status": res.status.value,
+        "stop_reason": res.reason,
         "outer_iterations": len(res.history) - 1,
         "wall_time_seconds": elapsed,
         "max_kkt_residual": float(max(comps)),

@@ -123,7 +123,7 @@ class SubproblemResult:
 
 @dataclass
 class ALMResult:
-    status: SolveStatus
+    reason: str  # why the run stopped: "converged", "max_outer" or "stalled"
     x: Point
     y: np.ndarray
     z: Optional[np.ndarray]
@@ -131,7 +131,11 @@ class ALMResult:
 
     @property
     def converged(self) -> bool:
-        return self.status is SolveStatus.CONVERGED
+        return self.reason == "converged"
+
+    @property
+    def status(self) -> SolveStatus:
+        return SolveStatus.CONVERGED if self.converged else SolveStatus.PARTIAL
 
 
 def kkt_blocks(p: ProblemInstance, x: Point, y, z=None):
@@ -378,7 +382,7 @@ def alm_run(
         )
     ]
     if max(comps) <= config.kkt_tol:
-        return ALMResult(SolveStatus.CONVERGED, x, y, z, history)
+        return ALMResult("converged", x, y, z, history)
 
     v_prev = None
     stall_streak = 0
@@ -422,15 +426,15 @@ def alm_run(
             rho = penalty_update(v_new, v_prev, rho, config.gamma, config.tau, k)
         y, z, v_prev, r_sum = y_new, z_new, v_new, r_new
         if max(comps) <= config.kkt_tol:
-            return ALMResult(SolveStatus.CONVERGED, x, y, z, history)
+            return ALMResult("converged", x, y, z, history)
         # a stalled subproblem does not end the run: the multiplier/penalty
         # updates often repair it; give up only after repeated stalls with no
         # residual progress
         if sub.stalled and max(comps) >= 0.9 * best_maxcomp:
             stall_streak += 1
             if stall_streak >= 5:
-                return ALMResult(SolveStatus.PARTIAL, x, y, z, history)
+                return ALMResult("stalled", x, y, z, history)
         else:
             stall_streak = 0
         best_maxcomp = min(best_maxcomp, max(comps))
-    return ALMResult(SolveStatus.PARTIAL, x, y, z, history)
+    return ALMResult("max_outer", x, y, z, history)

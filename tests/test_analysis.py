@@ -6,7 +6,9 @@ import pytest
 
 from ralm import analysis, cli
 from ralm.analysis import (
+    _cone_is_trivial,
     _ctheta_generator_signs,
+    _null_space,
     _tq_capz_generators,
     calmness_probe,
     condition_report,
@@ -388,6 +390,43 @@ class TestMsosc:
         assert rep.msrcq.passed
         assert rep.msosc.status == "vacuous"
         assert rep.critical_cone_trivial
+
+
+_rng = np.random.default_rng(7)
+_LOW_RANK = _rng.standard_normal((6, 2)) @ _rng.standard_normal((2, 5))
+NULL_SPACE_CASES = {
+    "full-rank": _rng.standard_normal((5, 5)),
+    "rank-deficient": _LOW_RANK,
+    # singular values near 1e-12: rank under the default rcond, not under 1e-10
+    "near-deficient": _LOW_RANK + 1e-12 * _rng.standard_normal((6, 5)),
+    "wide": _rng.standard_normal((3, 7)),
+    "tall": _rng.standard_normal((7, 3)),
+    "all-zero": np.zeros((4, 3)),
+}
+
+
+class TestConeTriviality:
+    @pytest.mark.parametrize("rcond", [None, 1e-10], ids=["default", "1e-10"])
+    @pytest.mark.parametrize("name", list(NULL_SPACE_CASES))
+    def test_null_space_matches_scipy(self, name, rcond):
+        from scipy.linalg import null_space
+
+        a = NULL_SPACE_CASES[name]
+        ours, ref = _null_space(a, rcond=rcond), null_space(a, rcond=rcond)
+        assert ours.shape == ref.shape
+        np.testing.assert_allclose(ours @ ours.T, ref @ ref.T, rtol=0, atol=1e-12)
+
+    def test_pointed_cone_solves_lp_and_is_trivial(self):
+        # lam1 >= 0, lam2 >= 0, -lam1 - lam2 >= 0 leaves only lam = 0
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+        assert _cone_is_trivial(2, a) == (True, None)
+
+    def test_open_cone_solves_lp_and_returns_witness(self):
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        trivial, lam = _cone_is_trivial(2, a)
+        assert trivial is False
+        assert np.linalg.norm(lam) > 0
+        assert np.all(a @ lam >= -1e-9)
 
 
 class TestCalmnessProbe:

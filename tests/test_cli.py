@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,15 @@ from ralm.cli import (
 )
 from ralm.config import ConfigError, parse_problem_file
 from ralm.problems import rmc_basic_instance
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(args, timeout=60):
+    """Run a fresh interpreter from the repository root with src on its path."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=timeout)
 
 
 def read_csv(path):
@@ -146,6 +159,15 @@ class TestSolveCommand:
         assert all(float(r[2]) >= 0 for r in rows[1:])
         summary = (out / "summary.txt").read_text()
         assert "status = converged" in summary
+        assert "stop_reason = converged" in summary
+
+    def test_max_outer_one_says_why_it_stopped(self, tmp_path):
+        out = tmp_path / "o"
+        code = main(["solve", "--family", "circle", "--max-outer", "1", "--out", str(out)])
+        assert code == EXIT_PARTIAL
+        summary = (out / "summary.txt").read_text()
+        assert "status = partial-convergence" in summary
+        assert "stop_reason = max_outer" in summary
 
     def test_max_outer_zero_exits_partial(self, tmp_path):
         code = main(
@@ -427,3 +449,41 @@ class TestAnalyzeCommand:
         assert "kappa_bounded = True" in summary
         c1 = float(summary.split("errorbound_c1 = ")[1].splitlines()[0])
         assert c1 > 0
+
+
+class TestColdStart:
+    def test_commands_load_no_scipy(self, tmp_path):
+        commands = [
+            ["rmc", "--mode", "basic5x5"],
+            ["sphere-l1", "--mode", "builtin5x5"],
+            ["analyze", "--family", "circle"],
+        ]
+        argvs = [argv + ["--out", str(tmp_path / f"o{i}")] for i, argv in enumerate(commands)]
+        code = (
+            "import sys\n"
+            "import ralm.cli\n"
+            f"codes = [ralm.cli.main(argv) for argv in {argvs!r}]\n"
+            "print(codes, any(k.startswith('scipy') for k in sys.modules))\n"
+        )
+        proc = run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0] False"
+
+
+class TestCompletionTableScript:
+    SCRIPT = str(ROOT / "scripts" / "run_completion_table.py")
+
+    def test_small_grid_prints_one_converged_row(self):
+        proc = run_python([self.SCRIPT, "--sizes", "20", "--rank", "2", "--seeds", "1"])
+        assert proc.returncode == 0, proc.stderr
+        header, *rows = proc.stdout.splitlines()
+        assert header.split()[0] == "m" and len(rows) == 1
+        assert rows[0].split()[:4] == ["20", "20", "2", "1"]
+        assert rows[0].split()[-1] == "converged"
+
+    @pytest.mark.parametrize("sizes", ["20", "0", "abc"])
+    def test_bad_input_exits_one_line(self, sizes):
+        proc = run_python([self.SCRIPT, "--sizes", sizes])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr

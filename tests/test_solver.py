@@ -553,6 +553,16 @@ class TestALMRun:
         p = build_family(CircleExample())
         res = alm_run(p, ALMConfig(max_outer=0), sphere_point([1.0, 0.0]))
         assert res.status is SolveStatus.PARTIAL
+        assert res.reason == "max_outer"
+
+    def test_repeated_stalls_stop_the_run(self):
+        # an inner solver that may take no step stalls on every subproblem
+        p = build_family(CircleExample())
+        cfg = ALMConfig(max_outer=50, inner=InnerConfig(max_iters=0))
+        res = alm_run(p, cfg, sphere_point([1.0, 0.0]))
+        assert res.reason == "stalled"
+        assert res.status is SolveStatus.PARTIAL
+        assert len(res.history) - 1 == 5
 
     def test_rejects_infeasible_start(self):
         p = build_family(CircleExample())
