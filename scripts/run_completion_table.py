@@ -4,12 +4,12 @@
 Each row reports the same columns as the solver summary: size, rank, outer
 iterations, wall time, final maximum KKT residual and recovery error.
 """
-import argparse
 import sys
 import time
 
 import numpy as np
 
+from ralm.cli import _Parser
 from ralm.manifolds import RankDeficiencyError
 from ralm.problems import RMC, build_family, generate_rmc_instance, rmc_spectral_init
 from ralm.solver import ALMConfig, alm_run, kkt_residual_components
@@ -28,7 +28,8 @@ def run_case(m, n, r, oversample, seed):
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
+    # a usage error raises ConfigError, a ValueError: one line and exit 1
+    ap = _Parser(description=__doc__)
     ap.add_argument("--sizes", default="100,200", help="comma-separated square sizes")
     ap.add_argument("--rank", type=int, default=5)
     ap.add_argument("--oversample", type=float, default=3.0)
@@ -36,6 +37,9 @@ def main() -> None:
     args = ap.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
     seeds = [int(s) for s in args.seeds.split(",")]
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
 
     print(f"{'m':>6} {'n':>6} {'r':>3} {'seed':>4} {'iters':>5} {'time(s)':>8} "
           f"{'max residual':>13} {'recovery':>10}  status")

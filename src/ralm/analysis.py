@@ -43,24 +43,16 @@ class KKTTriple:
     residual: float
 
 
-def polish_kkt(
-    p: ProblemInstance,
-    x: Point,
-    y,
-    z=None,
-    tol: float = 1e-10,
-    rho0: float = 100.0,
-    max_outer: int = 400,
-) -> KKTTriple:
+def polish_kkt(p: ProblemInstance, x: Point, y, z=None, tol: float = 1e-10) -> KKTTriple:
     """Refine an approximate KKT triple with a tight warm-started run."""
-    cfg = ALMConfig(rho0=rho0, kkt_tol=tol, eps_floor=tol / 10.0, max_outer=max_outer)
+    cfg = ALMConfig(rho0=100.0, kkt_tol=tol, eps_floor=tol / 10.0, max_outer=400)
     res = alm_run(p, cfg, x, y, z)
     return KKTTriple(res.x, res.y, res.z, res.history[-1].kkt_residual)
 
 
-def check_condition_size(p: ProblemInstance):
-    """(dim_y, dim_z) of the multipliers; raises ValueError when the dense
-    condition systems would exceed ``MAX_DENSE_ENTRIES``."""
+def check_condition_size(p: ProblemInstance) -> None:
+    """Raise ValueError when the dense condition systems would exceed
+    ``MAX_DENSE_ENTRIES``."""
     dim_y = int(np.prod(p.g1.out_shape))
     dim_z = int(np.prod(p.g2.out_shape)) if p.q is not None else 0
     rows = dim_y + dim_z
@@ -70,7 +62,6 @@ def check_condition_size(p: ProblemInstance):
             f"condition check too large: dense {rows} x {cols} system "
             f"exceeds {MAX_DENSE_ENTRIES:.0e} entries"
         )
-    return dim_y, dim_z
 
 
 def _require_kkt(p: ProblemInstance, x: Point, y, z, gate: float = KKT_GATE) -> None:
@@ -83,7 +74,7 @@ def _require_kkt(p: ProblemInstance, x: Point, y, z, gate: float = KKT_GATE) -> 
 # critical cone membership
 
 
-def critical_cone_member(p: ProblemInstance, x: Point, z, xi, tol: float = CONE_TOL) -> bool:
+def critical_cone_member(p: ProblemInstance, x: Point, z, xi) -> bool:
     """Is xi a critical direction at (x, z)?
 
     Requires the first-order growth of the composite objective along xi to
@@ -92,24 +83,25 @@ def critical_cone_member(p: ProblemInstance, x: Point, z, xi, tol: float = CONE_
     complement.
     """
     xi = np.asarray(xi, dtype=float)
-    if np.linalg.norm(project_tangent(p.manifold, x, xi) - xi) > tol * (1.0 + np.linalg.norm(xi)):
+    off_tangent = np.linalg.norm(project_tangent(p.manifold, x, xi) - xi)
+    if off_tangent > CONE_TOL * (1.0 + np.linalg.norm(xi)):
         raise ValueError("xi is not tangent at x within tolerance")
     scale = max(1.0, float(np.linalg.norm(xi)))
     xa = x.ambient
     d1 = p.g1.jacobian_apply(xa, xi)
     first = float(np.sum(p.f.egrad(xa) * xi)) + epiderivative_down(
-        p.theta, p.g1.value(xa), d1, zero_tol=tol
+        p.theta, p.g1.value(xa), d1, zero_tol=CONE_TOL
     )
-    if abs(first) > tol * scale:
+    if abs(first) > CONE_TOL * scale:
         return False
     if p.q is None:
         return True
     d2 = p.g2.jacobian_apply(xa, xi)
-    if not tangent_cone_member(p.q, p.g2.value(xa), d2, tol):
+    if not tangent_cone_member(p.q, p.g2.value(xa), d2, CONE_TOL):
         return False
     z = np.asarray(z, dtype=float)
     zscale = max(1.0, float(np.linalg.norm(z))) * max(1.0, float(np.linalg.norm(d2)))
-    return bool(abs(float(np.sum(d2 * z))) <= tol * zscale)
+    return bool(abs(float(np.sum(d2 * z))) <= CONE_TOL * zscale)
 
 
 # ---------------------------------------------------------------------------
@@ -151,23 +143,27 @@ def _tq_capz_generators(q, s, z, tol):
     return ~pinned & ~at_lo & ~at_hi, at_lo & unloaded, at_hi & unloaded
 
 
-def _condition_system(p: ProblemInstance, x: Point, y, z, tol):
+def _condition_system(p: ProblemInstance, x: Point, y, z):
     """The tangent basis, its Jacobian image and the cone-generator masks.
 
     The image has one column per basis vector and stacks the g1 rows over
     the g2 rows.  The (free, pos, neg) masks run over the same rows: a free
     row's unit vector spans a line of the cones (of theta at g1(x), and of
     T_Q(g2(x)) cut by z-perp), a pos/neg row's +/- unit vector a ray.
+    Refuses an instance above ``MAX_DENSE_ENTRIES``, then a point that is
+    not an approximate KKT point, before it builds anything.
     """
+    check_condition_size(p)
+    _require_kkt(p, x, y, z)
     xa = x.ambient
     basis = tangent_basis(p.manifold, x)
     maps = (p.g1,) if p.q is None else (p.g1, p.g2)
     img = np.column_stack(
         [np.concatenate([np.ravel(g.jacobian_apply(xa, b)) for g in maps]) for b in basis]
     )
-    masks = _ctheta_generator_signs(p.theta, p.g1.value(xa), y, tol)
+    masks = _ctheta_generator_signs(p.theta, p.g1.value(xa), y, CONE_TOL)
     if p.q is not None:
-        masks_q = _tq_capz_generators(p.q, p.g2.value(xa), z, tol)
+        masks_q = _tq_capz_generators(p.q, p.g2.value(xa), z, CONE_TOL)
         masks = tuple(np.concatenate(pair) for pair in zip(masks, masks_q))
     return basis, img, masks
 
@@ -178,29 +174,26 @@ class MsrcqReport:
     rank_found: int
     rank_required: int
     n_generators: int
-    tol: float
 
 
-def msrcq_check(p: ProblemInstance, x: Point, y, z=None, tol: float = RANK_TOL) -> MsrcqReport:
+def msrcq_check(p: ProblemInstance, x: Point, y, z=None) -> MsrcqReport:
     """Strict constraint qualification as a numerical spanning test.
 
     Passes when the images of an orthonormal tangent basis under the
     constraint Jacobians, together with the closed-form cone generators,
     span the constraint space.  The generators are unit vectors, so the rank
     is the number of rows they cover plus the rank of the image on the other
-    rows (singular values above tol * max(1, sigma_max)).
+    rows (singular values above RANK_TOL * max(1, sigma_max)).
     Instances above ``MAX_DENSE_ENTRIES`` raise ValueError.
     """
-    dim_y, dim_z = check_condition_size(p)
-    _require_kkt(p, x, y, z)
-    basis, img, (free, pos, neg) = _condition_system(p, x, y, z, CONE_TOL)
+    basis, img, (free, pos, neg) = _condition_system(p, x, y, z)
     # each generator's unit column covers its own row, so
     # rank([img | generators]) = |covered| + rank(img[~covered])
     covered = free | pos | neg
     svals = np.linalg.svd(img[~covered], compute_uv=False)
     n_covered = int(np.sum(covered))
-    rank = n_covered + int(np.sum(svals > tol * max(1.0, svals.max(initial=0.0))))
-    return MsrcqReport(rank == dim_y + dim_z, rank, dim_y + dim_z, len(basis) + n_covered, tol)
+    rank = n_covered + int(np.sum(svals > RANK_TOL * max(1.0, svals.max(initial=0.0))))
+    return MsrcqReport(rank == len(img), rank, len(img), len(basis) + n_covered)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +206,6 @@ class MsoscReport:
     min_value: float
     samples_used: int
     cone_nullity: int
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -264,46 +256,35 @@ def _cone_is_trivial(nullspace_dim, a_ineq):
     return True, None
 
 
-def msosc_check(
-    p: ProblemInstance,
-    x: Point,
-    y,
-    z=None,
-    n_samples: int = 100,
-    tol: float = CONE_TOL,
-    seed: int = 0,
-) -> MsoscReport:
+def msosc_check(p: ProblemInstance, x: Point, y, z=None, n_samples: int = 100) -> MsoscReport:
     """Second order sufficiency over the critical cone (polyhedral sets only).
 
     A trivial cone is certified exactly; otherwise unit critical directions
     are sampled and the quadratic form
-    ``<xi, Hess_x l(x, z) xi> - psi*(y)`` must stay above tol.  Refuses the
-    same instance sizes as ``msrcq_check``.
+    ``<xi, Hess_x l(x, z) xi> - psi*(y)`` must stay above CONE_TOL.  Refuses
+    the same instance sizes as ``msrcq_check``.
     """
-    check_condition_size(p)
-    _require_kkt(p, x, y, z)
     # the critical cone in basis coefficients: the image rows no generator
     # covers vanish, and the ray rows are >= 0 once oriented by their sign
-    basis, img, (free, pos, neg) = _condition_system(p, x, y, z, tol)
+    basis, img, (free, pos, neg) = _condition_system(p, x, y, z)
     eq_rows = img[~(free | pos | neg)]
     nmat = _null_space(eq_rows, rcond=1e-10) if len(eq_rows) else np.eye(len(basis))
     k1 = nmat.shape[1]
     trivial, witness = _cone_is_trivial(k1, np.vstack([img[pos], -img[neg]]) @ nmat)
     if trivial:
-        return MsoscReport("vacuous", float("nan"), 0, k1, tol)
+        return MsoscReport("vacuous", float("nan"), 0, k1)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     samples = []
 
     def try_direction(lam):
-        coeff = nmat @ lam
-        xi = sum(c * b for c, b in zip(coeff, basis))
+        xi = np.tensordot(nmat @ lam, basis, axes=1)
         nrm = float(np.linalg.norm(xi))
         if nrm < 1e-12:
             return
         xi = xi / nrm
         try:
-            if critical_cone_member(p, x, z, xi, tol):
+            if critical_cone_member(p, x, z, xi):
                 samples.append(xi)
         except ValueError:
             pass
@@ -315,7 +296,7 @@ def msosc_check(
         attempts += 1
         try_direction(rng.standard_normal(k1))
     if not samples:
-        return MsoscReport("fail", float("nan"), 0, k1, tol)
+        return MsoscReport("fail", float("nan"), 0, k1)
 
     min_q = float("inf")
     bad_infinite = False
@@ -323,20 +304,20 @@ def msosc_check(
     xa = x.ambient
     for xi in samples:
         quad = hess_quadform(p, x, z, xi)
-        star = psi_conjugate(p.theta, p.g1.value(xa), p.g1.jacobian_apply(xa, xi), y, tol, tol)
+        d1 = p.g1.jacobian_apply(xa, xi)
+        star = psi_conjugate(p.theta, p.g1.value(xa), d1, y, CONE_TOL, CONE_TOL)
         if not star.finite:
             if quad <= 0:
                 bad_infinite = True
             continue
         finite_seen += 1
         min_q = min(min_q, quad - star.value)
-    ok = (not bad_infinite) and finite_seen > 0 and min_q > tol
+    ok = (not bad_infinite) and finite_seen > 0 and min_q > CONE_TOL
     return MsoscReport(
         "pass" if ok else "fail",
         min_q if finite_seen else float("nan"),
         len(samples),
         k1,
-        tol,
     )
 
 
@@ -349,9 +330,9 @@ class ConditionReport:
     tolerances: dict = field(default_factory=dict)
 
 
-def condition_report(p: ProblemInstance, x: Point, y, z=None, n_samples: int = 100) -> ConditionReport:
+def condition_report(p: ProblemInstance, x: Point, y, z=None) -> ConditionReport:
     msrcq = msrcq_check(p, x, y, z)
-    msosc = msosc_check(p, x, y, z, n_samples=n_samples)
+    msosc = msosc_check(p, x, y, z)
     return ConditionReport(
         msrcq=msrcq,
         msosc=msosc,
@@ -409,7 +390,6 @@ def calmness_probe(
     z=None,
     radii=(1e-2, 1e-3, 1e-4, 1e-5),
     trials_per_radius: int = 20,
-    config: Optional[ALMConfig] = None,
     seed: int = 0,
 ) -> CalmnessReport:
     """Empirical Lipschitz modulus of the KKT solution under data perturbations.
@@ -425,7 +405,7 @@ def calmness_probe(
         raise ValueError(f"probe needs a polished KKT point, residual {r0:.3e}")
     if not msrcq_check(p, x, y, z).passed:
         raise ValueError("strict constraint qualification failed; multiplier may not be unique")
-    base = config or ALMConfig(rho0=100.0, max_outer=300)
+    base = ALMConfig(rho0=100.0, max_outer=300)
     records = []
     root = np.random.default_rng(seed)
     seeds = root.integers(0, 2**63 - 1, size=(len(radii), trials_per_radius))
@@ -524,15 +504,15 @@ def fit_log_linear(values):
     return float(slope), r2
 
 
-def figure1_tail(history, max_len: int = 10):
-    """Residual window for the rate fit: the last completed iterations
+def figure1_tail(history):
+    """Residual window for the rate fit: the last 10 completed iterations
     strictly before the tolerance-reaching record (falls back to including
     it when fewer than 3 points remain)."""
     rs = [rec.kkt_residual for rec in history[1:]]
-    pre = [r for r in rs[:-1] if r > 0][-max_len:]
+    pre = [r for r in rs[:-1] if r > 0][-10:]
     if len(pre) >= 3:
         return pre
-    return [r for r in rs if r > 0][-max_len:]
+    return [r for r in rs if r > 0][-10:]
 
 
 def figure1_config(rho: float) -> ALMConfig:

@@ -348,16 +348,8 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> int:
     report = condition_report(p, trip.x, trip.y, trip.z)
     write_conditions(out / "conditions.txt", report)
     seed = cfg.seed if cfg.seed is not None else 0
-    calm = calmness_probe(
-        p,
-        trip.x,
-        trip.y,
-        trip.z,
-        radii=(1e-2, 1e-3, 1e-4, 1e-5),
-        trials_per_radius=20,
-        seed=seed,
-    )
-    ebfit = error_bound_fit(p, trip.x, trip.y, trip.z, n_samples=500, radius=0.05, seed=seed)
+    calm = calmness_probe(p, trip.x, trip.y, trip.z, seed=seed)
+    ebfit = error_bound_fit(p, trip.x, trip.y, trip.z, seed=seed)
     write_probe_csv(out / "probe.csv", calm, ebfit)
     summary = {
         "family": p.label,

@@ -232,14 +232,14 @@ def random_point(manifold: Manifold, seed) -> Point:
     return fixed_rank_point_from_factors(u, s, v)
 
 
-def tangent_basis(manifold: Manifold, x: Point) -> list[np.ndarray]:
-    """Orthonormal basis of T_x M in ambient coordinates (analysis-scale only)."""
+def tangent_basis(manifold: Manifold, x: Point) -> np.ndarray:
+    """Orthonormal basis of T_x M in ambient coordinates (analysis-scale only),
+    as one array of shape (dim, *ambient_shape)."""
     if isinstance(manifold, Sphere):
         n = manifold.n
         full, _ = np.linalg.qr(np.column_stack([x.ambient, np.eye(n)[:, : n - 1]]), mode="complete")
         # first column spans x up to sign; the rest span the tangent space
-        basis = [full[:, j].copy() for j in range(1, n)]
-        return [project_tangent(manifold, x, b) for b in basis]
+        return np.array([project_tangent(manifold, x, full[:, j].copy()) for j in range(1, n)])
     m, n, r = manifold.m, manifold.n, manifold.r
     u, v = x.u, x.v
     u_full, _ = np.linalg.qr(u, mode="complete")
@@ -247,14 +247,11 @@ def tangent_basis(manifold: Manifold, x: Point) -> list[np.ndarray]:
     # qr may flip signs of the leading columns; only the complements matter
     u_perp = u_full[:, r:]
     v_perp = v_full[:, r:]
-    basis = []
-    for i in range(r):
-        for j in range(r):
-            basis.append(np.outer(u[:, i], v[:, j]))
-    for a in range(m - r):
-        for j in range(r):
-            basis.append(np.outer(u_perp[:, a], v[:, j]))
-    for i in range(r):
-        for b in range(n - r):
-            basis.append(np.outer(u[:, i], v_perp[:, b]))
-    return basis
+    # outer products u_i v_j^T, then u_perp_a v_j^T, then u_i v_perp_b^T, each
+    # block in row-major order of its two indices
+    blocks = (
+        np.einsum("mi,nj->ijmn", u, v),
+        np.einsum("ma,nj->ajmn", u_perp, v),
+        np.einsum("mi,nb->ibmn", u, v_perp),
+    )
+    return np.concatenate([blk.reshape(-1, m, n) for blk in blocks])

@@ -385,7 +385,7 @@ def _scalar_lagrangian(p: ProblemInstance, z):
     return value, egrad, hess
 
 
-def hess_quadform(p: ProblemInstance, x: Point, z, xi, *, fd_step: float = 1e-3) -> float:
+def hess_quadform(p: ProblemInstance, x: Point, z, xi) -> float:
     """<xi, Hess_x l(x, z) xi> for l = f + <z, g2>.
 
     Uses the closed-form sphere Hessian when an ambient Hessian product is
@@ -401,7 +401,7 @@ def hess_quadform(p: ProblemInstance, x: Point, z, xi, *, fd_step: float = 1e-3)
         g = egrad(x.ambient)
         hx = ehess(x.ambient, xi)
         return float(np.sum(xi * hx)) - float(np.sum(x.ambient * g)) * nrm**2
-    h = fd_step / nrm
+    h = 1e-3 / nrm
     vals = []
     for t in (-2 * h, -h, 0.0, h, 2 * h):
         if t == 0.0:

@@ -27,6 +27,11 @@ from .problems import ProblemInstance, lagrangian_rgrad, merit_eval, merit_rgrad
 # (Grippo-Lampariello-Lucidi reference); the plain mode compares against the
 # current iterate only.
 NONMONOTONE_MEMORY = 5
+# Armijo sufficient-decrease constant, step shrink factor per backtrack, and
+# the first trial step (every trial step in the plain mode).
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+INIT_STEP = 1.0
 
 
 def _require_finite(cfg) -> None:
@@ -45,24 +50,14 @@ class SolveStatus(Enum):
 @dataclass
 class InnerConfig:
     max_iters: int = 5000
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    init_step: float = 1.0
     # Barzilai-Borwein trial steps accelerate ill-conditioned subproblems; the
-    # plain mode backtracks from init_step every iteration and accepts only
+    # plain mode backtracks from INIT_STEP every iteration and accepts only
     # steps that improve on the current iterate.
     use_bb: bool = True
 
     def validate(self):
-        _require_finite(self)
         if self.max_iters < 0:
             raise ValueError("inner max_iters must be >= 0")
-        if not (0 < self.armijo_c < 1):
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not (0 < self.backtrack < 1):
-            raise ValueError("backtrack must lie in (0, 1)")
-        if not self.init_step > 0:
-            raise ValueError("init_step must be positive")
 
 
 @dataclass
@@ -225,7 +220,7 @@ def subproblem_solve(
     """Drive |grad L_rho(x, w, p)| below eps by Riemannian gradient descent.
 
     Trial steps come from a safeguarded Barzilai-Borwein estimate (or the
-    fixed init_step) and are backtracked until the Armijo condition holds
+    fixed INIT_STEP) and are backtracked until the Armijo condition holds
     against a reference value.  Once the requested Armijo decrease falls
     below the rounding noise of the merit value, steps are instead accepted
     when the value does not exceed the reference beyond that noise and the
@@ -254,7 +249,7 @@ def subproblem_solve(
     memory = NONMONOTONE_MEMORY if inner.use_bb else 1
     recent_vals = deque([val], maxlen=memory)
     recent_gns = deque([grad_norm], maxlen=memory)
-    step = inner.init_step
+    step = INIT_STEP
     no_improve = 0
     iters = 0
     while iters < inner.max_iters and best_gn > eps and no_improve < 100:
@@ -267,10 +262,10 @@ def subproblem_solve(
             try:
                 x_try = retract(p.manifold, x, -t * grad)
             except RankDeficiencyError:
-                t *= inner.backtrack
+                t *= BACKTRACK
                 continue
             val_try, grads = merit_eval(p, x_try, shifts, rho)
-            required = inner.armijo_c * t * grad_norm**2
+            required = ARMIJO_C * t * grad_norm**2
             grad_try = None
             if required >= 10.0 * slack:
                 if val_try <= ref_val - required:
@@ -283,7 +278,7 @@ def subproblem_solve(
                 if float(np.linalg.norm(grad_try)) <= ref_gn:
                     accepted = True
                     break
-            t *= inner.backtrack
+            t *= BACKTRACK
         if not accepted:
             break
         if grad_try is None:
@@ -296,7 +291,7 @@ def subproblem_solve(
             if sy > 1e-30:
                 step = float(np.clip(np.sum(s_vec * s_vec) / sy, 1e-12, 1e10))
             else:
-                step = min(4.0 * t, inner.init_step * 1e6)
+                step = min(4.0 * t, INIT_STEP * 1e6)
         x, val, grad = x_try, val_try, grad_try
         grad_norm = float(np.linalg.norm(grad))
         recent_vals.append(val)

@@ -178,8 +178,9 @@ class TestMsrcq:
     def test_requires_approximate_kkt(self):
         p = build_family(CircleExample())
         x = sphere_point([1.0, 0.0])
-        with pytest.raises(ValueError):
-            msrcq_check(p, x, np.zeros(1), np.zeros(1))
+        for check in (msrcq_check, msosc_check):
+            with pytest.raises(ValueError, match="not an approximate KKT point"):
+                check(p, x, np.zeros(1), np.zeros(1))
 
     def test_random_sphere_instances_all_pass(self):
         for seed in range(1, 9):

@@ -481,9 +481,25 @@ class TestCompletionTableScript:
         assert rows[0].split()[:4] == ["20", "20", "2", "1"]
         assert rows[0].split()[-1] == "converged"
 
-    @pytest.mark.parametrize("sizes", ["20", "0", "abc"])
-    def test_bad_input_exits_one_line(self, sizes):
-        proc = run_python([self.SCRIPT, "--sizes", sizes])
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            pytest.param(["--sizes", "20"], None, id="20"),
+            pytest.param(["--sizes", "0"], None, id="0"),
+            pytest.param(["--sizes", "abc"], None, id="abc"),
+            pytest.param(
+                ["--sizes", "20", "--rank", "2", "--seeds", "-1"],
+                "seed must be >= 0, got -1",
+                id="seeds-negative",
+            ),
+            pytest.param(["--rank", "abc"], "argument --rank", id="rank-abc"),
+        ],
+    )
+    def test_bad_input_exits_one_line(self, args, message):
+        proc = run_python([self.SCRIPT, *args])
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+        if message is not None:
+            # rejected while parsing, before the table header
+            assert message in proc.stderr and proc.stdout == ""

@@ -274,7 +274,7 @@ class TestPointValidation:
         m = Sphere(n)
         x = random_point(m, n)
         basis = tangent_basis(m, x)
-        assert len(basis) == m.dim
+        assert basis.shape == (m.dim, n)
         gram = np.array([[float(a @ b) for b in basis] for a in basis])
         np.testing.assert_allclose(gram, np.eye(m.dim), atol=1e-10)
         for b in basis:
@@ -289,3 +289,18 @@ class TestPointValidation:
             np.testing.assert_allclose(project_tangent(m, x, a), a, atol=1e-10)
             for b in basis[i + 1 :]:
                 assert abs(np.sum(a * b)) < 1e-10
+
+    @pytest.mark.parametrize("m,n,r", [(5, 4, 2), (20, 20, 2), (7, 9, 3)])
+    def test_tangent_basis_fixed_rank_matches_outer_products(self, m, n, r):
+        manifold = FixedRank(m, n, r)
+        x = random_point(manifold, 17)
+        basis = tangent_basis(manifold, x)
+        assert basis.shape == (manifold.dim, m, n)
+        # reference: one np.outer per basis vector, in the same order
+        u, v = x.u, x.v
+        u_perp = np.linalg.qr(u, mode="complete")[0][:, r:]
+        v_perp = np.linalg.qr(v, mode="complete")[0][:, r:]
+        ref = [np.outer(u[:, i], v[:, j]) for i in range(r) for j in range(r)]
+        ref += [np.outer(u_perp[:, a], v[:, j]) for a in range(m - r) for j in range(r)]
+        ref += [np.outer(u[:, i], v_perp[:, b]) for i in range(r) for b in range(n - r)]
+        assert np.array_equal(basis, np.array(ref))

@@ -25,6 +25,9 @@ from ralm.problems import (
     rmc_basic_instance,
 )
 from ralm.solver import (
+    ARMIJO_C,
+    BACKTRACK,
+    INIT_STEP,
     ALMConfig,
     InnerConfig,
     SolveStatus,
@@ -322,7 +325,7 @@ def monotone_subproblem_solve(
     grad = merit_rgrad(p, x, grads)
     grad_norm = float(np.linalg.norm(grad))
     best_x, best_grad, best_gn = x, grad, grad_norm
-    step = inner.init_step
+    step = INIT_STEP
     no_improve = 0
     iters = 0
     while iters < inner.max_iters and best_gn > eps and no_improve < 100:
@@ -334,10 +337,10 @@ def monotone_subproblem_solve(
             try:
                 x_try = retract(p.manifold, x, -t * grad)
             except RankDeficiencyError:
-                t *= inner.backtrack
+                t *= BACKTRACK
                 continue
             val_try, grads = merit_eval(p, x_try, shifts, rho)
-            required = inner.armijo_c * t * grad_norm**2
+            required = ARMIJO_C * t * grad_norm**2
             grad_try = None
             if required >= 10.0 * slack:
                 if val_try <= val - required:
@@ -350,7 +353,7 @@ def monotone_subproblem_solve(
                 if float(np.linalg.norm(grad_try)) <= grad_norm:
                     accepted = True
                     break
-            t *= inner.backtrack
+            t *= BACKTRACK
         if not accepted:
             break
         if grad_try is None:
@@ -363,7 +366,7 @@ def monotone_subproblem_solve(
             if sy > 1e-30:
                 step = float(np.clip(np.sum(s_vec * s_vec) / sy, 1e-12, 1e10))
             else:
-                step = min(4.0 * t, inner.init_step * 1e6)
+                step = min(4.0 * t, INIT_STEP * 1e6)
         x, val, grad = x_try, val_try, grad_try
         grad_norm = float(np.linalg.norm(grad))
         iters += 1
@@ -460,7 +463,6 @@ class TestNonmonotoneAcceptance:
         p, x0, _, _ = build_problem(cfg)
         calls = log_subproblems(monkeypatch)
         alm_run(p, ALMConfig(), x0)
-        armijo_c = InnerConfig().armijo_c
         rises = 0
         for call in calls:
             _, w, p_mult, rho, _ = call["args"]
@@ -478,7 +480,7 @@ class TestNonmonotoneAcceptance:
                 ref_val, ref_gn = max(vals[max(0, j - 4) : j + 1]), max(gns[max(0, j - 4) : j + 1])
                 k = int(np.argmax(np.abs(grads[j])))
                 t = -xi.flat[k] / grads[j].flat[k]
-                required = armijo_c * t * gns[j] ** 2
+                required = ARMIJO_C * t * gns[j] ** 2
                 slack = 1e-14 * (1.0 + abs(vals[j]))
                 val_try = call["evals"][id(out)][0]
                 if required >= 10.0 * slack:
@@ -670,11 +672,6 @@ class TestALMRun:
     def test_nan_config_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             ALMConfig(**{field: value}).validate()
-
-    @pytest.mark.parametrize("field,value", non_finite_cases(["armijo_c", "backtrack", "init_step"]))
-    def test_nan_inner_config_value_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            ALMConfig(inner=InnerConfig(**{field: value})).validate()
 
     def test_plain_inner_mode(self):
         p = build_family(CircleExample())
