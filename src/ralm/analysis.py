@@ -186,7 +186,11 @@ def msrcq_check(p: ProblemInstance, x: Point, y, z=None) -> MsrcqReport:
     rows (singular values above RANK_TOL * max(1, sigma_max)).
     Instances above ``MAX_DENSE_ENTRIES`` raise ValueError.
     """
-    basis, img, (free, pos, neg) = _condition_system(p, x, y, z)
+    return _msrcq(_condition_system(p, x, y, z))
+
+
+def _msrcq(system) -> MsrcqReport:
+    basis, img, (free, pos, neg) = system
     # each generator's unit column covers its own row, so
     # rank([img | generators]) = |covered| + rank(img[~covered])
     covered = free | pos | neg
@@ -264,9 +268,13 @@ def msosc_check(p: ProblemInstance, x: Point, y, z=None, n_samples: int = 100) -
     ``<xi, Hess_x l(x, z) xi> - psi*(y)`` must stay above CONE_TOL.  Refuses
     the same instance sizes as ``msrcq_check``.
     """
+    return _msosc(p, x, y, z, _condition_system(p, x, y, z), n_samples)
+
+
+def _msosc(p: ProblemInstance, x: Point, y, z, system, n_samples: int = 100) -> MsoscReport:
     # the critical cone in basis coefficients: the image rows no generator
     # covers vanish, and the ray rows are >= 0 once oriented by their sign
-    basis, img, (free, pos, neg) = _condition_system(p, x, y, z)
+    basis, img, (free, pos, neg) = system
     eq_rows = img[~(free | pos | neg)]
     nmat = _null_space(eq_rows, rcond=1e-10) if len(eq_rows) else np.eye(len(basis))
     k1 = nmat.shape[1]
@@ -331,8 +339,10 @@ class ConditionReport:
 
 
 def condition_report(p: ProblemInstance, x: Point, y, z=None) -> ConditionReport:
-    msrcq = msrcq_check(p, x, y, z)
-    msosc = msosc_check(p, x, y, z)
+    """``msrcq_check`` and ``msosc_check`` on one condition system."""
+    system = _condition_system(p, x, y, z)
+    msrcq = _msrcq(system)
+    msosc = _msosc(p, x, y, z, system)
     return ConditionReport(
         msrcq=msrcq,
         msosc=msosc,

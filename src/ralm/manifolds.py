@@ -1,16 +1,21 @@
 """Closed-form geometry for the unit sphere and the fixed-rank matrix manifold.
 
-Points and tangent vectors are stored in ambient (dense) coordinates.  All
-Riemannian quantities are obtained by orthogonal projection onto the tangent
-space, and retractions map tangent vectors back onto the manifold:
+Points are stored in ambient (dense) coordinates.  All Riemannian quantities
+are obtained by orthogonal projection onto the tangent space, and
+retractions map tangent vectors back onto the manifold:
 
-* ``Sphere(n)``: unit vectors in R^n, tangent space ``{v : <x, v> = 0}``.
+* ``Sphere(n)``: unit vectors in R^n, tangent space ``{v : <x, v> = 0}``;
+  tangent vectors are dense vectors.
 * ``FixedRank(m, n, r)``: rank-r matrices in R^{m x n}, represented by a
   thin SVD factorisation ``U diag(s) V^T`` kept consistent with the ambient
-  matrix.
+  matrix.  ``tangent_vector`` returns a tangent vector as its factors
+  (``FixedRankTangent``): its norm and scaling cost O((m + n) r), and the
+  retraction takes its 2r x 2r core from them.  ``project_tangent`` returns
+  the dense ambient matrix.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -144,8 +149,47 @@ def _check_shape(manifold: Manifold, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def project_tangent(manifold: Manifold, x: Point, v) -> np.ndarray:
-    """Orthogonal projection of an ambient vector onto T_x M.
+class FixedRankTangent:
+    """Tangent vector U M V^T + U_p V^T + U V_p^T at the fixed-rank point
+    x = U diag(s) V^T, with U^T U_p = 0 and V^T V_p = 0 (Vandereycken, SIAM
+    J. Optim. 2013).
+
+    ``t * xi`` scales the factors.  ``np.asarray(xi)`` is the dense ambient
+    matrix: it is formed on first use and kept, and a scaled copy forms its
+    own from the original's, so a vector and its scaled copies form one
+    dense matrix between them.
+    """
+
+    __slots__ = ("x", "m", "u_p", "v_p", "_ambient", "_scaled_from")
+
+    def __init__(self, x: Point, m, u_p, v_p):
+        self.x, self.m, self.u_p, self.v_p = x, m, u_p, v_p
+        self._ambient = None
+        self._scaled_from = None  # (t, xi) for the copy t * xi
+
+    def __rmul__(self, t):
+        out = FixedRankTangent(self.x, t * self.m, t * self.u_p, t * self.v_p)
+        out._scaled_from = (t, self)
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        if self._ambient is None:
+            if self._scaled_from is not None:
+                t, xi = self._scaled_from
+                self._ambient = t * np.asarray(xi)
+            else:
+                u, v = self.x.u, self.x.v
+                # U M V^T + U_p V^T + U V_p^T = [U M + U_p, U] [V, V_p]^T
+                left = np.concatenate((u @ self.m + self.u_p, u), axis=1)
+                self._ambient = left @ np.concatenate((v, self.v_p), axis=1).T
+        out = self._ambient if dtype is None else self._ambient.astype(dtype, copy=False)
+        return out.copy() if copy else out
+
+
+def tangent_vector(manifold: Manifold, x: Point, v):
+    """Orthogonal projection of an ambient vector onto T_x M, as a dense
+    vector on the sphere and as a ``FixedRankTangent`` on the fixed-rank
+    manifold.
 
     The projection is linear, idempotent and self-adjoint in the ambient
     inner product.
@@ -153,11 +197,25 @@ def project_tangent(manifold: Manifold, x: Point, v) -> np.ndarray:
     v = _check_shape(manifold, v)
     if isinstance(manifold, Sphere):
         return v - x.ambient * float(x.ambient @ v)
-    # P_U Y + Y P_V - P_U Y P_V, evaluated through the thin factors
+    # P_U C + C P_V - P_U C P_V in factors: with B = C V, A = C^T U and
+    # M = U^T B, U_p = B - U M and V_p = A - V M^T
     u, vv = x.u, x.v
-    ut_v = u.T @ v                   # r x n
-    v_pv = v @ vv                    # m x r
-    return u @ ut_v + v_pv @ vv.T - u @ (ut_v @ vv) @ vv.T
+    b = v @ vv
+    m_core = u.T @ b
+    return FixedRankTangent(x, m_core, b - u @ m_core, v.T @ u - vv @ m_core.T)
+
+
+def project_tangent(manifold: Manifold, x: Point, v) -> np.ndarray:
+    """``tangent_vector`` as a dense ambient array."""
+    return np.asarray(tangent_vector(manifold, x, v))
+
+
+def tangent_norm(xi) -> float:
+    """Norm of a tangent vector: from the factors of a ``FixedRankTangent``
+    (its three terms are orthogonal), else the Euclidean norm."""
+    if isinstance(xi, FixedRankTangent):
+        return math.sqrt(np.vdot(xi.m, xi.m) + np.vdot(xi.u_p, xi.u_p) + np.vdot(xi.v_p, xi.v_p))
+    return float(np.linalg.norm(xi))
 
 
 def _sphere_exp(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -168,28 +226,31 @@ def _sphere_exp(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return out / np.linalg.norm(out)  # kill norm drift over long iterations
 
 
-def _fixed_rank_retract(manifold: FixedRank, x: Point, xi: np.ndarray) -> Point:
+def _fixed_rank_retract(manifold: FixedRank, x: Point, xi) -> Point:
     r = manifold.r
     if min(manifold.m, manifold.n) <= 50:
         # small matrices: metric projection via a full SVD
-        uu, ss, vvt = np.linalg.svd(x.ambient + xi, full_matrices=False)
+        uu, ss, vvt = np.linalg.svd(x.ambient + np.asarray(xi), full_matrices=False)
         if ss[r - 1] <= SV_RANK_TOL:
             raise RankDeficiencyError("retraction dropped rank")
         return fixed_rank_point_from_factors(uu[:, :r], ss[:r], vvt[:r].T)
-    # structured path: xi in T_x M has rank <= 2r, so x + xi factors through
-    # a 2r x 2r core whose SVD gives the metric projection exactly
+    # structured path: x + xi = [U, U_p] [[diag(s) + M, I], [I, 0]] [V, V_p]^T
+    # has rank <= 2r, so the SVD of a 2r x 2r core gives the metric
+    # projection exactly
+    if not isinstance(xi, FixedRankTangent):
+        xi = tangent_vector(manifold, x, xi)
     u, s, v = x.u, x.s, x.v
-    m_core = u.T @ xi @ v
-    u_p = xi @ v - u @ m_core
-    v_p = xi.T @ u - v @ m_core.T
-    q_u, r_u = np.linalg.qr(u_p)
-    q_v, r_v = np.linalg.qr(v_p)
-    k = np.block([[np.diag(s) + m_core, r_v.T], [r_u, np.zeros((r, r))]])
+    q_u, r_u = np.linalg.qr(xi.u_p)
+    q_v, r_v = np.linalg.qr(xi.v_p)
+    k = np.zeros((2 * r, 2 * r))
+    k[:r, :r] = np.diag(s) + xi.m
+    k[:r, r:] = r_v.T
+    k[r:, :r] = r_u
     uk, sk, vkt = np.linalg.svd(k)
     if sk[r - 1] <= SV_RANK_TOL:
         raise RankDeficiencyError("retraction dropped rank")
-    u_new = np.hstack([u, q_u]) @ uk[:, :r]
-    v_new = np.hstack([v, q_v]) @ vkt[:r].T
+    u_new = u @ uk[:r, :r] + q_u @ uk[r:, :r]
+    v_new = v @ vkt[:r, :r].T + q_v @ vkt[:r, r:].T
     # guard against slow orthonormality drift across many retractions
     if max(np.max(np.abs(u_new.T @ u_new - np.eye(r))), np.max(np.abs(v_new.T @ v_new - np.eye(r)))) > 1e-12:
         dense = (u_new * sk[:r]) @ v_new.T
@@ -199,13 +260,18 @@ def _fixed_rank_retract(manifold: FixedRank, x: Point, xi: np.ndarray) -> Point:
 
 
 def retract(manifold: Manifold, x: Point, xi) -> Point:
-    """Map a tangent vector back onto the manifold.
+    """Map a tangent vector (dense, or a ``FixedRankTangent`` at x) back onto
+    the manifold.
 
     Sphere: exact exponential map.  Fixed rank: metric projection, i.e. the
     rank-r truncated SVD of x + xi; raises RankDeficiencyError if that
     truncation is not well defined.
     """
-    xi = _check_shape(manifold, xi)
+    if isinstance(xi, FixedRankTangent):
+        if xi.x is not x:
+            raise ValueError("tangent vector belongs to another point")
+    else:
+        xi = _check_shape(manifold, xi)
     if isinstance(manifold, Sphere):
         return Point(ambient=_readonly(_sphere_exp(x.ambient, xi)))
     return _fixed_rank_retract(manifold, x, xi)

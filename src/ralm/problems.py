@@ -26,6 +26,7 @@ from .manifolds import (
     project_tangent,
     retract,
     sphere_point,
+    tangent_vector,
 )
 
 
@@ -34,7 +35,11 @@ class SmoothMap:
     """A twice continuously differentiable map with its ambient Jacobian.
 
     ``linear`` marks maps whose second derivative vanishes identically, which
-    lets Hessian code skip the finite-difference fallback.
+    lets Hessian code skip the finite-difference fallback.  ``support`` marks
+    a map of the ambient space that reads x entrywise: at these flat indices
+    value(x) = x + value(0), and elsewhere value(x) = value(0), which does not
+    depend on x (None: no such structure).  The merit then reads x at the
+    support only.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -42,6 +47,7 @@ class SmoothMap:
     jacobian_adjoint: Callable[[np.ndarray, np.ndarray], np.ndarray]
     out_shape: tuple
     linear: bool = False
+    support: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -244,17 +250,18 @@ def _build_rmc(family: RMC) -> ProblemInstance:
         raise ValueError("mask shape must match A")
     m, n = a.shape
     proj = mask.astype(float)
-    f = Objective(
-        value=lambda x: 0.0,
-        egrad=lambda x: np.zeros((m, n)),
-        ehess_apply=lambda x, xi: np.zeros((m, n)),
-    )
+    zero = np.zeros((m, n))
+    zero.setflags(write=False)
+    f = Objective(value=lambda x: 0.0, egrad=lambda x: zero, ehess_apply=lambda x, xi: zero)
     g1 = SmoothMap(
         value=lambda x: proj * (x - a),
         jacobian_apply=lambda x, xi: proj * xi,
         jacobian_adjoint=lambda x, y: proj * y,  # masking is self-adjoint
         out_shape=(m, n),
         linear=True,
+        # P_Omega(X - A) is X - A on the observed entries and 0 elsewhere; a
+        # full mask leaves nothing to skip
+        support=None if mask.all() else np.flatnonzero(mask),
     )
     return ProblemInstance(
         manifold=FixedRank(m, n, family.r),
@@ -291,26 +298,49 @@ def lagrangian_rgrad(p: ProblemInstance, x: Point, y, z=None) -> np.ndarray:
 
 
 def merit_shifts(p: ProblemInstance, w, p_mult, rho: float):
-    """The constant shifts (w/rho, p/rho) inside L_rho; p/rho is None without Q."""
+    """The constants inside L_rho: the shift of g1's envelope argument, p/rho
+    (None without Q) and the envelope term that does not depend on x.
+
+    Without a support the shift is w/rho and the term 0.  With a support S
+    the shift is g1(0) + w/rho at S, to which ``merit_eval`` adds x at S,
+    and the term is the envelope of g1(0) + w/rho off S.
+    """
     if rho <= 0:
         raise ValueError("rho must be positive")
     p_shift = None if p.q is None else np.asarray(p_mult) / rho
-    return np.asarray(w) / rho, p_shift
+    w_shift = np.asarray(w) / rho
+    support = p.g1.support
+    if support is None:
+        return w_shift, p_shift, 0.0
+    u0 = (p.g1.value(np.zeros(p.manifold.ambient_shape)) + w_shift).ravel()
+    off = np.ones(u0.size, dtype=bool)
+    off[support] = False
+    u_off = u0[off]
+    # 0 for RMC itself, whose multipliers stay 0 off the observed entries; a
+    # tilt or a warm-started multiplier may move it
+    env_off = moreau_env(p.theta, u_off, rho)[0] if u_off.any() else 0.0
+    return u0[support], p_shift, env_off
 
 
 def merit_eval(p: ProblemInstance, x: Point, shifts, rho: float):
     """L_rho(x, w, p) together with the envelope and distance gradients.
 
     L_rho(x, w, p) = f(x) + env_rho(g1(x) + w/rho) + (rho/2) dist^2(g2(x) + p/rho, Q),
-    with ``shifts`` from ``merit_shifts``.  Returns ``(value, (env_grad, d_grad))``
-    (d_grad is None without Q); ``merit_rgrad`` completes the Riemannian
-    gradient from the pair, so a point whose gradient is needed is still
-    evaluated only once.
+    with ``shifts`` from ``merit_shifts``.  When g1 has a support, the
+    envelope runs on the support entries only, and the shifts supply the
+    constant term of the others.  Returns ``(value, (env_grad, d_grad))``
+    (env_grad over the support entries, d_grad None without Q);
+    ``merit_rgrad`` completes the Riemannian gradient from the pair, so a
+    point whose gradient is needed is still evaluated only once.
     """
-    w_shift, p_shift = shifts
+    w_shift, p_shift, env_off = shifts
     xa = x.ambient
-    env_val, env_grad = moreau_env(p.theta, p.g1.value(xa) + w_shift, rho)
-    val = p.f.value(xa) + env_val
+    if p.g1.support is None:
+        u = p.g1.value(xa) + w_shift
+    else:
+        u = xa.ravel()[p.g1.support] + w_shift
+    env_val, env_grad = moreau_env(p.theta, u, rho)
+    val = p.f.value(xa) + env_val + env_off
     d_grad = None
     if p.q is not None:
         d_val, d_grad = dist2_grad(p.q, p.g2.value(xa) + p_shift, rho)
@@ -318,15 +348,21 @@ def merit_eval(p: ProblemInstance, x: Point, shifts, rho: float):
     return val, (env_grad, d_grad)
 
 
-def merit_rgrad(p: ProblemInstance, x: Point, grads) -> np.ndarray:
-    """Riemannian gradient of L_rho at x from the gradients ``merit_eval`` returned:
-    the envelope/distance chain rule followed by a tangent projection."""
+def merit_rgrad(p: ProblemInstance, x: Point, grads):
+    """Riemannian gradient of L_rho at x from the gradients ``merit_eval``
+    returned: the envelope/distance chain rule followed by a tangent
+    projection (``tangent_vector``).  With a support, the chain rule
+    scatters the envelope gradient back to the support entries."""
     env_grad, d_grad = grads
     xa = x.ambient
-    ambient = p.f.egrad(xa) + p.g1.jacobian_adjoint(xa, env_grad)
+    if p.g1.support is None:
+        ambient = p.f.egrad(xa) + p.g1.jacobian_adjoint(xa, env_grad)
+    else:
+        ambient = np.array(p.f.egrad(xa), dtype=float)
+        ambient.reshape(-1)[p.g1.support] += env_grad
     if d_grad is not None:
         ambient = ambient + p.g2.jacobian_adjoint(xa, d_grad)
-    return project_tangent(p.manifold, x, ambient)
+    return tangent_vector(p.manifold, x, ambient)
 
 
 def aug_lagrangian_value(p: ProblemInstance, x: Point, w, p_mult, rho: float) -> float:

@@ -14,12 +14,20 @@ import time
 from collections import deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from .convex import project_set, prox
-from .manifolds import Point, RankDeficiencyError, check_point, distance, retract
+from .manifolds import (
+    FixedRankTangent,
+    Point,
+    RankDeficiencyError,
+    check_point,
+    distance,
+    retract,
+    tangent_norm,
+)
 from .problems import ProblemInstance, lagrangian_rgrad, merit_eval, merit_rgrad, merit_shifts
 
 
@@ -110,7 +118,7 @@ class IterationRecord:
 @dataclass
 class SubproblemResult:
     x: Point
-    grad: np.ndarray  # Riemannian gradient of the merit at x
+    grad: Union[np.ndarray, FixedRankTangent]  # Riemannian gradient of the merit at x
     grad_norm: float
     iters: int  # accepted steps
     stalled: bool
@@ -244,7 +252,7 @@ def subproblem_solve(
     x = x_init
     val, grads = merit_eval(p, x, shifts, rho)
     grad = merit_rgrad(p, x, grads)
-    grad_norm = float(np.linalg.norm(grad))
+    grad_norm = tangent_norm(grad)
     best_x, best_grad, best_gn = x, grad, grad_norm
     memory = NONMONOTONE_MEMORY if inner.use_bb else 1
     recent_vals = deque([val], maxlen=memory)
@@ -275,7 +283,7 @@ def subproblem_solve(
                 # requested decrease is unresolvable in floating point; keep
                 # polishing as long as the gradient norm stays within reference
                 grad_try = merit_rgrad(p, x_try, grads)
-                if float(np.linalg.norm(grad_try)) <= ref_gn:
+                if tangent_norm(grad_try) <= ref_gn:
                     accepted = True
                     break
             t *= BACKTRACK
@@ -286,14 +294,14 @@ def subproblem_solve(
         if inner.use_bb:
             # BB1 estimate with the ambient difference as a cheap transport
             s_vec = x_try.ambient - x.ambient
-            y_vec = grad_try - grad
+            y_vec = np.asarray(grad_try) - np.asarray(grad)
             sy = float(np.sum(s_vec * y_vec))
             if sy > 1e-30:
                 step = float(np.clip(np.sum(s_vec * s_vec) / sy, 1e-12, 1e10))
             else:
                 step = min(4.0 * t, INIT_STEP * 1e6)
         x, val, grad = x_try, val_try, grad_try
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = tangent_norm(grad)
         recent_vals.append(val)
         recent_gns.append(grad_norm)
         iters += 1
@@ -396,7 +404,7 @@ def alm_run(
 
         # invariant diagnostics (see module tests): chain identity, multiplier
         # consistency, and the per-iteration residual bound
-        chain_gap = float(np.linalg.norm(sub.grad - blocks[0]))
+        chain_gap = float(np.linalg.norm(np.asarray(sub.grad) - blocks[0]))
         mult_gap = comps[1] - gaps[0]
         bound = sub.grad_norm + float(np.linalg.norm(y_new - w)) / rho
         if z_new is not None:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ralm.analysis
 from ralm.analysis import fit_log_linear
 from ralm.cli import (
     EXIT_CHECK_FAILED,
@@ -449,6 +450,25 @@ class TestAnalyzeCommand:
         assert "kappa_bounded = True" in summary
         c1 = float(summary.split("errorbound_c1 = ")[1].splitlines()[0])
         assert c1 > 0
+
+    @pytest.mark.parametrize(
+        "argv, builds",
+        [(["analyze", "--family", "circle"], 2), (["sphere-l1", "--mode", "builtin5x5"], 1)],
+        ids=["analyze", "sphere-l1"],
+    )
+    def test_condition_system_built_once_per_use(self, monkeypatch, tmp_path, argv, builds):
+        """condition_report builds one tangent basis for both checks; the
+        calmness probe's M-SRCQ gate builds its own."""
+        calls = []
+        build = ralm.analysis.tangent_basis
+
+        def counting(manifold, x):
+            calls.append(1)
+            return build(manifold, x)
+
+        monkeypatch.setattr(ralm.analysis, "tangent_basis", counting)
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_OK
+        assert len(calls) == builds
 
 
 class TestColdStart:

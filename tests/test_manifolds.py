@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ralm.manifolds import (
     FixedRank,
+    FixedRankTangent,
     RankDeficiencyError,
     Sphere,
     check_point,
@@ -15,6 +16,8 @@ from ralm.manifolds import (
     retract,
     sphere_point,
     tangent_basis,
+    tangent_norm,
+    tangent_vector,
 )
 from ralm.problems import CircleExample, SphereL1, build_family, hess_quadform, tilted_instance
 
@@ -304,3 +307,73 @@ class TestPointValidation:
         ref += [np.outer(u_perp[:, a], v[:, j]) for a in range(m - r) for j in range(r)]
         ref += [np.outer(u[:, i], v_perp[:, b]) for i in range(r) for b in range(n - r)]
         assert np.array_equal(basis, np.array(ref))
+
+
+FACTOR_SIZES = [(5, 5, 3), (20, 20, 2), (200, 200, 5)]
+
+
+class TestFactoredTangent:
+    """Tangent vectors carried as factors (M, U_p, V_p) against the dense formulas."""
+
+    @pytest.mark.parametrize("m,n,r", FACTOR_SIZES)
+    def test_ambient_view_matches_dense_projection(self, m, n, r):
+        manifold = FixedRank(m, n, r)
+        rng = np.random.default_rng(m + r)
+        x = random_point(manifold, rng)
+        c = rng.standard_normal((m, n))
+        u, v = x.u, x.v
+        # P_U C + C P_V - P_U C P_V, the dense formula
+        ref = u @ (u.T @ c) + (c @ v) @ v.T - u @ (u.T @ c @ v) @ v.T
+        xi = tangent_vector(manifold, x, c)
+        assert isinstance(xi, FixedRankTangent)
+        assert np.linalg.norm(np.asarray(xi) - ref) <= 1e-12 * np.linalg.norm(c)
+        assert np.array_equal(project_tangent(manifold, x, c), np.asarray(xi))
+        # the factors satisfy the gauge U^T U_p = 0, V^T V_p = 0
+        assert np.abs(u.T @ xi.u_p).max() <= 1e-12 * np.linalg.norm(c)
+        assert np.abs(v.T @ xi.v_p).max() <= 1e-12 * np.linalg.norm(c)
+
+    @pytest.mark.parametrize("m,n,r", FACTOR_SIZES)
+    def test_norm_from_factors(self, m, n, r):
+        manifold = FixedRank(m, n, r)
+        rng = np.random.default_rng(m * r)
+        x = random_point(manifold, rng)
+        xi = tangent_vector(manifold, x, rng.standard_normal((m, n)))
+        dense = np.linalg.norm(np.asarray(xi))
+        assert tangent_norm(xi) == pytest.approx(dense, rel=1e-13)
+        assert tangent_norm(-0.3 * xi) == pytest.approx(0.3 * dense, rel=1e-13)
+
+    @pytest.mark.parametrize("m,n,r", FACTOR_SIZES)
+    def test_scaled_copy_shares_the_dense_matrix(self, m, n, r):
+        manifold = FixedRank(m, n, r)
+        rng = np.random.default_rng(3)
+        x = random_point(manifold, rng)
+        xi = tangent_vector(manifold, x, rng.standard_normal((m, n)))
+        scaled = -0.25 * xi
+        np.testing.assert_array_equal(scaled.u_p, -0.25 * xi.u_p)
+        assert np.array_equal(np.asarray(scaled), -0.25 * np.asarray(xi))
+        assert np.asarray(xi) is np.asarray(xi)
+
+    # 20 x 20 takes the dense-SVD branch, 200 x 200 the 2r x 2r core
+    @pytest.mark.parametrize("m,n,r", [(5, 5, 3), (20, 20, 2), (60, 50, 3), (200, 200, 5)])
+    def test_retraction_from_factors_matches_dense_tangent(self, m, n, r):
+        manifold = FixedRank(m, n, r)
+        rng = np.random.default_rng(m + n)
+        x = random_point(manifold, rng)
+        xi = tangent_vector(manifold, x, rng.standard_normal((m, n)))
+        for t in (1e-6, 1e-2, 0.3):
+            factored = retract(manifold, x, t * xi)
+            dense = retract(manifold, x, t * np.asarray(xi))
+            check_point(manifold, factored)
+            scale = np.linalg.norm(x.ambient)
+            assert np.linalg.norm(factored.ambient - dense.ambient) <= 1e-10 * scale
+            # both are the metric projection: the rank-r truncated SVD of x + xi
+            uu, ss, vvt = np.linalg.svd(x.ambient + t * np.asarray(xi))
+            exact = (uu[:, :r] * ss[:r]) @ vvt[:r]
+            assert np.linalg.norm(factored.ambient - exact) <= 1e-10 * scale
+
+    def test_retraction_rejects_a_tangent_at_another_point(self):
+        manifold = FixedRank(60, 60, 2)
+        x, y = random_point(manifold, 1), random_point(manifold, 2)
+        xi = tangent_vector(manifold, x, np.ones((60, 60)))
+        with pytest.raises(ValueError, match="another point"):
+            retract(manifold, y, xi)

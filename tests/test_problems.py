@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ralm.problems
 from ralm.convex import dist2_grad, moreau_env, prox, project_set
 from ralm.manifolds import Sphere, project_tangent, random_point, retract, sphere_point
 from ralm.problems import (
@@ -21,8 +22,10 @@ from ralm.problems import (
     merit_shifts,
     objective_value,
     rmc_basic_instance,
+    rmc_spectral_init,
     tilted_instance,
 )
+from ralm.solver import subproblem_solve
 
 from helpers import random_tangent
 
@@ -295,6 +298,56 @@ class TestFusedMerit:
                 wrap_val, wrap_grad = aug_lagrangian(p, x, w, pm, rho)
                 assert wrap_val == ref_val
                 assert np.array_equal(wrap_grad, ref_grad)
+
+
+def rmc_random_30():
+    a, mask, _ = generate_rmc_instance(30, 30, 2, 3.0, 4)
+    return build_family(RMC(a, mask, 2)), a, mask
+
+
+class TestObservedEntryMerit:
+    """RMC's merit reads X on the observed entries only (g1's support)."""
+
+    @pytest.mark.parametrize("tilt", [False, True], ids=["rmc", "tilted"])
+    @pytest.mark.parametrize("rho", [0.3, 1.0, 10.0, 1e4])
+    def test_matches_dense_reference(self, rho, tilt):
+        # reference_aug_lagrangian runs the envelope on all m x n entries of g1
+        p, _, mask = rmc_random_30()
+        assert np.array_equal(p.g1.support, np.flatnonzero(mask))
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            if tilt:
+                # b moves g1 off the support too
+                b = 2.0 * rng.standard_normal(mask.shape)
+                q = tilted_instance(p, rng.standard_normal(mask.shape), b)
+            else:
+                q = p
+            x = random_point(q.manifold, rng)
+            w, pm = multipliers_like(q, rng, scale=3.0)  # nonzero off the support too
+            ref_val, ref_grad = reference_aug_lagrangian(q, x, w, pm, rho)
+            val, grads = merit_eval(q, x, merit_shifts(q, w, pm, rho), rho)
+            assert abs(val - ref_val) <= 1e-12 * abs(ref_val)
+            grad = np.asarray(merit_rgrad(q, x, grads))
+            assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+
+    def test_full_mask_keeps_the_dense_path(self):
+        a, mask, _ = rmc_basic_instance()
+        assert mask.all() and build_family(RMC(a, mask, 3)).g1.support is None
+
+    def test_envelope_sees_only_observed_entries_in_the_inner_solve(self, monkeypatch):
+        p, a, mask = rmc_random_30()
+        sizes = []
+        envelope = ralm.problems.moreau_env
+
+        def recording(theta, u, rho):
+            sizes.append(np.size(u))
+            return envelope(theta, u, rho)
+
+        monkeypatch.setattr(ralm.problems, "moreau_env", recording)
+        x0 = rmc_spectral_init(a, mask, 2)
+        res = subproblem_solve(p, np.zeros(mask.shape), None, 10.0, x0, 1e-6)
+        assert res.iters > 0 and len(sizes) > res.iters
+        assert set(sizes) == {int(mask.sum())}
 
 
 class TestTiltedInstance:

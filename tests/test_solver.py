@@ -8,7 +8,15 @@ import ralm.solver
 from ralm.cli import build_problem
 from ralm.config import RunConfig
 from ralm.convex import project_set, prox
-from ralm.manifolds import Point, RankDeficiencyError, check_point, random_point, retract, sphere_point
+from ralm.manifolds import (
+    Point,
+    RankDeficiencyError,
+    check_point,
+    random_point,
+    retract,
+    sphere_point,
+    tangent_norm,
+)
 from ralm.problems import (
     RMC,
     SPHERE_L1_DEMO_A,
@@ -323,7 +331,7 @@ def monotone_subproblem_solve(
     x = x_init
     val, grads = merit_eval(p, x, shifts, rho)
     grad = merit_rgrad(p, x, grads)
-    grad_norm = float(np.linalg.norm(grad))
+    grad_norm = tangent_norm(grad)
     best_x, best_grad, best_gn = x, grad, grad_norm
     step = INIT_STEP
     no_improve = 0
@@ -350,7 +358,7 @@ def monotone_subproblem_solve(
                 # requested decrease is unresolvable in floating point; keep
                 # polishing as long as the gradient norm does not grow
                 grad_try = merit_rgrad(p, x_try, grads)
-                if float(np.linalg.norm(grad_try)) <= grad_norm:
+                if tangent_norm(grad_try) <= grad_norm:
                     accepted = True
                     break
             t *= BACKTRACK
@@ -361,14 +369,14 @@ def monotone_subproblem_solve(
         if inner.use_bb:
             # BB1 estimate with the ambient difference as a cheap transport
             s_vec = x_try.ambient - x.ambient
-            y_vec = grad_try - grad
+            y_vec = np.asarray(grad_try) - np.asarray(grad)
             sy = float(np.sum(s_vec * y_vec))
             if sy > 1e-30:
                 step = float(np.clip(np.sum(s_vec * s_vec) / sy, 1e-12, 1e10))
             else:
                 step = min(4.0 * t, INIT_STEP * 1e6)
         x, val, grad = x_try, val_try, grad_try
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = tangent_norm(grad)
         iters += 1
         if grad_norm < best_gn:
             best_x, best_grad, best_gn = x, grad, grad_norm
@@ -471,7 +479,7 @@ class TestNonmonotoneAcceptance:
             def merit(x):
                 val, grads = call["evals"][id(x)]
                 grad = merit_rgrad(p, x, grads)
-                return val, grad, float(np.linalg.norm(grad))
+                return val, grad, tangent_norm(grad)
 
             accepted = accepted_iterates(call)
             vals, grads, gns = zip(*map(merit, accepted))
@@ -479,7 +487,7 @@ class TestNonmonotoneAcceptance:
                 j = next(i for i, x in enumerate(accepted) if x is base)
                 ref_val, ref_gn = max(vals[max(0, j - 4) : j + 1]), max(gns[max(0, j - 4) : j + 1])
                 k = int(np.argmax(np.abs(grads[j])))
-                t = -xi.flat[k] / grads[j].flat[k]
+                t = -np.asarray(xi).flat[k] / np.asarray(grads[j]).flat[k]
                 required = ARMIJO_C * t * gns[j] ** 2
                 slack = 1e-14 * (1.0 + abs(vals[j]))
                 val_try = call["evals"][id(out)][0]
