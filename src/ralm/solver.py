@@ -23,6 +23,7 @@ from .manifolds import (
     FixedRankTangent,
     Point,
     RankDeficiencyError,
+    bb_pair,
     check_point,
     distance,
     retract,
@@ -292,12 +293,10 @@ def subproblem_solve(
         if grad_try is None:
             grad_try = merit_rgrad(p, x_try, grads)
         if inner.use_bb:
-            # BB1 estimate with the ambient difference as a cheap transport
-            s_vec = x_try.ambient - x.ambient
-            y_vec = np.asarray(grad_try) - np.asarray(grad)
-            sy = float(np.sum(s_vec * y_vec))
+            # BB1 estimate; the gradient difference is taken in the ambient space
+            ss, sy = bb_pair(x, x_try, grad, grad_try)
             if sy > 1e-30:
-                step = float(np.clip(np.sum(s_vec * s_vec) / sy, 1e-12, 1e10))
+                step = float(np.clip(ss / sy, 1e-12, 1e10))
             else:
                 step = min(4.0 * t, INIT_STEP * 1e6)
         x, val, grad = x_try, val_try, grad_try

@@ -9,6 +9,7 @@ from ralm.cli import build_problem
 from ralm.config import RunConfig
 from ralm.convex import project_set, prox
 from ralm.manifolds import (
+    FixedRankTangent,
     Point,
     RankDeficiencyError,
     check_point,
@@ -311,6 +312,23 @@ class TestSubproblemEvaluationReuse:
         # the returned gradient is the merit gradient at the returned point
         _, grad = aug_lagrangian(p, res.x, w, pm, 10.0)
         assert np.array_equal(res.grad, grad)
+
+
+def test_rmc_200_subproblem_forms_no_dense_tangent(monkeypatch):
+    """The fixed-rank inner loop, Barzilai-Borwein pair included, runs on
+    factors: no tangent vector's ambient matrix is formed."""
+    p, x0, _, _ = build_problem(RunConfig(family="rmc", mode="random", m=200, n=200, r=5, seed=1))
+    calls = []
+    to_array = FixedRankTangent.__array__
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return to_array(self, *args, **kwargs)
+
+    monkeypatch.setattr(FixedRankTangent, "__array__", counted)
+    res = subproblem_solve(p, np.zeros((200, 200)), None, 1.0, x0, 1e-4)
+    assert res.iters > 10
+    assert calls == []
 
 
 def monotone_subproblem_solve(
