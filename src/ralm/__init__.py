@@ -9,7 +9,7 @@ calmness and two-sided KKT error bounds at the computed solutions.
 from .convex import Box, ScaledL1
 from .manifolds import FixedRank, Point, RankDeficiencyError, Sphere
 from .problems import RMC, CircleExample, ProblemInstance, SphereL1, build_family
-from .solver import ALMConfig, ALMResult, InnerConfig, SolveStatus, alm_run
+from .solver import ALMConfig, ALMResult, SolveStatus, alm_run
 
 __all__ = [
     "ALMConfig",
@@ -17,7 +17,6 @@ __all__ = [
     "Box",
     "CircleExample",
     "FixedRank",
-    "InnerConfig",
     "Point",
     "ProblemInstance",
     "RMC",

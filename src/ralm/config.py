@@ -8,8 +8,8 @@ line.  Unknown keys warn (stderr) but do not fail; unparseable values raise
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -47,18 +47,7 @@ _PROBLEM_KEYS = {
     "oversample": float,
     "mode": str,
 }
-_ALM_KEYS = {
-    "rho0": float,
-    "gamma": float,
-    "tau": float,
-    "eps0": float,
-    "eps_decay": float,
-    "eps_floor": float,
-    "multiplier_bound": float,
-    "kkt_tol": float,
-    "max_outer": int,
-    "fixed_rho": bool,
-}
+_ALM_KEYS = get_type_hints(ALMConfig)
 _FAMILIES = ("circle", "sphere-l1", "rmc")
 
 
@@ -133,18 +122,18 @@ def parse_problem_file(path: str) -> RunConfig:
 
 def apply_flag_overrides(cfg: RunConfig, args) -> RunConfig:
     """Command-line flags win over config-file values."""
-    for name in ("family", "n", "m", "r", "mu", "seed", "oversample", "mode"):
-        val = getattr(args, name.replace("-", "_"), None)
+    for name in _PROBLEM_KEYS:
+        val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, name, val)
     if getattr(args, "out", None) is not None:
         cfg.out_dir = args.out
-    for f in fields(ALMConfig):
-        if f.name in ("inner", "fixed_rho"):
+    for name in _ALM_KEYS:
+        if name == "fixed_rho":
             continue
-        val = getattr(args, f.name, None)
+        val = getattr(args, name, None)
         if val is not None:
-            setattr(cfg.alm, f.name, val)
+            setattr(cfg.alm, name, val)
     # store_true flag: only an explicit --fixed-rho can turn it on
     if getattr(args, "fixed_rho", False):
         cfg.alm.fixed_rho = True

@@ -271,10 +271,7 @@ def _fixed_rank_retract(manifold: FixedRank, x: Point, xi) -> Point:
     r = manifold.r
     if min(manifold.m, manifold.n) <= 50:
         # small matrices: metric projection via a full SVD
-        uu, ss, vvt = np.linalg.svd(x.ambient + np.asarray(xi), full_matrices=False)
-        if ss[r - 1] <= SV_RANK_TOL:
-            raise RankDeficiencyError("retraction dropped rank")
-        return fixed_rank_point_from_factors(uu[:, :r], ss[:r], vvt[:r].T)
+        return nearest_rank_r(manifold, x.ambient + np.asarray(xi))
     # structured path: x + xi = [U, U_p] [[diag(s) + M, I], [I, 0]] [V, V_p]^T
     # has rank <= 2r, so the SVD of a 2r x 2r core gives the metric
     # projection exactly
@@ -294,9 +291,7 @@ def _fixed_rank_retract(manifold: FixedRank, x: Point, xi) -> Point:
     v_new = v @ vkt[:r, :r].T + q_v @ vkt[:r, r:].T
     # guard against slow orthonormality drift across many retractions
     if max(np.max(np.abs(u_new.T @ u_new - np.eye(r))), np.max(np.abs(v_new.T @ v_new - np.eye(r)))) > 1e-12:
-        dense = (u_new * sk[:r]) @ v_new.T
-        uu, ss, vvt = np.linalg.svd(dense, full_matrices=False)
-        return fixed_rank_point_from_factors(uu[:, :r], ss[:r], vvt[:r].T)
+        return nearest_rank_r(manifold, (u_new * sk[:r]) @ v_new.T)
     step = CoreStep(u, s, v, q_u, q_v, xi.m, r_u, r_v, uk, sk, vkt)
     return fixed_rank_point_from_factors(u_new, sk[:r], v_new, step)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional, Union
 
@@ -32,15 +32,16 @@ from .manifolds import (
 from .problems import ProblemInstance, lagrangian_rgrad, merit_eval, merit_rgrad, merit_shifts
 
 
-# Accepted iterates the Barzilai-Borwein mode compares a trial against
-# (Grippo-Lampariello-Lucidi reference); the plain mode compares against the
-# current iterate only.
+# Accepted iterates a Barzilai-Borwein trial is compared against
+# (Grippo-Lampariello-Lucidi reference).
 NONMONOTONE_MEMORY = 5
 # Armijo sufficient-decrease constant, step shrink factor per backtrack, and
-# the first trial step (every trial step in the plain mode).
+# the first trial step.
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 INIT_STEP = 1.0
+# Accepted steps one subproblem may take.
+INNER_MAX_ITERS = 5000
 
 
 def _require_finite(cfg) -> None:
@@ -57,19 +58,6 @@ class SolveStatus(Enum):
 
 
 @dataclass
-class InnerConfig:
-    max_iters: int = 5000
-    # Barzilai-Borwein trial steps accelerate ill-conditioned subproblems; the
-    # plain mode backtracks from INIT_STEP every iteration and accepts only
-    # steps that improve on the current iterate.
-    use_bb: bool = True
-
-    def validate(self):
-        if self.max_iters < 0:
-            raise ValueError("inner max_iters must be >= 0")
-
-
-@dataclass
 class ALMConfig:
     rho0: float = 1.0
     gamma: float = 10.0
@@ -81,7 +69,6 @@ class ALMConfig:
     kkt_tol: float = 1e-7
     max_outer: int = 200
     fixed_rho: bool = False
-    inner: InnerConfig = field(default_factory=InnerConfig)
 
     def validate(self):
         _require_finite(self)
@@ -96,7 +83,6 @@ class ALMConfig:
             raise ValueError("eps_decay must lie in (0, 1)")
         if self.max_outer < 0:
             raise ValueError("max_outer must be >= 0")
-        self.inner.validate()
 
 
 @dataclass
@@ -224,21 +210,19 @@ def subproblem_solve(
     rho: float,
     x_init: Point,
     eps: float,
-    inner: Optional[InnerConfig] = None,
 ) -> SubproblemResult:
     """Drive |grad L_rho(x, w, p)| below eps by Riemannian gradient descent.
 
-    Trial steps come from a safeguarded Barzilai-Borwein estimate (or the
-    fixed INIT_STEP) and are backtracked until the Armijo condition holds
-    against a reference value.  Once the requested Armijo decrease falls
-    below the rounding noise of the merit value, steps are instead accepted
-    when the value does not exceed the reference beyond that noise and the
-    gradient norm does not exceed a reference norm.  With BB steps both
-    references are the maxima over the last ``NONMONOTONE_MEMORY`` accepted
-    iterates, since BB steps are nonmonotone by nature; in the plain mode
-    they are the current iterate's value and norm.  The best iterate seen is
-    tracked and returned with its gradient.  Retractions that drop rank count
-    as failed trials and shrink the step.
+    Trial steps come from a safeguarded Barzilai-Borwein estimate and are
+    backtracked until the Armijo condition holds against a reference value.
+    Once the requested Armijo decrease falls below the rounding noise of the
+    merit value, steps are instead accepted when the value does not exceed
+    the reference beyond that noise and the gradient norm does not exceed a
+    reference norm.  Both references are the maxima over the last
+    ``NONMONOTONE_MEMORY`` accepted iterates, since BB steps are nonmonotone
+    by nature.  The best iterate seen is tracked and returned with its
+    gradient.  Retractions that drop rank count as failed trials and shrink
+    the step.
 
     Each trial point is evaluated once (``merit_eval``, with the shifts w/rho
     and p/rho computed once per call).  Its gradient is completed from that
@@ -248,20 +232,18 @@ def subproblem_solve(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    inner = inner or InnerConfig()
     shifts = merit_shifts(p, w, p_mult, rho)
     x = x_init
     val, grads = merit_eval(p, x, shifts, rho)
     grad = merit_rgrad(p, x, grads)
     grad_norm = tangent_norm(grad)
     best_x, best_grad, best_gn = x, grad, grad_norm
-    memory = NONMONOTONE_MEMORY if inner.use_bb else 1
-    recent_vals = deque([val], maxlen=memory)
-    recent_gns = deque([grad_norm], maxlen=memory)
+    recent_vals = deque([val], maxlen=NONMONOTONE_MEMORY)
+    recent_gns = deque([grad_norm], maxlen=NONMONOTONE_MEMORY)
     step = INIT_STEP
     no_improve = 0
     iters = 0
-    while iters < inner.max_iters and best_gn > eps and no_improve < 100:
+    while iters < INNER_MAX_ITERS and best_gn > eps and no_improve < 100:
         t = step
         accepted = False
         # below this decrease the merit comparison is pure rounding noise
@@ -292,13 +274,12 @@ def subproblem_solve(
             break
         if grad_try is None:
             grad_try = merit_rgrad(p, x_try, grads)
-        if inner.use_bb:
-            # BB1 estimate; the gradient difference is taken in the ambient space
-            ss, sy = bb_pair(x, x_try, grad, grad_try)
-            if sy > 1e-30:
-                step = float(np.clip(ss / sy, 1e-12, 1e10))
-            else:
-                step = min(4.0 * t, INIT_STEP * 1e6)
+        # BB1 estimate; the gradient difference is taken in the ambient space
+        ss, sy = bb_pair(x, x_try, grad, grad_try)
+        if sy > 1e-30:
+            step = float(np.clip(ss / sy, 1e-12, 1e10))
+        else:
+            step = min(4.0 * t, INIT_STEP * 1e6)
         x, val, grad = x_try, val_try, grad_try
         grad_norm = tangent_norm(grad)
         recent_vals.append(val)
@@ -393,7 +374,7 @@ def alm_run(
         w = _clip_multiplier(y, config.multiplier_bound)
         p_mult = _clip_multiplier(z, config.multiplier_bound)
         eps_k = max(config.eps_floor, min(config.eps0 * config.eps_decay**k, 0.1 * r_sum))
-        sub = subproblem_solve(p, w, p_mult, rho, x, eps_k, config.inner)
+        sub = subproblem_solve(p, w, p_mult, rho, x, eps_k)
         x = sub.x
         y_new, z_new, gaps = update_multipliers(p, x, w, p_mult, rho)
         v_new = max(gaps)

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from ralm.cli import (
 )
 from ralm.config import ConfigError, parse_problem_file
 from ralm.problems import rmc_basic_instance
+from ralm.solver import ALMConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -225,6 +227,28 @@ class TestConfigParsing:
         assert cfg.family == "circle"
         assert cfg.alm.rho0 == 1.0
         assert cfg.alm.kkt_tol == 1e-7
+
+    def test_every_alm_key_round_trips_with_its_type(self, tmp_path):
+        values = {
+            "rho0": ("2.5", 2.5),
+            "gamma": ("5", 5.0),
+            "tau": ("0.5", 0.5),
+            "eps0": ("0.1", 0.1),
+            "eps_decay": ("0.25", 0.25),
+            "eps_floor": ("1e-11", 1e-11),
+            "multiplier_bound": ("1e6", 1e6),
+            "kkt_tol": ("1e-8", 1e-8),
+            "max_outer": ("17", 17),
+            "fixed_rho": ("yes", True),
+        }
+        assert set(values) == {fld.name for fld in fields(ALMConfig)}
+        path = tmp_path / "alm.cfg"
+        lines = [f"{key}={raw}" for key, (raw, _) in values.items()]
+        path.write_text("\n".join(["[problem]", "family=circle", "[alm]", *lines]) + "\n")
+        alm = parse_problem_file(str(path)).alm
+        for key, (_, want) in values.items():
+            got = getattr(alm, key)
+            assert got == want and type(got) is type(want), key
 
     def test_inline_matrix_parsed_row_major(self, tmp_path):
         f = tmp_path / "mat.cfg"
