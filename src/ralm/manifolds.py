@@ -155,7 +155,8 @@ def nearest_rank_r(manifold: FixedRank, ambient) -> Point:
     r = manifold.r
     if ss[r - 1] <= SV_RANK_TOL:
         raise RankDeficiencyError(f"matrix has numerical rank below {r}")
-    return fixed_rank_point_from_factors(uu[:, :r], ss[:r], vvt[:r].T)
+    # copies, so the point does not keep the whole thin SVD alive
+    return fixed_rank_point_from_factors(uu[:, :r].copy(), ss[:r].copy(), vvt[:r].T.copy())
 
 
 def check_point(manifold: Manifold, x: Point, tol: float = 1e-10) -> None:

@@ -35,11 +35,17 @@ from .problems import ProblemInstance, lagrangian_rgrad, merit_eval, merit_rgrad
 # Accepted iterates a Barzilai-Borwein trial is compared against
 # (Grippo-Lampariello-Lucidi reference).
 NONMONOTONE_MEMORY = 5
-# Armijo sufficient-decrease constant, step shrink factor per backtrack, and
-# the first trial step.
+# Armijo sufficient-decrease constant and step shrink factor per backtrack.
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
+# The first trial step of a subproblem is INIT_STEP / max(rho, 1): the
+# envelope term of L_rho is rho-smooth, so a unit step overshoots by about a
+# factor rho and would be backtracked log2(rho) times.
 INIT_STEP = 1.0
+# Once the previous KKT residual is within this factor of kkt_tol, the inner
+# tolerance is capped at kkt_tol, so a subproblem that ends just above it
+# does not force one more outer iteration.
+FINAL_EPS_FACTOR = 30.0
 # Accepted steps one subproblem may take.
 INNER_MAX_ITERS = 5000
 
@@ -240,7 +246,7 @@ def subproblem_solve(
     best_x, best_grad, best_gn = x, grad, grad_norm
     recent_vals = deque([val], maxlen=NONMONOTONE_MEMORY)
     recent_gns = deque([grad_norm], maxlen=NONMONOTONE_MEMORY)
-    step = INIT_STEP
+    step = INIT_STEP / max(rho, 1.0)
     no_improve = 0
     iters = 0
     while iters < INNER_MAX_ITERS and best_gn > eps and no_improve < 100:
@@ -333,7 +339,9 @@ def alm_run(
     safeguard pair (w, p) is the componentwise clamp of the running
     multipliers to the configured bound.  The inner tolerance schedule
     couples a geometric decay with 0.1 R_k so the inexactness vanishes faster
-    than the residual.
+    than the residual; once R_k is within ``FINAL_EPS_FACTOR`` of
+    ``config.kkt_tol`` it is capped at ``kkt_tol``, so the last subproblem
+    is solved to the stopping tolerance.
 
     Returns the final triple with one history record per outer iteration
     (plus a k = 0 record for the initial state).  Raises ValueError at the
@@ -374,6 +382,8 @@ def alm_run(
         w = _clip_multiplier(y, config.multiplier_bound)
         p_mult = _clip_multiplier(z, config.multiplier_bound)
         eps_k = max(config.eps_floor, min(config.eps0 * config.eps_decay**k, 0.1 * r_sum))
+        if r_sum <= FINAL_EPS_FACTOR * config.kkt_tol:
+            eps_k = min(eps_k, config.kkt_tol)
         sub = subproblem_solve(p, w, p_mult, rho, x, eps_k)
         x = sub.x
         y_new, z_new, gaps = update_multipliers(p, x, w, p_mult, rho)

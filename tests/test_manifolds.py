@@ -286,6 +286,13 @@ class TestPointValidation:
             np.sqrt(np.sum(svals[2:] ** 2)), rel=1e-10
         )
 
+    def test_rmc_spectral_start_owns_its_factors(self):
+        # views into the full thin SVD would keep 200 x 200 arrays alive
+        _, x0, _, _ = build_problem(RunConfig(family="rmc", mode="random", m=200, n=200, r=5, seed=1))
+        for factor in (x0.u, x0.s, x0.v):
+            assert factor.base is None
+        assert x0.u.nbytes == x0.v.nbytes == 200 * 5 * 8
+
     @given(st.integers(min_value=2, max_value=10))
     @settings(max_examples=20, deadline=None, derandomize=True)
     def test_tangent_basis_is_orthonormal_sphere(self, n):

@@ -3,6 +3,7 @@ import pytest
 
 import ralm.problems
 import ralm.solver
+from ralm.analysis import calmness_probe, polish_kkt
 from ralm.cli import build_problem
 from ralm.config import RunConfig
 from ralm.convex import project_set, prox
@@ -29,6 +30,8 @@ from ralm.problems import (
 )
 from ralm.solver import (
     ARMIJO_C,
+    FINAL_EPS_FACTOR,
+    INIT_STEP,
     ALMConfig,
     SolveStatus,
     alm_run,
@@ -264,6 +267,24 @@ class TestSubproblem:
         assert res.iters == 3
         assert res.stalled
 
+    @pytest.mark.parametrize("rho", [0.1, 1.0, 100.0])
+    def test_first_trial_step_is_scaled_by_the_penalty(self, monkeypatch, rho):
+        # rho <= 1 keeps the unit step
+        p = build_family(CircleExample())
+        w, pm, x0 = np.array([0.3]), np.array([0.1]), sphere_point([0.0, 1.0])
+        _, grads = merit_eval(p, x0, merit_shifts(p, w, pm, rho), rho)
+        grad = merit_rgrad(p, x0, grads)
+        directions = []
+        retract_fn = ralm.solver.retract
+
+        def logged(manifold, x, xi):
+            directions.append(xi)
+            return retract_fn(manifold, x, xi)
+
+        monkeypatch.setattr(ralm.solver, "retract", logged)
+        subproblem_solve(p, w, pm, rho, x0, 1e-6)
+        np.testing.assert_allclose(directions[0], -(INIT_STEP / max(rho, 1.0)) * grad, rtol=1e-15, atol=0)
+
 
 def counting(monkeypatch, module, name, counts):
     """Count the calls of module.name that return, in counts[name]."""
@@ -321,6 +342,17 @@ def test_rmc_200_subproblem_forms_no_dense_tangent(monkeypatch):
     assert calls == []
 
 
+# full runs on small random instances of both manifolds
+SMALL_RANDOM_RUNS = pytest.mark.parametrize(
+    "cfg",
+    [
+        RunConfig(family="sphere-l1", mode="random", n=30, seed=1),
+        RunConfig(family="rmc", mode="random", m=20, n=20, r=2, seed=1),
+    ],
+    ids=["sphere-l1-30", "rmc-20"],
+)
+
+
 def log_subproblems(monkeypatch):
     """Log every subproblem_solve call of a run: its arguments and result, each
     retraction (base point, direction, trial point) and each merit evaluation."""
@@ -369,14 +401,7 @@ def accepted_iterates(call):
 
 
 class TestNonmonotoneAcceptance:
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            RunConfig(family="sphere-l1", mode="random", n=30, seed=1),
-            RunConfig(family="rmc", mode="random", m=20, n=20, r=2, seed=1),
-        ],
-        ids=["sphere-l1-30", "rmc-20"],
-    )
+    @SMALL_RANDOM_RUNS
     def test_bb_trials_meet_the_last_five_reference(self, monkeypatch, cfg):
         """A BB trial is accepted exactly when it passes Armijo against the max of
         the last 5 accepted merit values or, below the noise floor, comes within
@@ -553,6 +578,29 @@ class TestALMRun:
             assert a.inner_iters == b.inner_iters
         np.testing.assert_array_equal(r1.x.ambient, r2.x.ambient)
         np.testing.assert_array_equal(r1.y, r2.y)
+
+    @SMALL_RANDOM_RUNS
+    def test_inner_tolerance_capped_at_kkt_tol_near_the_end(self, cfg):
+        p, x0, _, _ = build_problem(cfg)
+        config = ALMConfig()
+        history = alm_run(p, config, x0).history
+        near_end = [
+            rec for prev, rec in zip(history, history[1:])
+            if prev.kkt_residual <= FINAL_EPS_FACTOR * config.kkt_tol
+        ]
+        assert near_end
+        assert all(rec.eps_k <= config.kkt_tol for rec in near_end)
+
+    def test_calmness_probe_retraction_budget(self, monkeypatch):
+        p, x0, _, _ = build_problem(RunConfig(family="rmc", mode="basic5x5"))
+        res = alm_run(p, ALMConfig(), x0)
+        trip = polish_kkt(p, res.x, res.y, res.z, tol=1e-10)
+        counts = {"retract": 0}
+        counting(monkeypatch, ralm.solver, "retract", counts)
+        calmness_probe(p, trip.x, trip.y, trip.z)
+        # a unit first step at rho = 100 needs 2885 retractions here, the
+        # penalty-scaled one 602
+        assert counts["retract"] <= 1500
 
     def test_fixed_rho_flag_freezes_penalty(self):
         p = build_family(CircleExample())
