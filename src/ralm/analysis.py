@@ -24,7 +24,7 @@ import numpy as np
 from .convex import epiderivative_down, psi_conjugate, tangent_cone_member
 from .manifolds import Point, distance, project_tangent, retract, tangent_basis
 from .problems import ProblemInstance, hess_quadform, tilted_instance
-from .solver import ALMConfig, alm_run, distance_to_reference, kkt_residual
+from .solver import ALMConfig, alm_run, distance_to_reference, kkt_residual, require_set_multiplier
 
 KKT_GATE = 1e-6
 RANK_TOL = 1e-8
@@ -80,8 +80,9 @@ def critical_cone_member(p: ProblemInstance, x: Point, z, xi) -> bool:
     Requires the first-order growth of the composite objective along xi to
     vanish and, when a set constraint is present, the image Dg2(x) xi to lie
     in the tangent cone intersected with the multiplier's orthogonal
-    complement.
+    complement (z is then required).
     """
+    require_set_multiplier(p, z, "z")
     xi = np.asarray(xi, dtype=float)
     off_tangent = np.linalg.norm(project_tangent(p.manifold, x, xi) - xi)
     if off_tangent > CONE_TOL * (1.0 + np.linalg.norm(xi)):

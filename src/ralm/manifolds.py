@@ -10,17 +10,16 @@ vectors back onto the manifold:
 * ``FixedRank(m, n, r)``: rank-r matrices in R^{m x n}, represented by a
   thin SVD factorisation ``U diag(s) V^T`` kept consistent with the ambient
   matrix.  ``tangent_vector`` returns a tangent vector as its factors
-  (``FixedRankTangent``): its norm and scaling cost O((m + n) r), and the
-  retraction takes its 2r x 2r core from them.  A point the core
-  retraction made records its step (``CoreStep``), from which ``bb_pair``
-  forms the Barzilai-Borwein pair in O((m + n) r^2).  ``project_tangent``
-  returns the dense ambient matrix.
+  (``FixedRankTangent``): its norm and scaling cost O((m + n) r), the
+  retraction takes its 2r x 2r core from them, and ``bb_pair`` forms the
+  Barzilai-Borwein pair of the tangent step from them in O((m + n) r^2).
+  ``project_tangent`` returns the dense ambient matrix.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
@@ -75,52 +74,14 @@ class FixedRank:
 Manifold = Union[Sphere, FixedRank]
 
 
-class CoreStep(NamedTuple):
-    """The step X+ - X of a core retraction from X = U diag(s) V^T.
-
-    X+ - X = [U Q_u] D [V Q_v]^T with D = (K - diag(s, 0)) - (K - K_r), where
-    K is the 2r x 2r core and K_r its rank-r truncation.  Both terms of D are
-    small, so D has none of the cancellation of the ambient difference.  The
-    record holds the origin's factor arrays (u, s, v), not the origin point,
-    so a chain of iterates does not keep its predecessors alive.  ``frame``
-    forms D and the bases on demand.
-    """
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-    q_u: np.ndarray
-    q_v: np.ndarray
-    m: np.ndarray  # xi's core block: K - diag(s, 0) = [[M, R_v^T], [R_u, 0]]
-    r_u: np.ndarray
-    r_v: np.ndarray
-    uk: np.ndarray  # full SVD of K
-    sk: np.ndarray
-    vkt: np.ndarray
-
-    def starts_at(self, x: "Point") -> bool:
-        return self.u is x.u and self.s is x.s and self.v is x.v
-
-    def frame(self):
-        """(A, D, B) with X+ - X = A D B^T, A and B orthonormal up to rounding."""
-        r = len(self.s)
-        d = np.block([[self.m, self.r_v.T], [self.r_u, np.zeros((r, r))]])
-        d -= (self.uk[:, r:] * self.sk[r:]) @ self.vkt[r:]
-        a = np.concatenate((self.u, self.q_u), axis=1)
-        b = np.concatenate((self.v, self.q_v), axis=1)
-        return a, d, b
-
-
 @dataclass(frozen=True)
 class Point:
-    """A feasible point; fixed-rank points carry their thin-SVD factors and,
-    when the core retraction made them, the ``CoreStep`` that reached them."""
+    """A feasible point; fixed-rank points also carry their thin-SVD factors."""
 
     ambient: np.ndarray
     u: Optional[np.ndarray] = None
     s: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
-    step: Optional[CoreStep] = field(default=None, repr=False, compare=False)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -137,7 +98,7 @@ def sphere_point(vec, tol: float = 1e-12) -> Point:
     return Point(ambient=_readonly(vec))
 
 
-def fixed_rank_point_from_factors(u, s, v, step: Optional[CoreStep] = None) -> Point:
+def fixed_rank_point_from_factors(u, s, v) -> Point:
     """Build a fixed-rank point from thin-SVD factors (s is the diagonal)."""
     u = np.asarray(u, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -145,7 +106,7 @@ def fixed_rank_point_from_factors(u, s, v, step: Optional[CoreStep] = None) -> P
     if np.any(s <= SV_RANK_TOL):
         raise RankDeficiencyError(f"singular value below threshold: min(s) = {s.min():.3e}")
     ambient = (u * s) @ v.T
-    return Point(ambient=_readonly(ambient), u=_readonly(u), s=_readonly(s), v=_readonly(v), step=step)
+    return Point(ambient=_readonly(ambient), u=_readonly(u), s=_readonly(s), v=_readonly(v))
 
 
 def nearest_rank_r(manifold: FixedRank, ambient) -> Point:
@@ -214,16 +175,19 @@ class FixedRankTangent:
         out._scaled_from = (t, self)
         return out
 
+    def factors(self):
+        """(L, R) with xi = L R^T = [U M + U_p, U] [V, V_p]^T."""
+        u, v = self.x.u, self.x.v
+        return np.concatenate((u @ self.m + self.u_p, u), axis=1), np.concatenate((v, self.v_p), axis=1)
+
     def __array__(self, dtype=None, copy=None):
         if self._ambient is None:
             if self._scaled_from is not None:
                 t, xi = self._scaled_from
                 self._ambient = t * np.asarray(xi)
             else:
-                u, v = self.x.u, self.x.v
-                # U M V^T + U_p V^T + U V_p^T = [U M + U_p, U] [V, V_p]^T
-                left = np.concatenate((u @ self.m + self.u_p, u), axis=1)
-                self._ambient = left @ np.concatenate((v, self.v_p), axis=1).T
+                left, right = self.factors()
+                self._ambient = left @ right.T
         out = self._ambient if dtype is None else self._ambient.astype(dtype, copy=False)
         return out.copy() if copy else out
 
@@ -293,8 +257,7 @@ def _fixed_rank_retract(manifold: FixedRank, x: Point, xi) -> Point:
     # guard against slow orthonormality drift across many retractions
     if max(np.max(np.abs(u_new.T @ u_new - np.eye(r))), np.max(np.abs(v_new.T @ v_new - np.eye(r)))) > 1e-12:
         return nearest_rank_r(manifold, (u_new * sk[:r]) @ v_new.T)
-    step = CoreStep(u, s, v, q_u, q_v, xi.m, r_u, r_v, uk, sk, vkt)
-    return fixed_rank_point_from_factors(u_new, sk[:r], v_new, step)
+    return fixed_rank_point_from_factors(u_new, sk[:r], v_new)
 
 
 def retract(manifold: Manifold, x: Point, xi) -> Point:
@@ -315,29 +278,18 @@ def retract(manifold: Manifold, x: Point, xi) -> Point:
     return _fixed_rank_retract(manifold, x, xi)
 
 
-def _sandwich(a: np.ndarray, xi: FixedRankTangent, b: np.ndarray) -> np.ndarray:
-    """A^T xi B from the factors xi = [U M + U_p, U] [V, V_p]^T."""
-    u, v = xi.x.u, xi.x.v
-    return (a.T @ (u @ xi.m + xi.u_p)) @ (v.T @ b) + (a.T @ u) @ (xi.v_p.T @ b)
+def bb_pair(x: Point, x_new: Point, grad, grad_new, t: float):
+    """The Barzilai-Borwein pair (|s|^2, <s, y>) of the step x_new = R_x(-t grad).
 
-
-def bb_pair(x: Point, x_new: Point, grad, grad_new):
-    """The Barzilai-Borwein pair (|s|^2, <s, y>) for s = x_new - x and
-    y = grad_new - grad, the ambient difference of the gradients at x and
-    x_new serving as transport.
-
-    When the core retraction took x to x_new and both gradients are
-    ``FixedRankTangent``s, the pair comes from the step's factors in
-    O((m + n) r^2): |s|^2 = |D|^2 and <s, G> = <D, A^T G B>.  It differs
-    from the ambient formula by the rounding of the stored iterates, a
-    relative O(eps |X| / |s|).  Otherwise (sphere, dense-SVD retraction,
-    re-SVD after orthonormality drift) it is the ambient formula.
+    Fixed rank: the tangent step s = -t grad and y = P_x(grad_new) - grad
+    (Iannazzo & Porcelli, IMA J. Numer. Anal. 2018), from the factors in
+    O((m + n) r^2).  Sphere: the secant s = x_new - x and y = grad_new - grad.
     """
-    step = x_new.step
-    if step is not None and step.starts_at(x) and isinstance(grad, FixedRankTangent) \
-            and isinstance(grad_new, FixedRankTangent):
-        a, d, b = step.frame()
-        return float(np.vdot(d, d)), float(np.vdot(d, _sandwich(a, grad_new, b) - _sandwich(a, grad, b)))
+    if isinstance(grad, FixedRankTangent):
+        (left, right), (left_new, right_new) = grad.factors(), grad_new.factors()
+        gg = tangent_norm(grad) ** 2
+        g_gnew = float(np.sum((left.T @ left_new) * (right.T @ right_new)))
+        return t * t * gg, t * (gg - g_gnew)
     s_vec = x_new.ambient - x.ambient
     y_vec = np.asarray(grad_new) - np.asarray(grad)
     return float(np.sum(s_vec * s_vec)), float(np.sum(s_vec * y_vec))

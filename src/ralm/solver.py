@@ -134,18 +134,24 @@ class ALMResult:
         return SolveStatus.CONVERGED if self.converged else SolveStatus.PARTIAL
 
 
+def require_set_multiplier(p: ProblemInstance, z, name: str) -> None:
+    if p.q is not None and z is None:
+        raise ValueError(f"the problem has a set constraint: {name} is required")
+
+
 def kkt_blocks(p: ProblemInstance, x: Point, y, z=None):
     """The three blocks of the KKT natural map; all vanish exactly at KKT points.
 
     stationarity:  grad_x L(x, y, z)
     theta block:   g1(x) - prox_theta(g1(x) + y)
-    set block:     g2(x) - proj_Q(g2(x) + z)   (None when Q is absent)
+    set block:     g2(x) - proj_Q(g2(x) + z)   (None without Q; z required with Q)
     """
+    require_set_multiplier(p, z, "z")
     grad = lagrangian_rgrad(p, x, y, z)
     g1 = p.g1.value(x.ambient)
     theta_block = g1 - prox(p.theta, g1 + np.asarray(y))
     set_block = None
-    if p.q is not None and z is not None:
+    if p.q is not None:
         g2 = p.g2.value(x.ambient)
         set_block = g2 - project_set(p.q, g2 + np.asarray(z))
     return grad, theta_block, set_block
@@ -175,10 +181,11 @@ def update_multipliers(p: ProblemInstance, x_next: Point, w, p_mult, rho: float)
     s = g2 + p/rho (the second is 0 without Q).  Their max is the feasibility
     measure V driving the penalty update; the first equals |y+ - w| / rho.
     Both vanish at a KKT pair for every rho, which is what makes the
-    penalty-update test meaningful.
+    penalty-update test meaningful.  With Q, p_mult is required.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
+    require_set_multiplier(p, p_mult, "p_mult")
     g1 = p.g1.value(x_next.ambient)
     u = g1 + np.asarray(w) / rho
     pr = prox(p.theta, u, 1.0 / rho)
@@ -186,7 +193,7 @@ def update_multipliers(p: ProblemInstance, x_next: Point, w, p_mult, rho: float)
     theta_gap = float(np.linalg.norm(g1 - pr))
     z_next = None
     set_gap = 0.0
-    if p.q is not None and p_mult is not None:
+    if p.q is not None:
         g2 = p.g2.value(x_next.ambient)
         s = g2 + np.asarray(p_mult) / rho
         proj = project_set(p.q, s)
@@ -280,8 +287,8 @@ def subproblem_solve(
             break
         if grad_try is None:
             grad_try = merit_rgrad(p, x_try, grads)
-        # BB1 estimate; the gradient difference is taken in the ambient space
-        ss, sy = bb_pair(x, x_try, grad, grad_try)
+        # BB1 estimate: s is the tangent step -t grad on fixed rank, x_try - x on the sphere
+        ss, sy = bb_pair(x, x_try, grad, grad_try, t)
         if sy > 1e-30:
             step = float(np.clip(ss / sy, 1e-12, 1e10))
         else:

@@ -136,6 +136,12 @@ class TestCriticalCone:
         with pytest.raises(ValueError):
             critical_cone_member(p, x, z, x.ambient.copy())
 
+    def test_omitted_set_multiplier_is_rejected(self):
+        p = build_family(CircleExample())
+        x, y, _ = circle_solution()
+        with pytest.raises(ValueError, match="set constraint"):
+            critical_cone_member(p, x, None, np.zeros(2))
+
 
 def constant_zero_map(n):
     return SmoothMap(
@@ -174,6 +180,13 @@ class TestMsrcq:
         rep = msrcq_check(p, x, np.zeros(1))
         assert not rep.passed
         assert rep.rank_found == 0
+
+    def test_rejects_an_infeasible_point_without_z(self):
+        # x violates 2 x1 + x2 >= 0; without z the set block used to be
+        # dropped and x passed the KKT gate
+        p = build_family(CircleExample())
+        with pytest.raises(ValueError, match="set constraint"):
+            msrcq_check(p, sphere_point([-RT2, -RT2]), np.array([-RT2]))
 
     def test_requires_approximate_kkt(self):
         p = build_family(CircleExample())

@@ -66,6 +66,16 @@ class TestKKTResidual:
         assert comps[2] == 0.0
         assert kkt_residual(p, x, np.zeros(1), np.zeros(1)) == pytest.approx(1.0)
 
+    def test_omitted_set_multiplier_is_rejected(self):
+        p = build_family(CircleExample())
+        # violates 2 x1 + x2 >= 0 (g2 = -2.12) and is stationary for this y
+        x, y = sphere_point([-RT2, -RT2]), np.array([-RT2])
+        assert kkt_residual(p, x, y, np.zeros(1)) == pytest.approx(1.5 * np.sqrt(2.0))
+        with pytest.raises(ValueError, match="set constraint"):
+            kkt_residual(p, x, y)
+        with pytest.raises(ValueError, match="set constraint"):
+            update_multipliers(p, x, y, None, 1.0)
+
     def test_nonnegative_on_random_triples(self):
         p = build_family(SphereL1(np.eye(4), mu=0.5))
         rng = np.random.default_rng(0)
