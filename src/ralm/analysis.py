@@ -23,8 +23,8 @@ import numpy as np
 
 from .convex import epiderivative_down, psi_conjugate, tangent_cone_member
 from .manifolds import Point, distance, project_tangent, retract, tangent_basis
-from .problems import ProblemInstance, hess_quadform, tilted_instance
-from .solver import ALMConfig, alm_run, distance_to_reference, kkt_residual, require_set_multiplier
+from .problems import ProblemInstance, hess_quadform, require_set_multiplier, tilted_instance
+from .solver import ALMConfig, alm_run, distance_to_reference, kkt_residual
 
 KKT_GATE = 1e-6
 RANK_TOL = 1e-8

@@ -10,10 +10,13 @@ vectors back onto the manifold:
 * ``FixedRank(m, n, r)``: rank-r matrices in R^{m x n}, represented by a
   thin SVD factorisation ``U diag(s) V^T`` kept consistent with the ambient
   matrix.  ``tangent_vector`` returns a tangent vector as its factors
-  (``FixedRankTangent``): its norm and scaling cost O((m + n) r), the
-  retraction takes its 2r x 2r core from them, and ``bb_pair`` forms the
-  Barzilai-Borwein pair of the tangent step from them in O((m + n) r^2).
-  ``project_tangent`` returns the dense ambient matrix.
+  (``FixedRankTangent``): its norm and scaling cost O((m + n) r), and
+  ``bb_pair`` forms the Barzilai-Borwein pair of the tangent step from them
+  in O((m + n) r^2).  ``project_tangent`` returns the dense ambient matrix.
+  The retraction is the metric projection (a full SVD) when
+  min(m, n) <= 50, and above that the orthographic retraction, built from
+  the tangent factors with r x r factorizations only; the orthographic path
+  made the small analysis commands slower, so small sizes keep the SVD.
 """
 from __future__ import annotations
 
@@ -233,40 +236,48 @@ def _sphere_exp(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 
 def _fixed_rank_retract(manifold: FixedRank, x: Point, xi) -> Point:
-    r = manifold.r
     if min(manifold.m, manifold.n) <= 50:
-        # small matrices: metric projection via a full SVD
+        # small matrices: metric projection, the truncated SVD of x + xi; the
+        # small analysis commands ran slower with the orthographic path below
         return nearest_rank_r(manifold, x.ambient + np.asarray(xi))
-    # structured path: x + xi = [U, U_p] [[diag(s) + M, I], [I, 0]] [V, V_p]^T
-    # has rank <= 2r, so the SVD of a 2r x 2r core gives the metric
-    # projection exactly
+    # orthographic retraction (Absil & Oseledets, Comput. Optim. Appl. 2015):
+    # with K = diag(s) + M, R_x(xi) = left K right^T for left = U + U_p K^-1
+    # and right = V + V_p K^-T.  Cholesky QR of both factors, left = Q_a L_a^T,
+    # takes Grams of the factors as they are, so orthonormality drift in U
+    # and V is repaired at each step; the SVD W S Z^T of the r x r core
+    # L_a^T K L_b then gives the new factors Q_a W and Q_b Z.
     if not isinstance(xi, FixedRankTangent):
         xi = tangent_vector(manifold, x, xi)
-    u, s, v = x.u, x.s, x.v
-    q_u, r_u = np.linalg.qr(xi.u_p)
-    q_v, r_v = np.linalg.qr(xi.v_p)
-    k = np.zeros((2 * r, 2 * r))
-    k[:r, :r] = np.diag(s) + xi.m
-    k[:r, r:] = r_v.T
-    k[r:, :r] = r_u
-    uk, sk, vkt = np.linalg.svd(k)
-    if sk[r - 1] <= SV_RANK_TOL:
+    k = xi.m.copy()
+    k.flat[:: manifold.r + 1] += x.s
+    try:
+        k_inv = np.linalg.inv(k)
+        left = x.u + xi.u_p @ k_inv
+        right = x.v + xi.v_p @ k_inv.T
+        chol = np.linalg.cholesky(np.array((left.T @ left, right.T @ right)))
+        w, s_new, zt = np.linalg.svd(chol[0].T @ k @ chol[1])
+        rot = np.linalg.solve(chol.transpose(0, 2, 1), np.array((w, zt.T)))
+    except np.linalg.LinAlgError:  # K or a factor is singular
+        raise RankDeficiencyError("retraction dropped rank") from None
+    if not s_new[-1] > SV_RANK_TOL:
         raise RankDeficiencyError("retraction dropped rank")
-    u_new = u @ uk[:r, :r] + q_u @ uk[r:, :r]
-    v_new = v @ vkt[:r, :r].T + q_v @ vkt[:r, r:].T
-    # guard against slow orthonormality drift across many retractions
-    if max(np.max(np.abs(u_new.T @ u_new - np.eye(r))), np.max(np.abs(v_new.T @ v_new - np.eye(r)))) > 1e-12:
-        return nearest_rank_r(manifold, (u_new * sk[:r]) @ v_new.T)
-    return fixed_rank_point_from_factors(u_new, sk[:r], v_new)
+    u_new, v_new = left @ rot[0], right @ rot[1]
+    # s_new is checked above, so skip fixed_rank_point_from_factors' checks
+    return Point(
+        ambient=_readonly((u_new * s_new) @ v_new.T), u=_readonly(u_new), s=_readonly(s_new), v=_readonly(v_new)
+    )
 
 
 def retract(manifold: Manifold, x: Point, xi) -> Point:
     """Map a tangent vector (dense, or a ``FixedRankTangent`` at x) back onto
     the manifold.
 
-    Sphere: exact exponential map.  Fixed rank: metric projection, i.e. the
-    rank-r truncated SVD of x + xi; raises RankDeficiencyError if that
-    truncation is not well defined.
+    Sphere: exact exponential map.  Fixed rank, min(m, n) <= 50: metric
+    projection, the rank-r truncated SVD of x + xi.  Fixed rank, larger:
+    orthographic retraction from the factors of xi, which agrees with the
+    metric projection to third order in xi and costs O((m + n) r^2) plus
+    one r x r SVD.  Both raise RankDeficiencyError where the result would
+    drop below rank r.
     """
     if isinstance(xi, FixedRankTangent):
         if xi.x is not x:

@@ -276,25 +276,31 @@ def _build_rmc(family: RMC) -> ProblemInstance:
 # Lagrangian machinery
 
 
+def require_set_multiplier(p: ProblemInstance, z, name: str) -> None:
+    if p.q is not None and z is None:
+        raise ValueError(f"the problem has a set constraint: {name} is required")
+
+
 def lagrangian_value(p: ProblemInstance, x: Point, y, z=None) -> float:
-    """L(x, y, z) = f(x) + <y, g1(x)> + <z, g2(x)> (z-term absent without Q)."""
+    """L(x, y, z) = f(x) + <y, g1(x)> + <z, g2(x)> (z-term absent without Q;
+    z required with Q)."""
+    require_set_multiplier(p, z, "z")
     xa = x.ambient
     val = p.f.value(xa) + float(np.sum(np.asarray(y) * p.g1.value(xa)))
-    if p.g2 is not None and z is not None:
+    if p.g2 is not None:
         val += float(np.sum(np.asarray(z) * p.g2.value(xa)))
     return val
 
 
-def _ambient_lagrangian_grad(p: ProblemInstance, xa: np.ndarray, y, z):
-    g = p.f.egrad(xa) + p.g1.jacobian_adjoint(xa, np.asarray(y, dtype=float))
-    if p.g2 is not None and z is not None:
-        g = g + p.g2.jacobian_adjoint(xa, np.asarray(z, dtype=float))
-    return g
-
-
 def lagrangian_rgrad(p: ProblemInstance, x: Point, y, z=None) -> np.ndarray:
-    """Riemannian gradient of L(., y, z): projected ambient gradient."""
-    return project_tangent(p.manifold, x, _ambient_lagrangian_grad(p, x.ambient, y, z))
+    """Riemannian gradient of L(., y, z): projected ambient gradient (z
+    required with Q)."""
+    require_set_multiplier(p, z, "z")
+    xa = x.ambient
+    g = p.f.egrad(xa) + p.g1.jacobian_adjoint(xa, np.asarray(y, dtype=float))
+    if p.g2 is not None:
+        g = g + p.g2.jacobian_adjoint(xa, np.asarray(z, dtype=float))
+    return project_tangent(p.manifold, x, g)
 
 
 def merit_shifts(p: ProblemInstance, w, p_mult, rho: float):

@@ -29,7 +29,7 @@ from .manifolds import (
     retract,
     tangent_norm,
 )
-from .problems import ProblemInstance, lagrangian_rgrad, merit_eval, merit_rgrad, merit_shifts
+from .problems import ProblemInstance, lagrangian_rgrad, merit_eval, merit_rgrad, merit_shifts, require_set_multiplier
 
 
 # Accepted iterates a Barzilai-Borwein trial is compared against
@@ -134,11 +134,6 @@ class ALMResult:
         return SolveStatus.CONVERGED if self.converged else SolveStatus.PARTIAL
 
 
-def require_set_multiplier(p: ProblemInstance, z, name: str) -> None:
-    if p.q is not None and z is None:
-        raise ValueError(f"the problem has a set constraint: {name} is required")
-
-
 def kkt_blocks(p: ProblemInstance, x: Point, y, z=None):
     """The three blocks of the KKT natural map; all vanish exactly at KKT points.
 
@@ -146,8 +141,7 @@ def kkt_blocks(p: ProblemInstance, x: Point, y, z=None):
     theta block:   g1(x) - prox_theta(g1(x) + y)
     set block:     g2(x) - proj_Q(g2(x) + z)   (None without Q; z required with Q)
     """
-    require_set_multiplier(p, z, "z")
-    grad = lagrangian_rgrad(p, x, y, z)
+    grad = lagrangian_rgrad(p, x, y, z)  # rejects an omitted z with Q
     g1 = p.g1.value(x.ambient)
     theta_block = g1 - prox(p.theta, g1 + np.asarray(y))
     set_block = None

@@ -146,6 +146,16 @@ class TestLagrangian:
         g = lagrangian_rgrad(p, x, np.array([RT2]), np.array([0.0]))
         np.testing.assert_allclose(g, np.zeros(2), atol=1e-14)
 
+    def test_omitted_set_multiplier_is_rejected(self):
+        p = build_family(CircleExample())
+        # violates 2 x1 + x2 >= 0; with z = 1 the gradient is (0.5, -0.5)
+        x, y = sphere_point([-RT2, -RT2]), np.array([-RT2])
+        np.testing.assert_allclose(lagrangian_rgrad(p, x, y, np.ones(1)), [0.5, -0.5], atol=1e-14)
+        with pytest.raises(ValueError, match="set constraint"):
+            lagrangian_rgrad(p, x, y)
+        with pytest.raises(ValueError, match="set constraint"):
+            lagrangian_value(p, x, y)
+
     def test_rgrad_reduces_to_projected_objective_gradient(self):
         p = build_family(SphereL1(SPHERE_L1_DEMO_A, mu=0.25))
         x = random_point(p.manifold, 3)

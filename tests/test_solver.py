@@ -352,6 +352,30 @@ def test_rmc_200_subproblem_forms_no_dense_tangent(monkeypatch):
     assert calls == []
 
 
+def test_rmc_200_subproblem_factorizes_only_r_by_r_matrices(monkeypatch):
+    """The fixed-rank inner loop retracts without a QR of a tall factor: every
+    SVD and Cholesky factorization it takes is of an r x r matrix."""
+    p, x0, _, _ = build_problem(RunConfig(family="rmc", mode="random", m=200, n=200, r=5, seed=1))
+    shapes = {"qr": [], "svd": [], "cholesky": []}
+
+    def counting(name):
+        routine = getattr(np.linalg, name)
+
+        def counted(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return routine(a, *args, **kwargs)
+
+        return counted
+
+    for name in shapes:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    res = subproblem_solve(p, np.zeros((200, 200)), None, 1.0, x0, 1e-4)
+    assert res.iters > 10
+    assert shapes["qr"] == []
+    assert len(shapes["svd"]) >= res.iters and len(shapes["cholesky"]) >= res.iters
+    assert {shape[-2:] for shape in shapes["svd"] + shapes["cholesky"]} == {(5, 5)}
+
+
 # full runs on small random instances of both manifolds
 SMALL_RANDOM_RUNS = pytest.mark.parametrize(
     "cfg",
