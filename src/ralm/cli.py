@@ -73,6 +73,8 @@ def build_problem(cfg: RunConfig):
     mode = _mode(cfg)
     if mode != DEFAULT_MODES[cfg.family] and (mode != "random" or cfg.family == "circle"):
         raise ConfigError(f"unknown {cfg.family} mode {mode!r}")
+    if cfg.matrix is not None and cfg.family != "sphere-l1":
+        raise ConfigError(f"family {cfg.family} does not read a [matrix] section (sphere-l1 only)")
     if cfg.family == "circle":
         return build_family(CircleExample()), sphere_point([1.0, 0.0]), circle_reference(), None
     if cfg.family == "sphere-l1":

@@ -28,6 +28,10 @@ import numpy as np
 
 # Absolute singular-value threshold below which a factor counts as rank deficient.
 SV_RANK_TOL = 1e-12
+# check_point's bounds: |norm - 1| of a sphere point, and the entrywise
+# orthonormality error and relative reconstruction error of fixed-rank factors
+SPHERE_NORM_TOL = 1e-12
+FACTOR_TOL = 1e-10
 
 
 class RankDeficiencyError(RuntimeError):
@@ -123,12 +127,12 @@ def nearest_rank_r(manifold: FixedRank, ambient) -> Point:
     return fixed_rank_point_from_factors(uu[:, :r].copy(), ss[:r].copy(), vvt[:r].T.copy())
 
 
-def check_point(manifold: Manifold, x: Point, tol: float = 1e-10) -> None:
+def check_point(manifold: Manifold, x: Point) -> None:
     """Raise if x violates the manifold's feasibility invariants."""
     if isinstance(manifold, Sphere):
         if x.ambient.shape != (manifold.n,):
             raise ValueError("point shape mismatch")
-        if abs(np.linalg.norm(x.ambient) - 1.0) > 1e-12:
+        if abs(np.linalg.norm(x.ambient) - 1.0) > SPHERE_NORM_TOL:
             raise ValueError("sphere point is not unit norm")
         return
     if x.ambient.shape != (manifold.m, manifold.n):
@@ -138,13 +142,14 @@ def check_point(manifold: Manifold, x: Point, tol: float = 1e-10) -> None:
     r = manifold.r
     if x.u.shape != (manifold.m, r) or x.v.shape != (manifold.n, r) or x.s.shape != (r,):
         raise ValueError("factor shape mismatch")
-    if np.max(np.abs(x.u.T @ x.u - np.eye(r))) > tol or np.max(np.abs(x.v.T @ x.v - np.eye(r))) > tol:
+    eye = np.eye(r)
+    if np.max(np.abs(x.u.T @ x.u - eye)) > FACTOR_TOL or np.max(np.abs(x.v.T @ x.v - eye)) > FACTOR_TOL:
         raise ValueError("fixed-rank factors are not orthonormal")
     if np.any(x.s <= SV_RANK_TOL):
         raise RankDeficiencyError("fixed-rank point has a vanishing singular value")
     recon = (x.u * x.s) @ x.v.T
     scale = max(1.0, float(np.linalg.norm(x.ambient)))
-    if np.linalg.norm(recon - x.ambient) > tol * scale:
+    if np.linalg.norm(recon - x.ambient) > FACTOR_TOL * scale:
         raise ValueError("ambient matrix inconsistent with factors")
 
 
@@ -225,6 +230,20 @@ def tangent_norm(xi) -> float:
     if isinstance(xi, FixedRankTangent):
         return math.sqrt(np.vdot(xi.m, xi.m) + np.vdot(xi.u_p, xi.u_p) + np.vdot(xi.v_p, xi.v_p))
     return float(np.linalg.norm(xi))
+
+
+def curvature_quadform(manifold: Manifold, x: Point, g, xi) -> float:
+    """<G, II_x(xi, xi)>: what the manifold's curvature adds to <xi, Hess f(x) xi>
+    when G is the ambient gradient of f, the Weingarten term of Absil, Mahony &
+    Trumpf (GSI 2013).
+
+    Sphere: -<x, G> |xi|^2.  Fixed rank: 2 sum_i (U_p^T G V_p)_ii / s_i with
+    (M, U_p, V_p) the factors of xi (Vandereycken, SIAM J. Optim. 2013).
+    """
+    if isinstance(manifold, Sphere):
+        return -float(np.sum(x.ambient * g)) * float(np.linalg.norm(xi)) ** 2
+    xi = tangent_vector(manifold, x, xi)
+    return 2.0 * float(np.sum(np.sum(xi.u_p * (g @ xi.v_p), axis=0) / x.s))
 
 
 def _sphere_exp(x: np.ndarray, xi: np.ndarray) -> np.ndarray:

@@ -22,9 +22,9 @@ from .manifolds import (
     Manifold,
     Point,
     Sphere,
+    curvature_quadform,
     nearest_rank_r,
     project_tangent,
-    retract,
     sphere_point,
     tangent_vector,
 )
@@ -32,21 +32,19 @@ from .manifolds import (
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """A twice continuously differentiable map with its ambient Jacobian.
+    """An affine map of the ambient space with its Jacobian.
 
-    ``linear`` marks maps whose second derivative vanishes identically, which
-    lets Hessian code skip the finite-difference fallback.  ``support`` marks
-    a map of the ambient space that reads x entrywise: at these flat indices
-    value(x) = x + value(0), and elsewhere value(x) = value(0), which does not
-    depend on x (None: no such structure).  The merit then reads x at the
-    support only.
+    Every g1 and g2 of the program is affine, and ``hess_quadform`` takes
+    their second derivative to be zero.  ``support`` marks a map that reads x
+    entrywise: at these flat indices value(x) = x + value(0), and elsewhere
+    value(x) = value(0), which does not depend on x (None: no such
+    structure).  The merit then reads x at the support only.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     jacobian_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jacobian_adjoint: Callable[[np.ndarray, np.ndarray], np.ndarray]
     out_shape: tuple
-    linear: bool = False
     support: Optional[np.ndarray] = None
 
 
@@ -54,7 +52,7 @@ class SmoothMap:
 class Objective:
     value: Callable[[np.ndarray], float]
     egrad: Callable[[np.ndarray], np.ndarray]
-    ehess_apply: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    ehess_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -196,14 +194,12 @@ def _build_circle() -> ProblemInstance:
         jacobian_apply=lambda x, xi: np.array([xi[0] - xi[1]]),
         jacobian_adjoint=lambda x, y: float(y[0]) * np.array([1.0, -1.0]),
         out_shape=(1,),
-        linear=True,
     )
     g2 = SmoothMap(
         value=lambda x: np.array([2.0 * x[0] + x[1]]),
         jacobian_apply=lambda x, xi: np.array([2.0 * xi[0] + xi[1]]),
         jacobian_adjoint=lambda x, z: float(z[0]) * np.array([2.0, 1.0]),
         out_shape=(1,),
-        linear=True,
     )
     return ProblemInstance(
         manifold=Sphere(2),
@@ -232,7 +228,6 @@ def _build_sphere_l1(family: SphereL1) -> ProblemInstance:
         jacobian_apply=lambda x, xi: xi.copy(),
         jacobian_adjoint=lambda x, y: y.copy(),
         out_shape=(n,),
-        linear=True,
     )
     return ProblemInstance(
         manifold=Sphere(n),
@@ -258,7 +253,6 @@ def _build_rmc(family: RMC) -> ProblemInstance:
         jacobian_apply=lambda x, xi: proj * xi,
         jacobian_adjoint=lambda x, y: proj * y,  # masking is self-adjoint
         out_shape=(m, n),
-        linear=True,
         # P_Omega(X - A) is X - A on the observed entries and 0 elsewhere; a
         # full mask leaves nothing to skip
         support=None if mask.all() else np.flatnonzero(mask),
@@ -412,45 +406,23 @@ def tilted_instance(p: ProblemInstance, a=None, b=None, c=None) -> ProblemInstan
     return replace(new, label=p.label + "+tilt")
 
 
-def _scalar_lagrangian(p: ProblemInstance, z):
-    """l(., z) = f + <z, g2> as a plain ambient function/gradient pair."""
-    if p.g2 is None or z is None:
-        return p.f.value, p.f.egrad, p.f.ehess_apply
-
-    def value(xa):
-        return p.f.value(xa) + float(np.sum(np.asarray(z) * p.g2.value(xa)))
-
-    def egrad(xa):
-        return p.f.egrad(xa) + p.g2.jacobian_adjoint(xa, np.asarray(z, dtype=float))
-
-    hess = p.f.ehess_apply if (p.f.ehess_apply is not None and p.g2.linear) else None
-    return value, egrad, hess
-
-
 def hess_quadform(p: ProblemInstance, x: Point, z, xi) -> float:
-    """<xi, Hess_x l(x, z) xi> for l = f + <z, g2>.
+    """<xi, Hess_x l(x, z) xi> for l = f + <z, g2> (z required with Q).
 
-    Uses the closed-form sphere Hessian when an ambient Hessian product is
-    available; otherwise a five-point second difference of t -> l(R_x(t xi)),
-    valid because both retractions are second order.
+    The closed form <xi, ehess f(x) xi> plus the manifold's curvature term at
+    the ambient gradient G = egrad f + Dg2^T z (``curvature_quadform``); g2 is
+    affine, so it enters through G only.  <y, g1> is left out: g1 is affine
+    too, so what it would add is its Weingarten part, the curvature term at
+    Dg1^T y.  Whether M-SOSC should carry that part is open (ROADMAP.md,
+    item 9).
     """
-    value, egrad, ehess = _scalar_lagrangian(p, z)
+    require_set_multiplier(p, z, "z")
+    xa = x.ambient
     xi = np.asarray(xi, dtype=float)
-    nrm = float(np.linalg.norm(xi))
-    if nrm == 0.0:
-        return 0.0
-    if isinstance(p.manifold, Sphere) and ehess is not None:
-        g = egrad(x.ambient)
-        hx = ehess(x.ambient, xi)
-        return float(np.sum(xi * hx)) - float(np.sum(x.ambient * g)) * nrm**2
-    h = 1e-3 / nrm
-    vals = []
-    for t in (-2 * h, -h, 0.0, h, 2 * h):
-        if t == 0.0:
-            vals.append(value(x.ambient))
-        else:
-            vals.append(value(retract(p.manifold, x, t * xi).ambient))
-    return float((-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (12 * h * h))
+    g = p.f.egrad(xa)
+    if p.g2 is not None:
+        g = g + p.g2.jacobian_adjoint(xa, np.asarray(z, dtype=float))
+    return float(np.sum(xi * p.f.ehess_apply(xa, xi))) + curvature_quadform(p.manifold, x, g, xi)
 
 
 def objective_value(p: ProblemInstance, x: Point) -> float:

@@ -149,7 +149,6 @@ def constant_zero_map(n):
         jacobian_apply=lambda x, xi: np.zeros(1),
         jacobian_adjoint=lambda x, y: np.zeros(n),
         out_shape=(1,),
-        linear=True,
     )
 
 
@@ -171,7 +170,9 @@ class TestMsrcq:
         n = 3
         p = ProblemInstance(
             manifold=Sphere(n),
-            f=Objective(value=lambda x: 0.0, egrad=lambda x: np.zeros(n)),
+            f=Objective(
+                value=lambda x: 0.0, egrad=lambda x: np.zeros(n), ehess_apply=lambda x, xi: np.zeros(n)
+            ),
             g1=constant_zero_map(n),
             theta=ScaledL1(1.0),
             label="degenerate",
@@ -245,7 +246,6 @@ def affine_map(mat, offset):
         jacobian_apply=lambda x, xi: mat @ xi,
         jacobian_adjoint=lambda x, w: mat.T @ w,
         out_shape=(mat.shape[0],),
-        linear=True,
     )
 
 
@@ -309,7 +309,9 @@ class TestMsrcqReduction:
                 z = rng.choice([0.0, 1.0], size=dim_z)
             p = ProblemInstance(
                 manifold=Sphere(n),
-                f=Objective(value=lambda v: 0.0, egrad=lambda v: np.zeros(n)),
+                f=Objective(
+                    value=lambda v: 0.0, egrad=lambda v: np.zeros(n), ehess_apply=lambda v, xi: np.zeros(n)
+                ),
                 g1=affine_map(mat[:dim_y], offset[:dim_y]),
                 theta=ScaledL1(1.0),
                 g2=g2,
@@ -353,7 +355,6 @@ class TestMsosc:
                 jacobian_apply=lambda x, xi: xi.copy(),
                 jacobian_adjoint=lambda x, y: y.copy(),
                 out_shape=(n,),
-                linear=True,
             ),
             theta=ScaledL1(0.0),
             label="saddle",
@@ -381,7 +382,6 @@ class TestMsosc:
                 jacobian_apply=lambda x, xi: xi.copy(),
                 jacobian_adjoint=lambda x, y: y.copy(),
                 out_shape=(n,),
-                linear=True,
             ),
             theta=ScaledL1(0.0),
             label="minimum",

@@ -297,6 +297,16 @@ class TestConfigParsing:
         assert code == EXIT_ERROR
 
 
+    @pytest.mark.parametrize("family, command", [("circle", "solve"), ("rmc", "solve"), ("sphere-l1", "rmc")])
+    def test_matrix_section_outside_sphere_l1_rejected(self, tmp_path, capsys, family, command):
+        f = tmp_path / "mat.cfg"
+        f.write_text(f"[problem]\nfamily={family}\n[matrix]\n1.0 2.0\n3.0 4.0\n")
+        code = main([command, "--config", str(f), "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "[matrix]" in err[0]
+
+
 class TestFigure1Command:
     def test_artifacts_and_ordering(self, tmp_path):
         out = tmp_path / "fig"

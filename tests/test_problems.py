@@ -416,11 +416,26 @@ class TestHessQuadform:
         x = sphere_point([1.0, 0.0])
         assert hess_quadform(p, x, np.zeros(1), np.zeros(2)) == 0.0
 
-    def test_fixed_rank_fd_path(self):
-        p = make_families()["rmc"]
+    def test_omitted_set_multiplier_is_rejected(self):
+        p = build_family(CircleExample())
+        # violates 2 x1 + x2 >= 0; with z = 1 the form is 1 + (3 sqrt(2)/2 - 1)
+        x, xi = sphere_point([-RT2, -RT2]), np.array([RT2, -RT2])
+        assert hess_quadform(p, x, np.ones(1), xi) == pytest.approx(1.5 * np.sqrt(2.0), abs=1e-14)
+        with pytest.raises(ValueError, match="set constraint"):
+            hess_quadform(p, x, None, xi)
+
+    # 5x5 and 20x20 retract by the metric projection, 70x60 by the
+    # orthographic retraction
+    @pytest.mark.parametrize("m, n, r", [(5, 5, 3), (20, 20, 2), (70, 60, 3)])
+    def test_fixed_rank_closed_form_matches_second_difference(self, m, n, r):
+        # f = -<A, X> on the fixed-rank manifold: Hess f is the curvature term alone
         rng = np.random.default_rng(29)
+        a = rng.standard_normal((m, n))
+        p = tilted_instance(build_family(RMC(a, np.ones((m, n), dtype=bool), r)), a=a)
         x = random_point(p.manifold, rng)
         xi = random_tangent(p.manifold, x, rng)
         xi /= np.linalg.norm(xi)
-        # f is identically zero for this family
-        assert abs(hess_quadform(p, x, None, xi)) < 1e-6
+        h = 1e-3
+        vals = [p.f.value(retract(p.manifold, x, t * xi).ambient) for t in (-2 * h, -h, h, 2 * h)]
+        fd = (-vals[0] + 16 * vals[1] - 30 * p.f.value(x.ambient) + 16 * vals[2] - vals[3]) / (12 * h * h)
+        assert hess_quadform(p, x, None, xi) == pytest.approx(fd, rel=1e-6)
