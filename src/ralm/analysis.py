@@ -6,9 +6,10 @@ The checks operate at (approximate) KKT triples:
   image of the constraint Jacobians plus the closed-form sign-pattern
   generators of the cones must span the constraint space, which is decided
   by a rank test on the image rows no generator covers.
-* ``msosc_check`` certifies a trivial critical cone exactly (linear plus
-  sign-pattern feasibility) or samples directions from it and evaluates the
-  curvature quadratic form.
+* ``msosc_check`` minimises the Riemannian Hessian form of the Lagrangian
+  over the unit critical cone exactly: the smallest eigenvalue of the form
+  on the cone's span, or, with one-sided generators, the smallest over the
+  eigenvectors of the form compressed to each face of the cone.
 * ``calmness_probe`` and ``error_bound_fit`` estimate the Lipschitz modulus
   of the KKT solution under perturbations and the two-sided residual bound
   constants.
@@ -16,14 +17,15 @@ The checks operate at (approximate) KKT triples:
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .convex import epiderivative_down, psi_conjugate, tangent_cone_member
+from .convex import psi_conjugate
 from .manifolds import Point, distance, project_tangent, retract, tangent_basis
-from .problems import ProblemInstance, hess_quadform, require_set_multiplier, tilted_instance
+from .problems import ProblemInstance, hess_quadform, rhess_apply, tilted_instance
 from .solver import ALMConfig, alm_run, distance_to_reference, kkt_residual
 
 KKT_GATE = 1e-6
@@ -33,6 +35,9 @@ CONE_TOL = 1e-8
 # dim_y + dim_z rows and up to dim M + dim_y + dim_z columns (tangent image
 # plus one unit generator per constraint coordinate).
 MAX_DENSE_ENTRIES = 10**8
+# Cap on the one-sided generators (ray rows) of the critical cone: the exact
+# M-SOSC check solves one eigenproblem per subset of them.
+MAX_RAY_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -68,41 +73,6 @@ def _require_kkt(p: ProblemInstance, x: Point, y, z, gate: float = KKT_GATE) -> 
     r = kkt_residual(p, x, y, z)
     if r > gate:
         raise ValueError(f"not an approximate KKT point: residual {r:.3e} > {gate:.1e}")
-
-
-# ---------------------------------------------------------------------------
-# critical cone membership
-
-
-def critical_cone_member(p: ProblemInstance, x: Point, z, xi) -> bool:
-    """Is xi a critical direction at (x, z)?
-
-    Requires the first-order growth of the composite objective along xi to
-    vanish and, when a set constraint is present, the image Dg2(x) xi to lie
-    in the tangent cone intersected with the multiplier's orthogonal
-    complement (z is then required).
-    """
-    require_set_multiplier(p, z, "z")
-    xi = np.asarray(xi, dtype=float)
-    off_tangent = np.linalg.norm(project_tangent(p.manifold, x, xi) - xi)
-    if off_tangent > CONE_TOL * (1.0 + np.linalg.norm(xi)):
-        raise ValueError("xi is not tangent at x within tolerance")
-    scale = max(1.0, float(np.linalg.norm(xi)))
-    xa = x.ambient
-    d1 = p.g1.jacobian_apply(xa, xi)
-    first = float(np.sum(p.f.egrad(xa) * xi)) + epiderivative_down(
-        p.theta, p.g1.value(xa), d1, zero_tol=CONE_TOL
-    )
-    if abs(first) > CONE_TOL * scale:
-        return False
-    if p.q is None:
-        return True
-    d2 = p.g2.jacobian_apply(xa, xi)
-    if not tangent_cone_member(p.q, p.g2.value(xa), d2, CONE_TOL):
-        return False
-    z = np.asarray(z, dtype=float)
-    zscale = max(1.0, float(np.linalg.norm(z))) * max(1.0, float(np.linalg.norm(d2)))
-    return bool(abs(float(np.sum(d2 * z))) <= CONE_TOL * zscale)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +179,6 @@ def _msrcq(system) -> MsrcqReport:
 class MsoscReport:
     status: str  # "pass" | "fail" | "vacuous"
     min_value: float
-    samples_used: int
     cone_nullity: int
 
     @property
@@ -217,117 +186,88 @@ class MsoscReport:
         return self.status in ("pass", "vacuous")
 
 
-def _null_space(a, rcond=None):
-    """Orthonormal basis of the null space of ``a``, by the same SVD rule as
-    ``scipy.linalg.null_space``: singular values above max(s) * rcond count
-    as rank, and rcond defaults to eps * max(m, n)."""
+def _null_space(a):
+    """Orthonormal basis of the null space of ``a``, by the SVD rule of
+    ``scipy.linalg.null_space`` with rcond = 1e-10: singular values above
+    1e-10 * max(s) count as rank."""
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    if rcond is None:
-        rcond = np.finfo(s.dtype).eps * max(a.shape)
-    num = int(np.sum(s > np.max(s, initial=0.0) * rcond))
+    num = int(np.sum(s > np.max(s, initial=0.0) * 1e-10))
     return vh[num:].T
 
 
-def _cone_is_trivial(nullspace_dim, a_ineq):
-    """Decide whether {lam : A lam >= 0} inside the nullspace is {0}.
+def _cone_min(h, rays):
+    """Minimum of lam^T h lam over unit lam in the cone {rays @ lam >= 0}, as
+    (value, lam), or None when the cone is {0}.
 
-    Exact up to LP tolerances; returns (trivial, witness) where the witness
-    is a nonzero feasible coefficient vector when one exists.
+    A minimiser whose active rows are A is an eigenvector of h compressed to
+    the face {rays[A] @ lam = 0}, so the minimum is the smallest eigenvalue
+    whose eigenvector, of either sign, satisfies the other rows: one
+    eigenproblem per subset of the rows.
     """
-    if nullspace_dim == 0:
-        return True, None
-    if a_ineq.shape[0] == 0:
-        return False, np.eye(nullspace_dim)[0]
-    lin = _null_space(a_ineq)
-    if lin.shape[1] > 0:
-        return False, lin[:, 0]
-    # imported here, not at module level: SciPy takes longer to load than
-    # NumPy and ralm together, and only this LP needs it
-    from scipy.optimize import linprog
-
-    # nonzero feasible lam exists iff {A lam >= 0, sum(A lam) = 1} is feasible
-    c = np.zeros(a_ineq.shape[1])
-    res = linprog(
-        c,
-        A_ub=-a_ineq,
-        b_ub=np.zeros(a_ineq.shape[0]),
-        A_eq=np.sum(a_ineq, axis=0, keepdims=True),
-        b_eq=np.array([1.0]),
-        bounds=[(-1e6, 1e6)] * a_ineq.shape[1],
-        method="highs",
-    )
-    if res.success:
-        return False, np.asarray(res.x)
-    return True, None
+    best = None
+    tol = CONE_TOL * max(1.0, float(np.max(np.abs(rays), initial=0.0)))
+    for active in itertools.product((False, True), repeat=len(rays)):
+        if any(active):
+            face = _null_space(rays[list(active)])
+            vals, vecs = np.linalg.eigh(face.T @ h @ face)
+            vecs = face @ vecs
+        else:
+            vals, vecs = np.linalg.eigh(h)
+        for val, lam in zip(vals, vecs.T):
+            if best is not None and val >= best[0]:
+                break
+            feasible = [c for c in (lam, -lam) if np.all(rays @ c >= -tol)]
+            if feasible:
+                best = (float(val), feasible[0])
+                break
+    return best
 
 
-def msosc_check(p: ProblemInstance, x: Point, y, z=None, n_samples: int = 100) -> MsoscReport:
+def _hess_matrix(p: ProblemInstance, x: Point, z, dirs):
+    """The matrix of <xi, Hess_x l(x, z) xi> on the orthonormal tangent
+    directions ``dirs``, symmetric up to rounding (eigh reads its lower
+    triangle)."""
+    hdirs = np.empty_like(dirs)
+    for d, out in zip(dirs, hdirs):
+        out[...] = rhess_apply(p, x, z, d)
+    return hdirs.reshape(len(dirs), -1) @ dirs.reshape(len(dirs), -1).T
+
+
+def msosc_check(p: ProblemInstance, x: Point, y, z=None) -> MsoscReport:
     """Second order sufficiency over the critical cone (polyhedral sets only).
 
-    A trivial cone is certified exactly; otherwise unit critical directions
-    are sampled and the quadratic form
-    ``<xi, Hess_x l(x, z) xi> - psi*(y)`` must stay above CONE_TOL.  Refuses
-    the same instance sizes as ``msrcq_check``.
+    The form ``<xi, Hess_x l(x, z) xi> - psi*(y)`` must stay above CONE_TOL
+    on the unit critical cone.  Its minimum is found exactly (``_cone_min``),
+    and the form is evaluated once, at the minimising direction.  Refuses
+    the same instance sizes as ``msrcq_check``, and a cone with more than
+    ``MAX_RAY_ROWS`` one-sided generators.
     """
-    return _msosc(p, x, y, z, _condition_system(p, x, y, z), n_samples)
+    return _msosc(p, x, y, z, _condition_system(p, x, y, z))
 
 
-def _msosc(p: ProblemInstance, x: Point, y, z, system, n_samples: int = 100) -> MsoscReport:
-    # the critical cone in basis coefficients: the image rows no generator
-    # covers vanish, and the ray rows are >= 0 once oriented by their sign
+def _msosc(p: ProblemInstance, x: Point, y, z, system) -> MsoscReport:
+    # the critical cone in coordinates on N, the null space of the image rows
+    # no generator covers: the ray rows, oriented by their sign, are >= 0
     basis, img, (free, pos, neg) = system
-    eq_rows = img[~(free | pos | neg)]
-    nmat = _null_space(eq_rows, rcond=1e-10) if len(eq_rows) else np.eye(len(basis))
+    nmat = _null_space(img[~(free | pos | neg)])
     k1 = nmat.shape[1]
-    trivial, witness = _cone_is_trivial(k1, np.vstack([img[pos], -img[neg]]) @ nmat)
-    if trivial:
-        return MsoscReport("vacuous", float("nan"), 0, k1)
-
-    rng = np.random.default_rng(0)
-    samples = []
-
-    def try_direction(lam):
-        xi = np.tensordot(nmat @ lam, basis, axes=1)
-        nrm = float(np.linalg.norm(xi))
-        if nrm < 1e-12:
-            return
-        xi = xi / nrm
-        try:
-            if critical_cone_member(p, x, z, xi):
-                samples.append(xi)
-        except ValueError:
-            pass
-
-    if witness is not None:
-        try_direction(np.asarray(witness, dtype=float))
-    attempts = 0
-    while len(samples) < n_samples and attempts < 50 * n_samples:
-        attempts += 1
-        try_direction(rng.standard_normal(k1))
-    if not samples:
-        return MsoscReport("fail", float("nan"), 0, k1)
-
-    min_q = float("inf")
-    bad_infinite = False
-    finite_seen = 0
+    if k1 == 0:
+        return MsoscReport("vacuous", float("nan"), 0)
+    rays = np.vstack([img[pos], -img[neg]]) @ nmat
+    if len(rays) > MAX_RAY_ROWS:
+        raise ValueError(
+            f"M-SOSC check too large: {len(rays)} one-sided cone generators exceed {MAX_RAY_ROWS}"
+        )
+    found = _cone_min(_hess_matrix(p, x, z, np.tensordot(nmat.T, basis, axes=1)), rays)
+    if found is None:
+        return MsoscReport("vacuous", float("nan"), k1)
+    xi = np.tensordot(nmat @ found[1], basis, axes=1)
     xa = x.ambient
-    for xi in samples:
-        quad = hess_quadform(p, x, z, xi)
-        d1 = p.g1.jacobian_apply(xa, xi)
-        star = psi_conjugate(p.theta, p.g1.value(xa), d1, y, CONE_TOL, CONE_TOL)
-        if not star.finite:
-            if quad <= 0:
-                bad_infinite = True
-            continue
-        finite_seen += 1
-        min_q = min(min_q, quad - star.value)
-    ok = (not bad_infinite) and finite_seen > 0 and min_q > CONE_TOL
-    return MsoscReport(
-        "pass" if ok else "fail",
-        min_q if finite_seen else float("nan"),
-        len(samples),
-        k1,
-    )
+    star = psi_conjugate(p.theta, p.g1.value(xa), p.g1.jacobian_apply(xa, xi), y, CONE_TOL, CONE_TOL)
+    if not star.finite:
+        return MsoscReport("fail", float("nan"), k1)
+    value = hess_quadform(p, x, z, xi) - star.value
+    return MsoscReport("pass" if value > CONE_TOL else "fail", value, k1)
 
 
 @dataclass

@@ -75,6 +75,8 @@ def build_problem(cfg: RunConfig):
         raise ConfigError(f"unknown {cfg.family} mode {mode!r}")
     if cfg.matrix is not None and cfg.family != "sphere-l1":
         raise ConfigError(f"family {cfg.family} does not read a [matrix] section (sphere-l1 only)")
+    if cfg.matrix is not None and mode == "random":
+        raise ConfigError("a [matrix] section fixes the instance; mode random would draw another")
     if cfg.family == "circle":
         return build_family(CircleExample()), sphere_point([1.0, 0.0]), circle_reference(), None
     if cfg.family == "sphere-l1":
@@ -168,10 +170,9 @@ def write_conditions(path: Path, report) -> None:
             )
         )
         fh.write(
-            "msosc = {} (min value {}, {} samples, cone nullity {})\n".format(
+            "msosc = {} (min value {}, cone nullity {})\n".format(
                 report.msosc.status,
                 _fmt(report.msosc.min_value) or "n/a",
-                report.msosc.samples_used,
                 report.msosc.cone_nullity,
             )
         )

@@ -177,11 +177,3 @@ def dist2_grad(q: Box, v, rho: float):
     resid = v - project_set(q, v)
     return 0.5 * rho * float(np.sum(resid * resid)), rho * resid
 
-
-def tangent_cone_member(q: Box, s, d, tol: float = 1e-8) -> bool:
-    """d in T_Q(s), decided by the active bounds."""
-    s = np.asarray(s, dtype=float)
-    d = np.asarray(d, dtype=float)
-    lo_active = s <= q.lower + tol
-    hi_active = s >= q.upper - tol
-    return bool(np.all(d[lo_active] >= -tol) and np.all(d[hi_active] <= tol))

@@ -28,8 +28,8 @@ import numpy as np
 
 # Absolute singular-value threshold below which a factor counts as rank deficient.
 SV_RANK_TOL = 1e-12
-# check_point's bounds: |norm - 1| of a sphere point, and the entrywise
-# orthonormality error and relative reconstruction error of fixed-rank factors
+# |norm - 1| of a sphere point (sphere_point, check_point), and check_point's
+# entrywise orthonormality and relative reconstruction errors of fixed-rank factors
 SPHERE_NORM_TOL = 1e-12
 FACTOR_TOL = 1e-10
 
@@ -97,10 +97,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def sphere_point(vec, tol: float = 1e-12) -> Point:
+def sphere_point(vec) -> Point:
     vec = np.asarray(vec, dtype=float)
     nrm = np.linalg.norm(vec)
-    if abs(nrm - 1.0) > tol:
+    if abs(nrm - 1.0) > SPHERE_NORM_TOL:
         raise ValueError(f"not on the unit sphere: |norm - 1| = {abs(nrm - 1.0):.3e}")
     return Point(ambient=_readonly(vec))
 
@@ -232,18 +232,23 @@ def tangent_norm(xi) -> float:
     return float(np.linalg.norm(xi))
 
 
-def curvature_quadform(manifold: Manifold, x: Point, g, xi) -> float:
-    """<G, II_x(xi, xi)>: what the manifold's curvature adds to <xi, Hess f(x) xi>
-    when G is the ambient gradient of f, the Weingarten term of Absil, Mahony &
-    Trumpf (GSI 2013).
+def weingarten(manifold: Manifold, x: Point, g, xi) -> np.ndarray:
+    """The Weingarten map at the ambient vector G applied to the tangent
+    vector xi (Absil, Mahony & Trumpf, GSI 2013): what the manifold's
+    curvature adds to P_x(ehess f(x) xi) in Hess f(x) xi when G is the
+    ambient gradient of f.  A dense ambient array.
 
-    Sphere: -<x, G> |xi|^2.  Fixed rank: 2 sum_i (U_p^T G V_p)_ii / s_i with
-    (M, U_p, V_p) the factors of xi (Vandereycken, SIAM J. Optim. 2013).
+    Sphere: -<x, G> xi.  Fixed rank: P_U^perp G V_p S^-1 V^T + U S^-1 U_p^T G P_V^perp
+    with (M, U_p, V_p) the factors of xi (Vandereycken, SIAM J. Optim. 2013).
     """
     if isinstance(manifold, Sphere):
-        return -float(np.sum(x.ambient * g)) * float(np.linalg.norm(xi)) ** 2
+        return -float(np.sum(x.ambient * g)) * np.asarray(xi, dtype=float)
     xi = tangent_vector(manifold, x, xi)
-    return 2.0 * float(np.sum(np.sum(xi.u_p * (g @ xi.v_p), axis=0) / x.s))
+    u, v = x.u, x.v
+    gv, ug = g @ xi.v_p, xi.u_p.T @ g
+    left = (gv - u @ (u.T @ gv)) / x.s
+    right = (ug - (ug @ v) @ v.T) / x.s[:, None]
+    return left @ v.T + u @ right
 
 
 def _sphere_exp(x: np.ndarray, xi: np.ndarray) -> np.ndarray:

@@ -22,11 +22,11 @@ from .manifolds import (
     Manifold,
     Point,
     Sphere,
-    curvature_quadform,
     nearest_rank_r,
     project_tangent,
     sphere_point,
     tangent_vector,
+    weingarten,
 )
 
 
@@ -34,7 +34,7 @@ from .manifolds import (
 class SmoothMap:
     """An affine map of the ambient space with its Jacobian.
 
-    Every g1 and g2 of the program is affine, and ``hess_quadform`` takes
+    Every g1 and g2 of the program is affine, and ``rhess_apply`` takes
     their second derivative to be zero.  ``support`` marks a map that reads x
     entrywise: at these flat indices value(x) = x + value(0), and elsewhere
     value(x) = value(0), which does not depend on x (None: no such
@@ -406,13 +406,14 @@ def tilted_instance(p: ProblemInstance, a=None, b=None, c=None) -> ProblemInstan
     return replace(new, label=p.label + "+tilt")
 
 
-def hess_quadform(p: ProblemInstance, x: Point, z, xi) -> float:
-    """<xi, Hess_x l(x, z) xi> for l = f + <z, g2> (z required with Q).
+def rhess_apply(p: ProblemInstance, x: Point, z, xi) -> np.ndarray:
+    """Hess_x l(x, z)[xi] for l = f + <z, g2> and a tangent xi (z required
+    with Q), as a dense ambient array.
 
-    The closed form <xi, ehess f(x) xi> plus the manifold's curvature term at
-    the ambient gradient G = egrad f + Dg2^T z (``curvature_quadform``); g2 is
-    affine, so it enters through G only.  <y, g1> is left out: g1 is affine
-    too, so what it would add is its Weingarten part, the curvature term at
+    The projected Euclidean Hessian P_x(ehess f(x) xi) plus the manifold's
+    Weingarten map at the ambient gradient G = egrad f + Dg2^T z
+    (``weingarten``); g2 is affine, so it enters through G only.  <y, g1> is
+    left out: g1 is affine too, so what it would add is the Weingarten map at
     Dg1^T y.  Whether M-SOSC should carry that part is open (ROADMAP.md,
     item 9).
     """
@@ -422,7 +423,13 @@ def hess_quadform(p: ProblemInstance, x: Point, z, xi) -> float:
     g = p.f.egrad(xa)
     if p.g2 is not None:
         g = g + p.g2.jacobian_adjoint(xa, np.asarray(z, dtype=float))
-    return float(np.sum(xi * p.f.ehess_apply(xa, xi))) + curvature_quadform(p.manifold, x, g, xi)
+    return project_tangent(p.manifold, x, p.f.ehess_apply(xa, xi)) + weingarten(p.manifold, x, g, xi)
+
+
+def hess_quadform(p: ProblemInstance, x: Point, z, xi) -> float:
+    """<xi, Hess_x l(x, z) xi> for l = f + <z, g2>, from ``rhess_apply``."""
+    xi = np.asarray(xi, dtype=float)
+    return float(np.sum(xi * rhess_apply(p, x, z, xi)))
 
 
 def objective_value(p: ProblemInstance, x: Point) -> float:

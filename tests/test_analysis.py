@@ -6,13 +6,13 @@ import pytest
 
 from ralm import analysis, cli
 from ralm.analysis import (
-    _cone_is_trivial,
+    MAX_RAY_ROWS,
+    _cone_min,
     _ctheta_generator_signs,
     _null_space,
     _tq_capz_generators,
     calmness_probe,
     condition_report,
-    critical_cone_member,
     error_bound_fit,
     msosc_check,
     msrcq_check,
@@ -41,7 +41,7 @@ from ralm.problems import (
 )
 from ralm.solver import ALMConfig, alm_run, kkt_blocks, kkt_residual
 
-from helpers import random_tangent
+from helpers import ray_cone_instance
 
 RT2 = np.sqrt(2.0) / 2.0
 
@@ -102,45 +102,6 @@ class TestNaturalMap:
         from ralm.manifolds import project_tangent
 
         np.testing.assert_allclose(moved, project_tangent(p.manifold, x, expected), atol=1e-14)
-
-
-class TestCriticalCone:
-    def test_zero_direction_is_member(self):
-        p = build_family(CircleExample())
-        x, y, z = circle_solution()
-        assert critical_cone_member(p, x, z, np.zeros(2))
-
-    def test_circle_rejects_all_nonzero_tangents(self):
-        p = build_family(CircleExample())
-        x, y, z = circle_solution()
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            v = float(rng.standard_normal())
-            if abs(v) < 1e-8:
-                continue
-            xi = v * np.array([RT2, -RT2])
-            assert not critical_cone_member(p, x, z, xi)
-
-    def test_sphere_demo_rejects_tangents(self):
-        p, trip = solved_sphere_demo()
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            xi = random_tangent(p.manifold, trip.x, rng)
-            if np.linalg.norm(xi) < 1e-8:
-                continue
-            assert not critical_cone_member(p, trip.x, trip.z, xi)
-
-    def test_nontangent_direction_rejected_as_precondition(self):
-        p = build_family(CircleExample())
-        x, y, z = circle_solution()
-        with pytest.raises(ValueError):
-            critical_cone_member(p, x, z, x.ambient.copy())
-
-    def test_omitted_set_multiplier_is_rejected(self):
-        p = build_family(CircleExample())
-        x, y, _ = circle_solution()
-        with pytest.raises(ValueError, match="set constraint"):
-            critical_cone_member(p, x, None, np.zeros(2))
 
 
 def constant_zero_map(n):
@@ -362,7 +323,7 @@ class TestMsosc:
         x = sphere_point([0.0, 1.0])
         y = np.zeros(2)
         assert kkt_residual(p, x, y) <= 1e-12
-        rep = msosc_check(p, x, y, n_samples=20)
+        rep = msosc_check(p, x, y)
         assert rep.status == "fail"
         assert rep.min_value < 0
 
@@ -387,7 +348,7 @@ class TestMsosc:
             label="minimum",
         )
         x = sphere_point([0.0, 1.0])
-        rep = msosc_check(p, x, np.zeros(2), n_samples=20)
+        rep = msosc_check(p, x, np.zeros(2))
         assert rep.status == "pass"
         assert rep.min_value > 0
 
@@ -420,27 +381,108 @@ NULL_SPACE_CASES = {
 
 
 class TestConeTriviality:
-    @pytest.mark.parametrize("rcond", [None, 1e-10], ids=["default", "1e-10"])
+    # the reference runs at rcond = 1e-10, the threshold _null_space uses
+    @pytest.mark.parametrize("rcond", [1e-10], ids=["1e-10"])
     @pytest.mark.parametrize("name", list(NULL_SPACE_CASES))
     def test_null_space_matches_scipy(self, name, rcond):
         from scipy.linalg import null_space
 
         a = NULL_SPACE_CASES[name]
-        ours, ref = _null_space(a, rcond=rcond), null_space(a, rcond=rcond)
+        ours, ref = _null_space(a), null_space(a, rcond=rcond)
         assert ours.shape == ref.shape
         np.testing.assert_allclose(ours @ ours.T, ref @ ref.T, rtol=0, atol=1e-12)
 
-    def test_pointed_cone_solves_lp_and_is_trivial(self):
+    @pytest.mark.parametrize("h", [np.eye(2), np.diag([-1.0, 2.0])], ids=["identity", "indefinite"])
+    def test_pointed_cone_is_trivial(self, h):
         # lam1 >= 0, lam2 >= 0, -lam1 - lam2 >= 0 leaves only lam = 0
         a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-        assert _cone_is_trivial(2, a) == (True, None)
+        assert _cone_min(h, a) is None
 
-    def test_open_cone_solves_lp_and_returns_witness(self):
+    def test_open_cone_returns_a_unit_direction(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        trivial, lam = _cone_is_trivial(2, a)
-        assert trivial is False
-        assert np.linalg.norm(lam) > 0
+        value, lam = _cone_min(np.eye(2), a)
+        assert np.linalg.norm(lam) == pytest.approx(1.0)
         assert np.all(a @ lam >= -1e-9)
+        assert value == pytest.approx(1.0)
+
+
+def brute_force_cone_min(h, rays, n_samples=20000, seed=0):
+    """Smallest lam^T h lam over random unit lam with rays @ lam >= 0, or None
+    when no sample lands in the cone."""
+    lam = np.random.default_rng(seed).standard_normal((n_samples, len(h)))
+    lam /= np.linalg.norm(lam, axis=1, keepdims=True)
+    lam = lam[np.all(lam @ rays.T >= 0, axis=1)]
+    return np.min(np.einsum("si,ij,sj->s", lam, h, lam)) if len(lam) else None
+
+
+class TestConeMin:
+    def test_matches_brute_force_on_random_small_cones(self):
+        rng = np.random.default_rng(3)
+        for trial in range(200):
+            k = int(rng.integers(2, 5))
+            h = rng.standard_normal((k, k))
+            h = h + h.T
+            rays = rng.standard_normal((int(rng.integers(1, 5)), k))
+            found = _cone_min(h, rays)
+            brute = brute_force_cone_min(h, rays, seed=trial)
+            if found is None:
+                assert brute is None
+                continue
+            value, lam = found
+            # an attained value: lam is a unit vector of the cone
+            assert np.linalg.norm(lam) == pytest.approx(1.0)
+            assert np.all(rays @ lam >= -1e-9)
+            assert value == pytest.approx(lam @ h @ lam, abs=1e-12)
+            # and no sampled direction of the cone goes below it
+            assert brute is None or value <= brute + 1e-12
+
+    def test_min_on_a_lower_dimensional_cone(self):
+        # lam1 >= 0 and -lam1 >= 0 leave the line lam1 = 0, and lam2 >= 0 the ray e2
+        rays = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        value, lam = _cone_min(np.diag([-5.0, 2.0, 3.0]), rays)
+        assert value == pytest.approx(2.0)
+        np.testing.assert_allclose(lam, [0.0, 1.0, 0.0], atol=1e-12)
+
+    def test_no_rays_is_the_smallest_eigenvalue(self):
+        h = np.diag([3.0, -1.0, 2.0])
+        value, lam = _cone_min(h, np.zeros((0, 3)))
+        assert value == pytest.approx(-1.0)
+        assert abs(lam[1]) == pytest.approx(1.0)
+
+
+class TestExactMsosc:
+    def test_planted_negative_direction_in_a_200_dim_cone_fails(self):
+        # f = -x^T D x at x = e_k with the penalty off: the cone is the whole
+        # tangent space, the form is 2 (d_k - d_i) along e_i, and one d_j
+        # slightly above d_k plants the only negative direction among 199
+        n, k, j = 200, 0, 57
+        d = np.zeros(n)
+        d[k], d[j] = 1.0, 1.01
+        p = build_family(SphereL1(np.diag(np.sqrt(d)), mu=0.0))
+        x = sphere_point(np.eye(n)[k])
+        rep = msosc_check(p, x, np.zeros(n))
+        assert rep.status == "fail"
+        assert rep.cone_nullity == n - 1
+        assert rep.min_value == pytest.approx(2.0 * (d[k] - d[j]), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "a_diag, want",
+        [([2.0, 1.0, 1.5, 0.5, 1.8], 2.0 * (4.0 - 2.25)), ([1.0, 1.2, 0.5, 0.3, 2.0], 2.0 * (1.0 - 1.44))],
+        ids=["pass", "fail"],
+    )
+    def test_cone_with_ray_rows(self, a_diag, want):
+        # two ray rows (coordinates 1 and 2) and two equality rows (3 and 4):
+        # the minimum sits on the ray of the larger of a_1, a_2
+        p, x, y = ray_cone_instance(a_diag, 2)
+        rep = msosc_check(p, x, y)
+        assert rep.status == ("pass" if want > 0 else "fail")
+        assert rep.cone_nullity == 2
+        assert rep.min_value == pytest.approx(want, abs=1e-12)
+
+    def test_refuses_more_ray_rows_than_the_cap(self):
+        p, x, y = ray_cone_instance(np.linspace(2.0, 1.0, MAX_RAY_ROWS + 3), MAX_RAY_ROWS + 1)
+        with pytest.raises(ValueError, match=f"{MAX_RAY_ROWS + 1} one-sided cone generators exceed"):
+            msosc_check(p, x, y)
 
 
 class TestCalmnessProbe:

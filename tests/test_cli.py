@@ -306,6 +306,18 @@ class TestConfigParsing:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "[matrix]" in err[0]
 
+    @pytest.mark.parametrize("flag", [[], ["--mode", "random"]], ids=["config", "flag"])
+    def test_matrix_section_with_random_mode_rejected(self, tmp_path, capsys, flag):
+        # the matrix fixes n = 2; before, n = 30 was dropped without a word
+        f = tmp_path / "mat.cfg"
+        mode = "" if flag else "mode=random\n"
+        f.write_text(f"[problem]\nfamily=sphere-l1\n{mode}n=30\n[matrix]\n1.0 2.0\n3.0 4.0\n")
+        code = main(["sphere-l1", *flag, "--config", str(f), "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "[matrix]" in err[0]
+        assert not (tmp_path / "o" / "summary.txt").exists()
+
 
 class TestFigure1Command:
     def test_artifacts_and_ordering(self, tmp_path):
@@ -513,15 +525,21 @@ class TestColdStart:
             ["analyze", "--family", "circle"],
         ]
         argvs = [argv + ["--out", str(tmp_path / f"o{i}")] for i, argv in enumerate(commands)]
+        # and an M-SOSC check on a cone with ray rows, where a cone LP used to
+        # import SciPy
         code = (
             "import sys\n"
+            "sys.path.insert(0, 'tests')\n"
             "import ralm.cli\n"
+            "from ralm.analysis import msosc_check\n"
+            "from helpers import ray_cone_instance\n"
             f"codes = [ralm.cli.main(argv) for argv in {argvs!r}]\n"
+            "codes.append(msosc_check(*ray_cone_instance([2.0, 1.0, 1.5, 0.5], 2)).status)\n"
             "print(codes, any(k.startswith('scipy') for k in sys.modules))\n"
         )
         proc = run_python(["-c", code])
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[0, 0, 0] False"
+        assert proc.stdout.strip() == "[0, 0, 0, 'pass'] False"
 
 
 class TestCompletionTableScript:

@@ -15,7 +15,6 @@ from ralm.convex import (
     prox,
     prox_residual,
     psi_conjugate,
-    tangent_cone_member,
 )
 
 
@@ -371,17 +370,6 @@ class TestSets:
         np.testing.assert_array_equal(project_set(q, s + np.array([-3.0, 0.0])), s)
         np.testing.assert_array_equal(project_set(q, s + np.zeros(2)), s)
         assert not np.array_equal(project_set(q, s + np.array([0.0, 1.0])), s)
-
-    def test_tangent_cone_membership(self):
-        q = orthant(2)
-        s = np.array([0.0, 1.0])
-        assert tangent_cone_member(q, s, np.array([1.0, -5.0]))
-        assert not tangent_cone_member(q, s, np.array([-1.0, 0.0]))
-        b = Box(np.zeros(2), np.ones(2))
-        assert tangent_cone_member(b, np.array([0.0, 1.0]), np.array([0.5, -0.5]))
-        assert not tangent_cone_member(b, np.array([0.0, 1.0]), np.array([0.5, 0.5]))
-        assert tangent_cone_member(full_space(2), s, np.array([9.0, 9.0]))
-        assert not tangent_cone_member(zero_set(2), np.zeros(2), np.array([1e-3, 0.0]))
 
     @pytest.mark.parametrize(
         "q",

@@ -21,6 +21,7 @@ from ralm.problems import (
     merit_rgrad,
     merit_shifts,
     objective_value,
+    rhess_apply,
     rmc_basic_instance,
     rmc_spectral_init,
     tilted_instance,
@@ -398,6 +399,37 @@ class TestTiltedInstance:
             tilted_instance(p, c=np.ones(2))
 
 
+def second_difference(p, x, z, v, h=1e-3):
+    """Five-point second difference of t -> l(R_x(t v)) at 0, l = f + <z, g2>."""
+    y0 = np.zeros(p.g1.out_shape)
+    vals = [lagrangian_value(p, retract(p.manifold, x, t * v), y0, z) for t in (-2 * h, -h, h, 2 * h)]
+    return (-vals[0] + 16 * vals[1] - 30 * lagrangian_value(p, x, y0, z) + 16 * vals[2] - vals[3]) / (12 * h * h)
+
+
+class TestRhessApply:
+    # every family tilted by f -> f - <a, x>, so that the Weingarten map is
+    # not zero on RMC; 70 x 60 takes the orthographic retraction
+    @pytest.mark.parametrize("name", ["circle", "sphere-l1", "rmc", "rmc-70x60"])
+    def test_symmetric_and_matches_polarised_second_differences(self, name):
+        rng = np.random.default_rng(31)
+        if name == "rmc-70x60":
+            p = build_family(RMC(rng.standard_normal((70, 60)), np.ones((70, 60), dtype=bool), 3))
+        else:
+            p = make_families()[name]
+        p = tilted_instance(p, a=rng.standard_normal(p.manifold.ambient_shape))
+        z = rng.standard_normal(p.g2.out_shape) if p.q is not None else None
+        for _ in range(3):
+            x = random_point(p.manifold, rng)
+            xi, eta = (random_tangent(p.manifold, x, rng) for _ in range(2))
+            xi, eta = xi / np.linalg.norm(xi), eta / np.linalg.norm(eta)
+            h_xi, h_eta = rhess_apply(p, x, z, xi), rhess_apply(p, x, z, eta)
+            np.testing.assert_allclose(project_tangent(p.manifold, x, h_xi), h_xi, atol=1e-12)
+            assert np.sum(eta * h_xi) == pytest.approx(np.sum(xi * h_eta), abs=1e-12)
+            polar = (second_difference(p, x, z, xi + eta) - second_difference(p, x, z, xi - eta)) / 4
+            assert np.sum(eta * h_xi) == pytest.approx(polar, abs=1e-6 * max(1.0, abs(polar)))
+            assert hess_quadform(p, x, z, xi) == np.sum(xi * h_xi)
+
+
 class TestHessQuadform:
     def test_sphere_closed_form_matches_value_differences(self):
         p = build_family(SphereL1(SPHERE_L1_DEMO_A, mu=0.25))
@@ -435,7 +467,4 @@ class TestHessQuadform:
         x = random_point(p.manifold, rng)
         xi = random_tangent(p.manifold, x, rng)
         xi /= np.linalg.norm(xi)
-        h = 1e-3
-        vals = [p.f.value(retract(p.manifold, x, t * xi).ambient) for t in (-2 * h, -h, h, 2 * h)]
-        fd = (-vals[0] + 16 * vals[1] - 30 * p.f.value(x.ambient) + 16 * vals[2] - vals[3]) / (12 * h * h)
-        assert hess_quadform(p, x, None, xi) == pytest.approx(fd, rel=1e-6)
+        assert hess_quadform(p, x, None, xi) == pytest.approx(second_difference(p, x, None, xi), rel=1e-6)

@@ -1,0 +1,39 @@
+"""The benchmark's commands and the strings its checks match, run in tier-1.
+
+Every small-analyze and sphere-200 command must pass its own check, or fail
+exactly as ``is_known_failure`` describes, so that a change to an output line
+the benchmark reads (``conditions.txt``'s ``msrcq = fail (rank 83/400`` line,
+a summary key) fails here rather than as a lower success rate."""
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from ralm.cli import main
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "ralmbench" / "workloads.py"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("ralmbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = load_workloads()
+COMMANDS = workloads.WORKLOADS["small-analyze"](0) + workloads.WORKLOADS["sphere-200"](0)
+
+
+@pytest.mark.parametrize("cmd", COMMANDS, ids=[c.label for c in COMMANDS])
+def test_command_passes_its_check_or_fails_as_known(cmd, tmp_path):
+    out = tmp_path / "out"
+    code = main([*cmd.argv, "--out", str(out)])
+    if cmd.known_failure is not None:
+        assert workloads.is_known_failure(cmd, code, out)
+    else:
+        assert code == 0
+        assert cmd.check(workloads.read_summary(out)) == []
