@@ -29,6 +29,8 @@ from .problems import ProblemInstance, hess_quadform, rhess_apply, tilted_instan
 from .solver import ALMConfig, alm_run, distance_to_reference, kkt_residual
 
 KKT_GATE = 1e-6
+# the residual a polished triple must reach before the probes run
+POLISHED_KKT_GATE = 1e-9
 RANK_TOL = 1e-8
 CONE_TOL = 1e-8
 # Cap on the condition checks' dense work, counted as the spanning system of
@@ -352,7 +354,7 @@ def calmness_probe(
     thread, each from its own seed drawn before the first trial.
     """
     r0 = kkt_residual(p, x, y, z)
-    if r0 > 1e-9:
+    if r0 > POLISHED_KKT_GATE:
         raise ValueError(f"probe needs a polished KKT point, residual {r0:.3e}")
     if not msrcq_check(p, x, y, z).passed:
         raise ValueError("strict constraint qualification failed; multiplier may not be unique")
@@ -404,7 +406,7 @@ def error_bound_fit(
 ) -> ErrorBoundFit:
     """Fit the two-sided constants of dist <= c R and R <= dist / c around a KKT point."""
     r0 = kkt_residual(p, x, y, z)
-    if r0 > 1e-9:
+    if r0 > POLISHED_KKT_GATE:
         raise ValueError(f"error-bound fit needs a polished KKT point, residual {r0:.3e}")
     rng = np.random.default_rng(seed)
     y = np.asarray(y, dtype=float)

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    POLISHED_KKT_GATE,
     calmness_probe,
     check_condition_size,
     condition_report,
@@ -30,7 +31,15 @@ from .analysis import (
     fit_log_linear,
     polish_kkt,
 )
-from .config import ConfigError, RunConfig, apply_flag_overrides, parse_problem_file
+from .config import (
+    ALM_KEYS,
+    FAMILIES,
+    PROBLEM_KEYS,
+    ConfigError,
+    RunConfig,
+    apply_flag_overrides,
+    parse_problem_file,
+)
 from .manifolds import FixedRank, RankDeficiencyError, nearest_rank_r, random_point, sphere_point
 from .problems import (
     RMC,
@@ -53,25 +62,21 @@ EXIT_CHECK_FAILED = 3
 
 FIGURE1_RHOS = (1.0, 10.0, 100.0, 1000.0)
 
-# the mode a family runs when neither --mode nor the config file names one;
-# sphere-l1 and rmc also have a "random" mode
-DEFAULT_MODES = {"circle": None, "sphere-l1": "builtin5x5", "rmc": "basic5x5"}
-
 
 # ---------------------------------------------------------------------------
 # problem builder
 
 
 def _mode(cfg: RunConfig):
-    if cfg.family not in DEFAULT_MODES:
+    if cfg.family not in FAMILIES:
         raise ConfigError(f"unknown family {cfg.family!r}")
-    return cfg.mode or DEFAULT_MODES[cfg.family]
+    return cfg.mode or FAMILIES[cfg.family].mode
 
 
 def build_problem(cfg: RunConfig):
     """Returns (problem, x0, reference-triple-or-None, exact-matrix-or-None)."""
     mode = _mode(cfg)
-    if mode != DEFAULT_MODES[cfg.family] and (mode != "random" or cfg.family == "circle"):
+    if mode != FAMILIES[cfg.family].mode and (mode != "random" or cfg.family == "circle"):
         raise ConfigError(f"unknown {cfg.family} mode {mode!r}")
     if cfg.matrix is not None and cfg.family != "sphere-l1":
         raise ConfigError(f"family {cfg.family} does not read a [matrix] section (sphere-l1 only)")
@@ -314,6 +319,11 @@ def cmd_sphere_l1(cfg: RunConfig, out: Path) -> int:
         entries["x_abs_error"] = x_err
         entries["multiplier_error"] = y_err
         if x_err > 1e-6 or y_err > 1e-6 or not report.msrcq.passed:
+            print(
+                f"sphere-l1 builtin5x5 check failed: x error {x_err:.3e}, "
+                f"multiplier error {y_err:.3e}, msrcq {entries['msrcq']}",
+                file=sys.stderr,
+            )
             code = EXIT_CHECK_FAILED
     write_summary(out / "summary.txt", entries)
     return code
@@ -345,7 +355,7 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> int:
     if not res.converged:
         return EXIT_PARTIAL
     trip = polish_kkt(p, res.x, res.y, res.z, tol=1e-12)
-    if trip.residual > 1e-9:
+    if trip.residual > POLISHED_KKT_GATE:
         print(f"polish failed: residual {trip.residual:.3e}", file=sys.stderr)
         return EXIT_PARTIAL
     report = condition_report(p, trip.x, trip.y, trip.z)
@@ -372,39 +382,6 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> int:
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="problem configuration file")
-    parser.add_argument("--seed", type=int, default=None, help="random seed")
-    parser.add_argument("--out", metavar="DIR", default=None, help="output directory (default ./out)")
-    parser.add_argument(
-        "--fixed-rho", action="store_true", help="disable penalty growth (tau = 1 semantics)"
-    )
-    parser.add_argument("--rho0", type=float, default=None)
-    parser.add_argument("--gamma", type=float, default=None)
-    parser.add_argument("--tau", type=float, default=None)
-    parser.add_argument("--eps0", type=float, default=None)
-    parser.add_argument("--eps-decay", dest="eps_decay", type=float, default=None)
-    parser.add_argument("--kkt-tol", dest="kkt_tol", type=float, default=None)
-    parser.add_argument("--max-outer", dest="max_outer", type=int, default=None)
-
-
-# every problem flag; solve and analyze take them all, the family commands
-# take their family's FAMILY_FLAGS
-PROBLEM_FLAGS = {
-    "family": dict(choices=tuple(DEFAULT_MODES)),
-    "mode": {},
-    "n": dict(type=int),
-    "m": dict(type=int),
-    "r": dict(type=int),
-    "mu": dict(type=float),
-    "oversample": dict(type=float),
-}
-FAMILY_FLAGS = {
-    "circle": (),
-    "sphere-l1": ("mode", "n", "mu"),
-    "rmc": ("mode", "m", "n", "r", "oversample"),
-}
-
 # subcommand: (handler, help, the family it fixes or None)
 COMMANDS = {
     "solve": (cmd_solve, "run the solver on a problem family", None),
@@ -413,6 +390,9 @@ COMMANDS = {
     "rmc": (cmd_rmc, "robust matrix completion on the fixed-rank manifold", "rmc"),
     "analyze": (cmd_analyze, "optimality conditions, calmness and error-bound probes", None),
 }
+
+
+FLAG_HELP = {"seed": "random seed", "fixed_rho": "disable penalty growth (tau = 1 semantics)"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -429,13 +409,20 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, family) in COMMANDS.items():
-        ps = sub.add_parser(name, help=help_text)
-        for flag in FAMILY_FLAGS[family] if family else PROBLEM_FLAGS:
-            spec = PROBLEM_FLAGS[flag]
-            if flag == "mode" and family:
-                spec = dict(choices=(DEFAULT_MODES[family], "random"))
-            ps.add_argument(f"--{flag}", default=None, **spec)
-        _add_common(ps)
+        # no prefix abbreviations: --mu must not silently mean --multiplier-bound
+        ps = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        ps.add_argument("--config", metavar="PATH", help="problem configuration file")
+        ps.add_argument("--out", metavar="DIR", help="output directory (default ./out)")
+        # solve and analyze take every [problem] key, a family command its own
+        keys = ("seed", *FAMILIES[family].keys) if family else PROBLEM_KEYS
+        for key, typ in {**{k: PROBLEM_KEYS[k] for k in keys}, **ALM_KEYS}.items():
+            spec = dict(action="store_true") if typ is bool else dict(type=typ)
+            if key == "family":
+                spec["choices"] = tuple(FAMILIES)
+            elif key == "mode" and family:
+                spec["choices"] = (FAMILIES[family].mode, "random")
+            flag = "--" + key.replace("_", "-")
+            ps.add_argument(flag, default=None, help=FLAG_HELP.get(key), **spec)
         if family:
             ps.set_defaults(family=family)
     return parser

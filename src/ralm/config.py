@@ -1,15 +1,21 @@
-"""Line-oriented problem/run configuration files.
+"""What a run is configured by, and the line-oriented files that set it.
+
+Three tables declare every run setting once: ``PROBLEM_KEYS`` (the
+``[problem]`` keys and their types), ``ALM_KEYS`` (the ``[alm]`` keys, from
+``ALMConfig``'s type hints) and ``FAMILIES`` (each family's default mode and
+the ``[problem]`` keys its own command takes).  The config file, the
+command-line flags of ``ralm.cli`` and the family modes all derive from them.
 
 Format: ``[section]`` headers followed by ``key=value`` lines; the optional
 ``[matrix]`` section holds whitespace-separated matrix rows, one row per
-line.  Unknown keys warn (stderr) but do not fail; unparseable values raise
-``ConfigError`` carrying the line number.
+line.  Unknown sections and keys warn (stderr) once and are skipped;
+unparseable values raise ``ConfigError`` carrying the line number.
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Optional, get_type_hints
+from typing import NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
@@ -37,7 +43,7 @@ class RunConfig:
     out_dir: str = "out"
 
 
-_PROBLEM_KEYS = {
+PROBLEM_KEYS = {
     "family": str,
     "n": int,
     "m": int,
@@ -47,8 +53,20 @@ _PROBLEM_KEYS = {
     "oversample": float,
     "mode": str,
 }
-_ALM_KEYS = get_type_hints(ALMConfig)
-_FAMILIES = ("circle", "sphere-l1", "rmc")
+ALM_KEYS = get_type_hints(ALMConfig)
+
+
+class Family(NamedTuple):
+    mode: Optional[str]  # run when neither --mode nor the file names one
+    keys: tuple  # the [problem] keys its own command takes besides seed
+
+
+# sphere-l1 and rmc also have a "random" mode
+FAMILIES = {
+    "circle": Family(None, ()),
+    "sphere-l1": Family("builtin5x5", ("mode", "n", "mu")),
+    "rmc": Family("basic5x5", ("mode", "m", "n", "r", "oversample")),
+}
 
 
 def _parse_scalar(raw: str, typ, lineno: int):
@@ -90,29 +108,26 @@ def parse_problem_file(path: str) -> RunConfig:
                     raise ConfigError(f"non-finite entry in matrix row {line!r}", lineno)
                 matrix_rows.append(row)
                 continue
+            if section not in (None, "problem", "alm"):
+                continue  # under an unknown section, warned about above
             if "=" not in line:
                 raise ConfigError(f"expected key=value, got {line!r}", lineno)
             key, _, raw_val = line.partition("=")
             key = key.strip().lower()
-            if section == "problem":
-                if key not in _PROBLEM_KEYS:
-                    print(f"warning: unknown key {key!r} in [problem]", file=sys.stderr)
-                    continue
-                setattr(cfg, key, _parse_scalar(raw_val, _PROBLEM_KEYS[key], lineno))
-            elif section == "alm":
-                if key not in _ALM_KEYS:
-                    print(f"warning: unknown key {key!r} in [alm]", file=sys.stderr)
-                    continue
-                setattr(cfg.alm, key, _parse_scalar(raw_val, _ALM_KEYS[key], lineno))
-            else:
+            if section is None:
                 raise ConfigError(f"key {key!r} outside any section", lineno)
+            target, types = (cfg, PROBLEM_KEYS) if section == "problem" else (cfg.alm, ALM_KEYS)
+            if key not in types:
+                print(f"warning: unknown key {key!r} in [{section}]", file=sys.stderr)
+                continue
+            setattr(target, key, _parse_scalar(raw_val, types[key], lineno))
     if matrix_rows:
         widths = {len(row) for row in matrix_rows}
         if len(widths) != 1:
             raise ConfigError("matrix rows have inconsistent lengths")
         cfg.matrix = np.asarray(matrix_rows, dtype=float)
-    if cfg.family not in _FAMILIES:
-        raise ConfigError(f"unknown family {cfg.family!r}; expected one of {_FAMILIES}")
+    if cfg.family not in FAMILIES:
+        raise ConfigError(f"unknown family {cfg.family!r}; expected one of {tuple(FAMILIES)}")
     try:
         cfg.alm.validate()
     except ValueError as exc:
@@ -121,22 +136,14 @@ def parse_problem_file(path: str) -> RunConfig:
 
 
 def apply_flag_overrides(cfg: RunConfig, args) -> RunConfig:
-    """Command-line flags win over config-file values."""
-    for name in _PROBLEM_KEYS:
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
+    """Command-line flags win over config-file values; an unset flag is None."""
+    for keys, target in ((PROBLEM_KEYS, cfg), (ALM_KEYS, cfg.alm)):
+        for name in keys:
+            val = getattr(args, name, None)
+            if val is not None:
+                setattr(target, name, val)
     if getattr(args, "out", None) is not None:
         cfg.out_dir = args.out
-    for name in _ALM_KEYS:
-        if name == "fixed_rho":
-            continue
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg.alm, name, val)
-    # store_true flag: only an explicit --fixed-rho can turn it on
-    if getattr(args, "fixed_rho", False):
-        cfg.alm.fixed_rho = True
     for name in ("n", "m", "r"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ralm.analysis
+import ralm.cli
 from ralm.analysis import fit_log_linear
 from ralm.cli import (
     EXIT_CHECK_FAILED,
@@ -16,8 +17,15 @@ from ralm.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     main,
+    make_parser,
 )
-from ralm.config import ConfigError, parse_problem_file
+from ralm.config import (
+    PROBLEM_KEYS,
+    ConfigError,
+    RunConfig,
+    apply_flag_overrides,
+    parse_problem_file,
+)
 from ralm.problems import rmc_basic_instance
 from ralm.solver import ALMConfig
 
@@ -62,6 +70,62 @@ plot 'figure1.csv' using 1:3 with linespoints title 'rho=1', \\
      'figure1.csv' using 1:9 with linespoints title 'rho=1000'
 """
 
+# a raw value for every [alm] key and every [problem] key, with the value and
+# type it must land as
+ALM_VALUES = {
+    "rho0": ("2.5", 2.5),
+    "gamma": ("5", 5.0),
+    "tau": ("0.5", 0.5),
+    "eps0": ("0.1", 0.1),
+    "eps_decay": ("0.25", 0.25),
+    "eps_floor": ("1e-11", 1e-11),
+    "multiplier_bound": ("1e6", 1e6),
+    "kkt_tol": ("1e-8", 1e-8),
+    "max_outer": ("17", 17),
+    "fixed_rho": ("yes", True),
+}
+PROBLEM_VALUES = {
+    "family": ("rmc", "rmc"),
+    "n": ("7", 7),
+    "m": ("9", 9),
+    "r": ("2", 2),
+    "mu": ("0.5", 0.5),
+    "seed": ("4", 4),
+    "oversample": ("2.5", 2.5),
+    "mode": ("random", "random"),
+}
+# the [problem] flags each family command takes
+FAMILY_COMMAND_FLAGS = {
+    "figure1": {"seed"},
+    "sphere-l1": {"seed", "mode", "n", "mu"},
+    "rmc": {"seed", "mode", "m", "n", "r", "oversample"},
+}
+
+
+def as_flags(values):
+    """Command-line spelling of {key: (raw, _)}; a bool key is a bare flag."""
+    argv = []
+    for key, (raw, want) in values.items():
+        argv.append("--" + key.replace("_", "-"))
+        if not isinstance(want, bool):
+            argv.append(raw)
+    return argv
+
+
+@pytest.fixture
+def alm_configs(monkeypatch):
+    """The ALMConfig of every solve the CLI starts, in order."""
+    seen = []
+    real = ralm.cli.alm_run
+
+    def recording(p, alm, *args, **kwargs):
+        seen.append(alm)
+        return real(p, alm, *args, **kwargs)
+
+    monkeypatch.setattr(ralm.cli, "alm_run", recording)
+    return seen
+
+
 # every file each subcommand writes into --out on a successful default run
 WRITTEN_FILES = {
     "solve": ["history.csv", "summary.txt"],
@@ -90,8 +154,9 @@ class TestCommandOutputs:
             ["rmc", "--mode", "xyz"],
             ["solve", "--n", "abc"],
             ["solve", "--jobs", "2"],
+            ["rmc", "--max", "4"],
         ],
-        ids=["unknown-flag", "bad-choice", "bad-int", "removed-jobs"],
+        ids=["unknown-flag", "bad-choice", "bad-int", "removed-jobs", "prefix-of-a-flag"],
     )
     def test_usage_error_exits_one_line(self, tmp_path, capsys, argv):
         code = main(argv + ["--out", str(tmp_path / "o")])
@@ -219,6 +284,45 @@ class TestSolveCommand:
         assert code == EXIT_OK
 
 
+class TestFlagTable:
+    @pytest.mark.parametrize("command", ["solve", "analyze"])
+    def test_every_setting_is_a_flag_that_lands_with_its_type(self, command):
+        assert set(PROBLEM_VALUES) == set(PROBLEM_KEYS)
+        args = make_parser().parse_args([command, *as_flags({**PROBLEM_VALUES, **ALM_VALUES})])
+        cfg = apply_flag_overrides(RunConfig(), args)
+        for values, target in ((PROBLEM_VALUES, cfg), (ALM_VALUES, cfg.alm)):
+            for key, (_, want) in values.items():
+                got = getattr(target, key)
+                assert got == want and type(got) is type(want), key
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [(c, k) for c in FAMILY_COMMAND_FLAGS for k in PROBLEM_VALUES],
+    )
+    def test_family_command_takes_seed_and_its_own_keys(self, tmp_path, capsys, command, key):
+        raw, want = PROBLEM_VALUES[key]
+        argv = [command, "--" + key, raw, "--out", str(tmp_path / "o")]
+        if key not in FAMILY_COMMAND_FLAGS[command]:
+            assert main(argv) == EXIT_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith("error: unrecognized arguments") and err.count("\n") == 1
+            return
+        cfg = apply_flag_overrides(RunConfig(), make_parser().parse_args(argv))
+        assert getattr(cfg, key) == want
+        assert cfg.family == {"figure1": "circle"}.get(command, command)
+
+    def test_file_fixed_rho_survives_a_run_without_the_flag(self, tmp_path, alm_configs):
+        f = tmp_path / "fixed.cfg"
+        f.write_text("[problem]\nfamily=circle\n[alm]\nfixed_rho=yes\n")
+        assert main(["solve", "--config", str(f), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert [alm.fixed_rho for alm in alm_configs] == [True]
+
+    def test_eps_floor_and_multiplier_bound_reach_the_solver(self, tmp_path, alm_configs):
+        argv = ["solve", "--eps-floor", "1e-11", "--multiplier-bound", "1e6"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_OK
+        assert [(alm.eps_floor, alm.multiplier_bound) for alm in alm_configs] == [(1e-11, 1e6)]
+
+
 class TestConfigParsing:
     def test_minimal_file_gets_defaults(self, tmp_path):
         f = tmp_path / "min.cfg"
@@ -229,24 +333,12 @@ class TestConfigParsing:
         assert cfg.alm.kkt_tol == 1e-7
 
     def test_every_alm_key_round_trips_with_its_type(self, tmp_path):
-        values = {
-            "rho0": ("2.5", 2.5),
-            "gamma": ("5", 5.0),
-            "tau": ("0.5", 0.5),
-            "eps0": ("0.1", 0.1),
-            "eps_decay": ("0.25", 0.25),
-            "eps_floor": ("1e-11", 1e-11),
-            "multiplier_bound": ("1e6", 1e6),
-            "kkt_tol": ("1e-8", 1e-8),
-            "max_outer": ("17", 17),
-            "fixed_rho": ("yes", True),
-        }
-        assert set(values) == {fld.name for fld in fields(ALMConfig)}
+        assert set(ALM_VALUES) == {fld.name for fld in fields(ALMConfig)}
         path = tmp_path / "alm.cfg"
-        lines = [f"{key}={raw}" for key, (raw, _) in values.items()]
+        lines = [f"{key}={raw}" for key, (raw, _) in ALM_VALUES.items()]
         path.write_text("\n".join(["[problem]", "family=circle", "[alm]", *lines]) + "\n")
         alm = parse_problem_file(str(path)).alm
-        for key, (_, want) in values.items():
+        for key, (_, want) in ALM_VALUES.items():
             got = getattr(alm, key)
             assert got == want and type(got) is type(want), key
 
@@ -275,6 +367,14 @@ class TestConfigParsing:
         cfg = parse_problem_file(str(f))
         assert cfg.family == "circle"
         assert "unknown key" in capsys.readouterr().err
+
+    def test_unknown_section_warns_once_and_skips_its_keys(self, tmp_path, capsys):
+        # before, a key under [solver] also raised "outside any section"
+        f = tmp_path / "sect.cfg"
+        f.write_text("[problem]\nfamily=sphere-l1\n[solver]\nrho=1\nnot a pair\n[alm]\nrho0=3\n")
+        cfg = parse_problem_file(str(f))
+        assert (cfg.family, cfg.alm.rho0) == ("sphere-l1", 3.0)
+        assert capsys.readouterr().err == "warning: unknown section [solver]\n"
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         f = tmp_path / "c.cfg"
@@ -365,7 +465,7 @@ class TestSphereL1Command:
         assert code == EXIT_OK
         assert "msrcq = pass" in (out / "summary.txt").read_text()
 
-    def test_solution_check_fails_for_mismatched_matrix(self, tmp_path):
+    def test_solution_check_fails_for_mismatched_matrix(self, tmp_path, capsys):
         # a matrix whose dominant direction is e1, not e2: the builtin
         # known-solution check must report failure via exit code 3
         cfg = tmp_path / "other.cfg"
@@ -375,6 +475,10 @@ class TestSphereL1Command:
         )
         code = main(["sphere-l1", "--config", str(cfg), "--out", str(tmp_path / "mm")])
         assert code == EXIT_CHECK_FAILED
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("sphere-l1 builtin5x5 check failed: ")
+        for part in ("x error 1.414e+00", "multiplier error", "msrcq pass"):
+            assert part in err[0], part
 
     def test_mu_zero_edge_is_smooth_eigenproblem(self, tmp_path):
         out = tmp_path / "mu0"
