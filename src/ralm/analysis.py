@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .convex import psi_conjugate
-from .manifolds import Point, distance, project_tangent, retract, tangent_basis
-from .problems import ProblemInstance, hess_quadform, rhess_apply, tilted_instance
+from .manifolds import Point, distance, norm, project_tangent, retract, tangent_basis
+from .problems import ProblemInstance, hess_quadform, rhess_operator, tilted_instance
 from .solver import ALMConfig, alm_run, distance_to_reference, kkt_residual
 
 KKT_GATE = 1e-6
@@ -229,9 +229,10 @@ def _hess_matrix(p: ProblemInstance, x: Point, z, dirs):
     """The matrix of <xi, Hess_x l(x, z) xi> on the orthonormal tangent
     directions ``dirs``, symmetric up to rounding (eigh reads its lower
     triangle)."""
+    hess = rhess_operator(p, x, z)
     hdirs = np.empty_like(dirs)
     for d, out in zip(dirs, hdirs):
-        out[...] = rhess_apply(p, x, z, d)
+        out[...] = hess(d)
     return hdirs.reshape(len(dirs), -1) @ dirs.reshape(len(dirs), -1).T
 
 
@@ -329,7 +330,7 @@ def _perturbation(p: ProblemInstance, radius, rng):
     dim_b = int(np.prod(p.g1.out_shape))
     dim_c = int(np.prod(p.g2.out_shape)) if p.q is not None else 0
     vec = rng.standard_normal(dim_a + dim_b + dim_c)
-    vec *= radius / np.linalg.norm(vec)
+    vec *= radius / norm(vec)
     a = vec[:dim_a].reshape(p.manifold.ambient_shape)
     b = vec[dim_a : dim_a + dim_b].reshape(p.g1.out_shape)
     c = vec[dim_a + dim_b :].reshape(p.g2.out_shape) if dim_c else None
@@ -414,20 +415,20 @@ def error_bound_fit(
     ratios = []
     for _ in range(n_samples):
         xi = project_tangent(p.manifold, x, rng.standard_normal(p.manifold.ambient_shape))
-        nrm = np.linalg.norm(xi)
+        nrm = norm(xi)
         r = rng.uniform(0.0, radius)
         x_s = retract(p.manifold, x, (r / nrm) * xi) if nrm > 0 else x
         dy = rng.standard_normal(y.shape)
-        dy *= rng.uniform(0.0, radius) / max(np.linalg.norm(dy), 1e-300)
+        dy *= rng.uniform(0.0, radius) / max(norm(dy), 1e-300)
         dz = None
         if z is not None:
             dz = rng.standard_normal(np.asarray(z).shape)
-            dz *= rng.uniform(0.0, radius) / max(np.linalg.norm(dz), 1e-300)
-        dist_val = distance(p.manifold, x_s, x) + float(np.linalg.norm(dy))
+            dz *= rng.uniform(0.0, radius) / max(norm(dz), 1e-300)
+        dist_val = distance(p.manifold, x_s, x) + norm(dy)
         z_s = None
         if z is not None:
             z_s = np.asarray(z) + dz
-            dist_val += float(np.linalg.norm(dz))
+            dist_val += norm(dz)
         r_val = kkt_residual(p, x_s, y + dy, z_s)
         samples.append((dist_val, r_val))
         if r_val > 1e-14:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 import time
@@ -402,7 +403,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: each parse
+    returns a new namespace, so calls share no values."""
     parser = _Parser(
         prog="ralm",
         description="Augmented Lagrangian solver on matrix manifolds with a KKT analysis suite",

@@ -31,7 +31,7 @@ class ScaledL1:
 
 
 def l1_value(theta: ScaledL1, u) -> float:
-    return theta.mu * float(np.sum(np.abs(u)))
+    return theta.mu * float(np.abs(u).sum())
 
 
 def prox_residual(theta: ScaledL1, u, t: float) -> np.ndarray:
@@ -40,7 +40,7 @@ def prox_residual(theta: ScaledL1, u, t: float) -> np.ndarray:
         raise ValueError("prox parameter t must be positive")
     u = np.asarray(u, dtype=float)
     lim = t * theta.mu
-    return np.clip(u, -lim, lim)
+    return u.clip(-lim, lim)
 
 
 def prox(theta: ScaledL1, u, t: float = 1.0) -> np.ndarray:
@@ -65,7 +65,7 @@ def moreau_env(theta: ScaledL1, u, rho: float):
     u = np.asarray(u, dtype=float)
     resid = prox_residual(theta, u, 1.0 / rho)
     p = u - resid
-    value = l1_value(theta, p) + 0.5 * rho * float(np.sum(resid * resid))
+    value = l1_value(theta, p) + 0.5 * rho * float((resid * resid).sum())
     grad = rho * resid
     return value, grad
 
@@ -168,12 +168,12 @@ def project_set(q: Box, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != tuple(q.shape):
         raise ValueError(f"shape mismatch: expected {tuple(q.shape)}, got {v.shape}")
-    return np.clip(v, q.lower, q.upper)
+    return v.clip(q.lower, q.upper)
 
 
 def dist2_grad(q: Box, v, rho: float):
     """(rho/2) dist(v, Q)^2 and its gradient rho (v - proj_Q v)."""
     v = np.asarray(v, dtype=float)
     resid = v - project_set(q, v)
-    return 0.5 * rho * float(np.sum(resid * resid)), rho * resid
+    return 0.5 * rho * float((resid * resid).sum()), rho * resid
 

@@ -99,7 +99,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def sphere_point(vec) -> Point:
     vec = np.asarray(vec, dtype=float)
-    nrm = np.linalg.norm(vec)
+    nrm = norm(vec)
     if abs(nrm - 1.0) > SPHERE_NORM_TOL:
         raise ValueError(f"not on the unit sphere: |norm - 1| = {abs(nrm - 1.0):.3e}")
     return Point(ambient=_readonly(vec))
@@ -132,7 +132,7 @@ def check_point(manifold: Manifold, x: Point) -> None:
     if isinstance(manifold, Sphere):
         if x.ambient.shape != (manifold.n,):
             raise ValueError("point shape mismatch")
-        if abs(np.linalg.norm(x.ambient) - 1.0) > SPHERE_NORM_TOL:
+        if abs(norm(x.ambient) - 1.0) > SPHERE_NORM_TOL:
             raise ValueError("sphere point is not unit norm")
         return
     if x.ambient.shape != (manifold.m, manifold.n):
@@ -148,8 +148,8 @@ def check_point(manifold: Manifold, x: Point) -> None:
     if np.any(x.s <= SV_RANK_TOL):
         raise RankDeficiencyError("fixed-rank point has a vanishing singular value")
     recon = (x.u * x.s) @ x.v.T
-    scale = max(1.0, float(np.linalg.norm(x.ambient)))
-    if np.linalg.norm(recon - x.ambient) > FACTOR_TOL * scale:
+    scale = max(1.0, norm(x.ambient))
+    if norm(recon - x.ambient) > FACTOR_TOL * scale:
         raise ValueError("ambient matrix inconsistent with factors")
 
 
@@ -224,12 +224,19 @@ def project_tangent(manifold: Manifold, x: Point, v) -> np.ndarray:
     return np.asarray(tangent_vector(manifold, x, v))
 
 
+def norm(v: np.ndarray) -> float:
+    """Euclidean (Frobenius) norm of a float array: the arithmetic of
+    ``np.linalg.norm(v)``, bit for bit, without its dispatch."""
+    w = v.ravel(order="K")
+    return math.sqrt(w.dot(w))
+
+
 def tangent_norm(xi) -> float:
     """Norm of a tangent vector: from the factors of a ``FixedRankTangent``
-    (its three terms are orthogonal), else the Euclidean norm."""
+    (its three terms are orthogonal), else ``norm``."""
     if isinstance(xi, FixedRankTangent):
         return math.sqrt(np.vdot(xi.m, xi.m) + np.vdot(xi.u_p, xi.u_p) + np.vdot(xi.v_p, xi.v_p))
-    return float(np.linalg.norm(xi))
+    return norm(xi)
 
 
 def weingarten(manifold: Manifold, x: Point, g, xi) -> np.ndarray:
@@ -242,7 +249,7 @@ def weingarten(manifold: Manifold, x: Point, g, xi) -> np.ndarray:
     with (M, U_p, V_p) the factors of xi (Vandereycken, SIAM J. Optim. 2013).
     """
     if isinstance(manifold, Sphere):
-        return -float(np.sum(x.ambient * g)) * np.asarray(xi, dtype=float)
+        return -float((x.ambient * g).sum()) * np.asarray(xi, dtype=float)
     xi = tangent_vector(manifold, x, xi)
     u, v = x.u, x.v
     gv, ug = g @ xi.v_p, xi.u_p.T @ g
@@ -252,11 +259,11 @@ def weingarten(manifold: Manifold, x: Point, g, xi) -> np.ndarray:
 
 
 def _sphere_exp(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    nrm = np.linalg.norm(xi)
+    nrm = norm(xi)
     if nrm == 0.0:
         return x.copy()
     out = np.cos(nrm) * x + np.sin(nrm) * (xi / nrm)
-    return out / np.linalg.norm(out)  # kill norm drift over long iterations
+    return out / norm(out)  # kill norm drift over long iterations
 
 
 def _fixed_rank_retract(manifold: FixedRank, x: Point, xi) -> Point:
@@ -323,11 +330,11 @@ def bb_pair(x: Point, x_new: Point, grad, grad_new, t: float):
     if isinstance(grad, FixedRankTangent):
         (left, right), (left_new, right_new) = grad.factors(), grad_new.factors()
         gg = tangent_norm(grad) ** 2
-        g_gnew = float(np.sum((left.T @ left_new) * (right.T @ right_new)))
+        g_gnew = float(((left.T @ left_new) * (right.T @ right_new)).sum())
         return t * t * gg, t * (gg - g_gnew)
     s_vec = x_new.ambient - x.ambient
     y_vec = np.asarray(grad_new) - np.asarray(grad)
-    return float(np.sum(s_vec * s_vec)), float(np.sum(s_vec * y_vec))
+    return float((s_vec * s_vec).sum()), float((s_vec * y_vec).sum())
 
 
 def distance(manifold: Manifold, x: Point, y: Point) -> float:
@@ -335,7 +342,7 @@ def distance(manifold: Manifold, x: Point, y: Point) -> float:
     if isinstance(manifold, Sphere):
         c = float(np.clip(x.ambient @ y.ambient, -1.0, 1.0))
         return float(np.arccos(c))
-    return float(np.linalg.norm(x.ambient - y.ambient))
+    return norm(x.ambient - y.ambient)
 
 
 def random_point(manifold: Manifold, seed) -> Point:
@@ -343,7 +350,7 @@ def random_point(manifold: Manifold, seed) -> Point:
     rng = np.random.default_rng(seed)
     if isinstance(manifold, Sphere):
         v = rng.standard_normal(manifold.n)
-        return Point(ambient=_readonly(v / np.linalg.norm(v)))
+        return Point(ambient=_readonly(v / norm(v)))
     m, n, r = manifold.m, manifold.n, manifold.r
     u, _ = np.linalg.qr(rng.standard_normal((m, r)))
     v, _ = np.linalg.qr(rng.standard_normal((n, r)))

@@ -50,8 +50,12 @@ class SmoothMap:
 
 @dataclass(frozen=True)
 class Objective:
-    value: Callable[[np.ndarray], float]
-    egrad: Callable[[np.ndarray], np.ndarray]
+    """The smooth term f in ambient coordinates: ``value_grad(x)`` returns
+    (f(x), egrad f(x)) from one call, since the two share work (A^T A x on
+    the sphere) and the merit wants both at each trial point;
+    ``ehess_apply(x, xi)`` is the Euclidean Hessian of f at x applied to xi."""
+
+    value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
     ehess_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -185,8 +189,7 @@ def build_family(family) -> ProblemInstance:
 
 def _build_circle() -> ProblemInstance:
     f = Objective(
-        value=lambda x: float(x[1] ** 2),
-        egrad=lambda x: np.array([0.0, 2.0 * x[1]]),
+        value_grad=lambda x: (float(x[1] ** 2), np.array([0.0, 2.0 * x[1]])),
         ehess_apply=lambda x, xi: np.array([0.0, 2.0 * xi[1]]),
     )
     g1 = SmoothMap(
@@ -218,11 +221,12 @@ def _build_sphere_l1(family: SphereL1) -> ProblemInstance:
         raise ValueError("A must be square")
     n = a.shape[0]
     ata = a.T @ a
-    f = Objective(
-        value=lambda x: float(-x @ (ata @ x)),
-        egrad=lambda x: -2.0 * (ata @ x),
-        ehess_apply=lambda x, xi: -2.0 * (ata @ xi),
-    )
+
+    def value_grad(x):
+        g = ata @ x
+        return float(-x @ g), -2.0 * g
+
+    f = Objective(value_grad=value_grad, ehess_apply=lambda x, xi: -2.0 * (ata @ xi))
     g1 = SmoothMap(
         value=lambda x: x.copy(),
         jacobian_apply=lambda x, xi: xi.copy(),
@@ -247,7 +251,7 @@ def _build_rmc(family: RMC) -> ProblemInstance:
     proj = mask.astype(float)
     zero = np.zeros((m, n))
     zero.setflags(write=False)
-    f = Objective(value=lambda x: 0.0, egrad=lambda x: zero, ehess_apply=lambda x, xi: zero)
+    f = Objective(value_grad=lambda x: (0.0, zero), ehess_apply=lambda x, xi: zero)
     g1 = SmoothMap(
         value=lambda x: proj * (x - a),
         jacobian_apply=lambda x, xi: proj * xi,
@@ -280,9 +284,9 @@ def lagrangian_value(p: ProblemInstance, x: Point, y, z=None) -> float:
     z required with Q)."""
     require_set_multiplier(p, z, "z")
     xa = x.ambient
-    val = p.f.value(xa) + float(np.sum(np.asarray(y) * p.g1.value(xa)))
+    val = p.f.value_grad(xa)[0] + float((np.asarray(y) * p.g1.value(xa)).sum())
     if p.g2 is not None:
-        val += float(np.sum(np.asarray(z) * p.g2.value(xa)))
+        val += float((np.asarray(z) * p.g2.value(xa)).sum())
     return val
 
 
@@ -291,7 +295,7 @@ def lagrangian_rgrad(p: ProblemInstance, x: Point, y, z=None) -> np.ndarray:
     required with Q)."""
     require_set_multiplier(p, z, "z")
     xa = x.ambient
-    g = p.f.egrad(xa) + p.g1.jacobian_adjoint(xa, np.asarray(y, dtype=float))
+    g = p.f.value_grad(xa)[1] + p.g1.jacobian_adjoint(xa, np.asarray(y, dtype=float))
     if p.g2 is not None:
         g = g + p.g2.jacobian_adjoint(xa, np.asarray(z, dtype=float))
     return project_tangent(p.manifold, x, g)
@@ -328,10 +332,11 @@ def merit_eval(p: ProblemInstance, x: Point, shifts, rho: float):
     L_rho(x, w, p) = f(x) + env_rho(g1(x) + w/rho) + (rho/2) dist^2(g2(x) + p/rho, Q),
     with ``shifts`` from ``merit_shifts``.  When g1 has a support, the
     envelope runs on the support entries only, and the shifts supply the
-    constant term of the others.  Returns ``(value, (env_grad, d_grad))``
-    (env_grad over the support entries, d_grad None without Q);
-    ``merit_rgrad`` completes the Riemannian gradient from the pair, so a
-    point whose gradient is needed is still evaluated only once.
+    constant term of the others.  f is evaluated once, value and gradient
+    together.  Returns ``(value, (f_grad, env_grad, d_grad))`` (env_grad over
+    the support entries, d_grad None without Q); ``merit_rgrad`` completes
+    the Riemannian gradient from these, so a point whose gradient is needed
+    is still evaluated only once.
     """
     w_shift, p_shift, env_off = shifts
     xa = x.ambient
@@ -340,12 +345,13 @@ def merit_eval(p: ProblemInstance, x: Point, shifts, rho: float):
     else:
         u = xa.ravel()[p.g1.support] + w_shift
     env_val, env_grad = moreau_env(p.theta, u, rho)
-    val = p.f.value(xa) + env_val + env_off
+    f_val, f_grad = p.f.value_grad(xa)
+    val = f_val + env_val + env_off
     d_grad = None
     if p.q is not None:
         d_val, d_grad = dist2_grad(p.q, p.g2.value(xa) + p_shift, rho)
         val += d_val
-    return val, (env_grad, d_grad)
+    return val, (f_grad, env_grad, d_grad)
 
 
 def merit_rgrad(p: ProblemInstance, x: Point, grads):
@@ -353,12 +359,13 @@ def merit_rgrad(p: ProblemInstance, x: Point, grads):
     returned: the envelope/distance chain rule followed by a tangent
     projection (``tangent_vector``).  With a support, the chain rule
     scatters the envelope gradient back to the support entries."""
-    env_grad, d_grad = grads
+    f_grad, env_grad, d_grad = grads
     xa = x.ambient
     if p.g1.support is None:
-        ambient = p.f.egrad(xa) + p.g1.jacobian_adjoint(xa, env_grad)
+        ambient = f_grad + p.g1.jacobian_adjoint(xa, env_grad)
     else:
-        ambient = np.array(p.f.egrad(xa), dtype=float)
+        # a copy: f_grad may be shared (RMC's read-only zero)
+        ambient = np.array(f_grad, dtype=float)
         ambient.reshape(-1)[p.g1.support] += env_grad
     if d_grad is not None:
         ambient = ambient + p.g2.jacobian_adjoint(xa, d_grad)
@@ -385,12 +392,12 @@ def tilted_instance(p: ProblemInstance, a=None, b=None, c=None) -> ProblemInstan
     if a is not None:
         a = np.asarray(a, dtype=float)
         f0 = p.f
-        new_f = Objective(
-            value=lambda x, _f=f0, _a=a: _f.value(x) - float(np.sum(_a * x)),
-            egrad=lambda x, _f=f0, _a=a: _f.egrad(x) - _a,
-            ehess_apply=f0.ehess_apply,
-        )
-        new = replace(new, f=new_f)
+
+        def value_grad(x):
+            val, grad = f0.value_grad(x)
+            return val - float((a * x).sum()), grad - a
+
+        new = replace(new, f=replace(f0, value_grad=value_grad))
     if b is not None:
         b = np.asarray(b, dtype=float)
         g1 = p.g1
@@ -406,6 +413,22 @@ def tilted_instance(p: ProblemInstance, a=None, b=None, c=None) -> ProblemInstan
     return replace(new, label=p.label + "+tilt")
 
 
+def rhess_operator(p: ProblemInstance, x: Point, z):
+    """xi -> ``rhess_apply(p, x, z, xi)``, with the ambient gradient G taken
+    once for every direction (z required with Q)."""
+    require_set_multiplier(p, z, "z")
+    xa = x.ambient
+    g = p.f.value_grad(xa)[1]
+    if p.g2 is not None:
+        g = g + p.g2.jacobian_adjoint(xa, np.asarray(z, dtype=float))
+
+    def apply(xi):
+        xi = np.asarray(xi, dtype=float)
+        return project_tangent(p.manifold, x, p.f.ehess_apply(xa, xi)) + weingarten(p.manifold, x, g, xi)
+
+    return apply
+
+
 def rhess_apply(p: ProblemInstance, x: Point, z, xi) -> np.ndarray:
     """Hess_x l(x, z)[xi] for l = f + <z, g2> and a tangent xi (z required
     with Q), as a dense ambient array.
@@ -415,24 +438,18 @@ def rhess_apply(p: ProblemInstance, x: Point, z, xi) -> np.ndarray:
     (``weingarten``); g2 is affine, so it enters through G only.  <y, g1> is
     left out: g1 is affine too, so what it would add is the Weingarten map at
     Dg1^T y.  Whether M-SOSC should carry that part is open (ROADMAP.md,
-    item 9).
+    item 13).
     """
-    require_set_multiplier(p, z, "z")
-    xa = x.ambient
-    xi = np.asarray(xi, dtype=float)
-    g = p.f.egrad(xa)
-    if p.g2 is not None:
-        g = g + p.g2.jacobian_adjoint(xa, np.asarray(z, dtype=float))
-    return project_tangent(p.manifold, x, p.f.ehess_apply(xa, xi)) + weingarten(p.manifold, x, g, xi)
+    return rhess_operator(p, x, z)(xi)
 
 
 def hess_quadform(p: ProblemInstance, x: Point, z, xi) -> float:
     """<xi, Hess_x l(x, z) xi> for l = f + <z, g2>, from ``rhess_apply``."""
     xi = np.asarray(xi, dtype=float)
-    return float(np.sum(xi * rhess_apply(p, x, z, xi)))
+    return float((xi * rhess_apply(p, x, z, xi)).sum())
 
 
 def objective_value(p: ProblemInstance, x: Point) -> float:
     """Composite objective f(x) + theta(g1(x))."""
     xa = x.ambient
-    return p.f.value(xa) + l1_value(p.theta, p.g1.value(xa))
+    return p.f.value_grad(xa)[0] + l1_value(p.theta, p.g1.value(xa))

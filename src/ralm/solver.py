@@ -26,6 +26,7 @@ from .manifolds import (
     bb_pair,
     check_point,
     distance,
+    norm,
     retract,
     tangent_norm,
 )
@@ -153,8 +154,8 @@ def kkt_blocks(p: ProblemInstance, x: Point, y, z=None):
 
 def _block_norms(blocks):
     grad, theta_block, set_block = blocks
-    set_norm = 0.0 if set_block is None else float(np.linalg.norm(set_block))
-    return float(np.linalg.norm(grad)), float(np.linalg.norm(theta_block)), set_norm
+    set_norm = 0.0 if set_block is None else norm(set_block)
+    return norm(grad), norm(theta_block), set_norm
 
 
 def kkt_residual_components(p: ProblemInstance, x: Point, y, z=None):
@@ -184,7 +185,7 @@ def update_multipliers(p: ProblemInstance, x_next: Point, w, p_mult, rho: float)
     u = g1 + np.asarray(w) / rho
     pr = prox(p.theta, u, 1.0 / rho)
     y_next = rho * (u - pr)
-    theta_gap = float(np.linalg.norm(g1 - pr))
+    theta_gap = norm(g1 - pr)
     z_next = None
     set_gap = 0.0
     if p.q is not None:
@@ -192,7 +193,7 @@ def update_multipliers(p: ProblemInstance, x_next: Point, w, p_mult, rho: float)
         s = g2 + np.asarray(p_mult) / rho
         proj = project_set(p.q, s)
         z_next = rho * (s - proj)
-        set_gap = float(np.linalg.norm(g2 - proj))
+        set_gap = norm(g2 - proj)
     return y_next, z_next, (theta_gap, set_gap)
 
 
@@ -284,7 +285,7 @@ def subproblem_solve(
         # BB1 estimate: s is the tangent step -t grad on fixed rank, x_try - x on the sphere
         ss, sy = bb_pair(x, x_try, grad, grad_try, t)
         if sy > 1e-30:
-            step = float(np.clip(ss / sy, 1e-12, 1e10))
+            step = min(max(ss / sy, 1e-12), 1e10)
         else:
             step = min(4.0 * t, INIT_STEP * 1e6)
         x, val, grad = x_try, val_try, grad_try
@@ -311,9 +312,9 @@ def distance_to_reference(p: ProblemInstance, x, y, z, reference):
     if reference is None:
         return float("nan")
     x_ref, y_ref, z_ref = reference
-    d = distance(p.manifold, x, x_ref) + float(np.linalg.norm(np.asarray(y) - np.asarray(y_ref)))
+    d = distance(p.manifold, x, x_ref) + norm(np.asarray(y) - np.asarray(y_ref))
     if z is not None and z_ref is not None:
-        d += float(np.linalg.norm(np.asarray(z) - np.asarray(z_ref)))
+        d += norm(np.asarray(z) - np.asarray(z_ref))
     return d
 
 
@@ -395,11 +396,11 @@ def alm_run(
 
         # invariant diagnostics (see module tests): chain identity, multiplier
         # consistency, and the per-iteration residual bound
-        chain_gap = float(np.linalg.norm(np.asarray(sub.grad) - blocks[0]))
+        chain_gap = norm(np.asarray(sub.grad) - blocks[0])
         mult_gap = comps[1] - gaps[0]
-        bound = sub.grad_norm + float(np.linalg.norm(y_new - w)) / rho
+        bound = sub.grad_norm + norm(y_new - w) / rho
         if z_new is not None:
-            bound += float(np.linalg.norm(z_new - p_mult)) / rho
+            bound += norm(z_new - p_mult) / rho
         history.append(
             IterationRecord(
                 k=k + 1,

@@ -9,6 +9,7 @@ from ralm.analysis import (
     MAX_RAY_ROWS,
     _cone_min,
     _ctheta_generator_signs,
+    _hess_matrix,
     _null_space,
     _tq_capz_generators,
     calmness_probe,
@@ -37,6 +38,7 @@ from ralm.problems import (
     SmoothMap,
     SphereL1,
     build_family,
+    rhess_apply,
     tilted_instance,
 )
 from ralm.solver import ALMConfig, alm_run, kkt_blocks, kkt_residual
@@ -131,9 +133,7 @@ class TestMsrcq:
         n = 3
         p = ProblemInstance(
             manifold=Sphere(n),
-            f=Objective(
-                value=lambda x: 0.0, egrad=lambda x: np.zeros(n), ehess_apply=lambda x, xi: np.zeros(n)
-            ),
+            f=Objective(value_grad=lambda x: (0.0, np.zeros(n)), ehess_apply=lambda x, xi: np.zeros(n)),
             g1=constant_zero_map(n),
             theta=ScaledL1(1.0),
             label="degenerate",
@@ -270,9 +270,7 @@ class TestMsrcqReduction:
                 z = rng.choice([0.0, 1.0], size=dim_z)
             p = ProblemInstance(
                 manifold=Sphere(n),
-                f=Objective(
-                    value=lambda v: 0.0, egrad=lambda v: np.zeros(n), ehess_apply=lambda v, xi: np.zeros(n)
-                ),
+                f=Objective(value_grad=lambda v: (0.0, np.zeros(n)), ehess_apply=lambda v, xi: np.zeros(n)),
                 g1=affine_map(mat[:dim_y], offset[:dim_y]),
                 theta=ScaledL1(1.0),
                 g2=g2,
@@ -307,8 +305,7 @@ class TestMsosc:
         p = ProblemInstance(
             manifold=Sphere(n),
             f=Objective(
-                value=lambda x: -float(x[0] ** 2),
-                egrad=lambda x: np.array([-2.0 * x[0], 0.0]),
+                value_grad=lambda x: (-float(x[0] ** 2), np.array([-2.0 * x[0], 0.0])),
                 ehess_apply=lambda x, xi: np.array([-2.0 * xi[0], 0.0]),
             ),
             g1=SmoothMap(
@@ -334,8 +331,7 @@ class TestMsosc:
         p = ProblemInstance(
             manifold=Sphere(n),
             f=Objective(
-                value=lambda x: float(x[0] ** 2),
-                egrad=lambda x: np.array([2.0 * x[0], 0.0]),
+                value_grad=lambda x: (float(x[0] ** 2), np.array([2.0 * x[0], 0.0])),
                 ehess_apply=lambda x, xi: np.array([2.0 * xi[0], 0.0]),
             ),
             g1=SmoothMap(
@@ -448,6 +444,26 @@ class TestConeMin:
         value, lam = _cone_min(h, np.zeros((0, 3)))
         assert value == pytest.approx(-1.0)
         assert abs(lam[1]) == pytest.approx(1.0)
+
+
+class TestHessMatrix:
+    # tilted, so that the Weingarten map is not zero on fixed rank
+    @pytest.mark.parametrize("name", ["circle", "sphere", "fixed-rank"])
+    def test_equals_per_direction_rhess_apply_bit_for_bit(self, name):
+        rng = np.random.default_rng(41)
+        z = None
+        if name == "circle":
+            p, z = build_family(CircleExample()), rng.standard_normal(1)
+        elif name == "sphere":
+            p = build_family(SphereL1(rng.standard_normal((7, 7)), mu=0.3))
+        else:
+            p = build_family(RMC(rng.standard_normal((6, 5)), rng.random((6, 5)) < 0.7, 2))
+        p = tilted_instance(p, a=rng.standard_normal(p.manifold.ambient_shape))
+        x = random_point(p.manifold, rng)
+        dirs = tangent_basis(p.manifold, x)
+        hdirs = np.array([rhess_apply(p, x, z, d) for d in dirs])
+        want = hdirs.reshape(len(dirs), -1) @ dirs.reshape(len(dirs), -1).T
+        assert np.array_equal(_hess_matrix(p, x, z, dirs), want)
 
 
 class TestExactMsosc:

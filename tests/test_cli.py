@@ -317,6 +317,23 @@ class TestFlagTable:
         assert main(["solve", "--config", str(f), "--out", str(tmp_path / "o")]) == EXIT_OK
         assert [alm.fixed_rho for alm in alm_configs] == [True]
 
+    def test_one_parser_carries_no_values_between_calls(self, tmp_path, monkeypatch):
+        assert make_parser() is make_parser()
+        seen = []
+        real = ralm.cli.build_problem
+
+        def recording(cfg):
+            seen.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(ralm.cli, "build_problem", recording)
+        out = str(tmp_path / "o")
+        first = ["sphere-l1", "--mode", "random", "--n", "4", "--seed", "3", "--kkt-tol", "1e-6", "--out", out]
+        assert main(first) == EXIT_OK
+        assert main(["solve", "--out", out]) == EXIT_OK
+        got = [(c.family, c.mode, c.n, c.seed, c.alm.kkt_tol) for c in seen]
+        assert got == [("sphere-l1", "random", 4, 3, 1e-6), ("circle", None, 20, None, 1e-7)]
+
     def test_eps_floor_and_multiplier_bound_reach_the_solver(self, tmp_path, alm_configs):
         argv = ["solve", "--eps-floor", "1e-11", "--multiplier-bound", "1e6"]
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_OK

@@ -17,6 +17,7 @@ from ralm.manifolds import (
     distance,
     fixed_rank_point_from_factors,
     nearest_rank_r,
+    norm,
     project_tangent,
     random_point,
     retract,
@@ -52,6 +53,22 @@ def fixed_rank_2x2_rank1():
     return FixedRank(2, 2, 1), fixed_rank_point_from_factors(
         np.array([[1.0], [0.0]]), np.array([1.0]), np.array([[1.0], [0.0]])
     )
+
+
+class TestNorm:
+    @pytest.mark.parametrize("case", ["vector", "matrix", "transpose", "strided", "empty"])
+    def test_equals_numpy_norm_bit_for_bit(self, case):
+        a = np.random.default_rng(7).standard_normal((37, 23))
+        v = {
+            "vector": a[:, 0].copy(),
+            "matrix": a,
+            "transpose": a.T,
+            "strided": a[::3, 1::2],
+            "empty": np.zeros((0, 4)),
+        }[case]
+        got = norm(v)
+        assert type(got) is float
+        assert got == np.linalg.norm(v)
 
 
 class TestProjectTangent:

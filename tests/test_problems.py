@@ -84,7 +84,7 @@ class TestFamilies:
         p = build_family(SphereL1(SPHERE_L1_DEMO_A, mu=0.25))
         e2 = np.zeros(5)
         e2[1] = -1.0
-        assert p.f.value(e2) == pytest.approx(-625.0)
+        assert p.f.value_grad(e2)[0] == pytest.approx(-625.0)
 
     def test_rmc_full_mask_is_difference(self):
         rng = np.random.default_rng(1)
@@ -122,6 +122,41 @@ class TestFamilies:
     def test_rank_above_dimensions_rejected_before_budget(self):
         with pytest.raises(ValueError, match="rank"):
             generate_rmc_instance(10, 10, 12, 3.0, 1)
+
+
+def separate_formulas():
+    """(instance, value, egrad) per family, value and gradient written as
+    the two separate formulas that ``value_grad`` fuses."""
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((6, 6))
+    ata = a.T @ a
+    a_rmc, mask = rng.standard_normal((4, 5)), rng.random((4, 5)) < 0.6
+    return {
+        "circle": (
+            build_family(CircleExample()),
+            lambda x: float(x[1] ** 2),
+            lambda x: np.array([0.0, 2.0 * x[1]]),
+        ),
+        "sphere-l1": (build_family(SphereL1(a, mu=0.3)), lambda x: float(-x @ (ata @ x)), lambda x: -2.0 * (ata @ x)),
+        "rmc": (build_family(RMC(a_rmc, mask, 2)), lambda x: 0.0, lambda x: np.zeros((4, 5))),
+    }
+
+
+class TestValueGrad:
+    @pytest.mark.parametrize("tilted", [False, True], ids=["plain", "tilted"])
+    @pytest.mark.parametrize("name", ["circle", "sphere-l1", "rmc"])
+    def test_equals_the_separate_formulas_bit_for_bit(self, name, tilted):
+        p, value, egrad = separate_formulas()[name]
+        rng = np.random.default_rng(12)
+        if tilted:
+            t = rng.standard_normal(p.manifold.ambient_shape)
+            p = tilted_instance(p, a=t)
+            value, egrad = (lambda x, v=value: v(x) - float(np.sum(t * x))), (lambda x, g=egrad: g(x) - t)
+        for _ in range(5):
+            x = random_point(p.manifold, rng).ambient
+            val, grad = p.f.value_grad(x)
+            assert type(val) is float and val == value(x)
+            assert np.array_equal(grad, egrad(x))
 
 
 class TestLagrangian:
@@ -162,7 +197,7 @@ class TestLagrangian:
         x = random_point(p.manifold, 3)
         g = lagrangian_rgrad(p, x, np.zeros(5))
         np.testing.assert_allclose(
-            g, project_tangent(p.manifold, x, p.f.egrad(x.ambient)), atol=1e-14
+            g, project_tangent(p.manifold, x, p.f.value_grad(x.ambient)[1]), atol=1e-14
         )
 
     @pytest.mark.parametrize("name", ["circle", "sphere-l1", "rmc"])
@@ -274,8 +309,9 @@ def reference_aug_lagrangian(p, x, w, p_mult, rho):
     """L_rho value and Riemannian gradient in one pass, in the original operation order."""
     xa = x.ambient
     env_val, env_grad = moreau_env(p.theta, p.g1.value(xa) + np.asarray(w) / rho, rho)
-    val = p.f.value(xa) + env_val
-    ambient = p.f.egrad(xa) + p.g1.jacobian_adjoint(xa, env_grad)
+    f_val, f_grad = p.f.value_grad(xa)
+    val = f_val + env_val
+    ambient = f_grad + p.g1.jacobian_adjoint(xa, env_grad)
     if p.q is not None:
         d_val, d_grad = dist2_grad(p.q, p.g2.value(xa) + np.asarray(p_mult) / rho, rho)
         val += d_val
@@ -368,10 +404,10 @@ class TestTiltedInstance:
         a = rng.standard_normal(3)
         pt = tilted_instance(p, a=a)
         x = random_point(p.manifold, rng)
-        np.testing.assert_allclose(pt.f.egrad(x.ambient), p.f.egrad(x.ambient) - a)
-        assert pt.f.value(x.ambient) == pytest.approx(
-            p.f.value(x.ambient) - float(a @ x.ambient)
-        )
+        val_t, grad_t = pt.f.value_grad(x.ambient)
+        val, grad = p.f.value_grad(x.ambient)
+        np.testing.assert_allclose(grad_t, grad - a)
+        assert val_t == pytest.approx(val - float(a @ x.ambient))
 
     def test_shifts_move_constraint_values_only(self):
         p = build_family(CircleExample())
@@ -439,7 +475,7 @@ class TestHessQuadform:
         xi /= np.linalg.norm(xi)
         q = hess_quadform(p, x, None, xi)
         t = 1e-4
-        vals = [p.f.value(retract(p.manifold, x, s * xi).ambient) for s in (-t, 0, t)]
+        vals = [p.f.value_grad(retract(p.manifold, x, s * xi).ambient)[0] for s in (-t, 0, t)]
         fd = (vals[0] - 2 * vals[1] + vals[2]) / t**2
         assert abs(q - fd) <= 1e-4 * max(1.0, abs(q))
 

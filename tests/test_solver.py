@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -322,14 +324,23 @@ class TestSubproblemEvaluationReuse:
             a, mask, _ = rmc_basic_instance()
             p = build_family(RMC(a, mask, 3))
             w, pm, x0 = np.zeros((5, 5)), None, random_point(p.manifold, rng)
-        counts = {"moreau_env": 0, "retract": 0}
+        counts = {"moreau_env": 0, "retract": 0, "value_grad": 0}
         counting(monkeypatch, ralm.problems, "moreau_env", counts)
         # only retractions that return produce a trial point
         counting(monkeypatch, ralm.solver, "retract", counts)
+        value_grad = p.f.value_grad
+
+        def counted_value_grad(x):
+            counts["value_grad"] += 1
+            return value_grad(x)
+
+        p = replace(p, f=replace(p.f, value_grad=counted_value_grad))
         res = subproblem_solve(p, w, pm, 10.0, x0, 1e-9)
         assert res.iters > 0
         assert counts["retract"] >= res.iters
         assert counts["moreau_env"] == counts["retract"] + 1
+        # f is evaluated once per trial point, accepted or not
+        assert counts["value_grad"] == counts["moreau_env"]
         # the returned gradient is the merit gradient at the returned point
         _, grad = aug_lagrangian(p, res.x, w, pm, 10.0)
         assert np.array_equal(res.grad, grad)
