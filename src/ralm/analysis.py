@@ -179,13 +179,18 @@ def _msrcq(system) -> MsrcqReport:
 
 @dataclass
 class MsoscReport:
-    status: str  # "pass" | "fail" | "vacuous"
+    status: str  # "pass" | "fail" | "vacuous" | "refused"
     min_value: float
     cone_nullity: int
+    refusal: str = ""  # why a refused check did not run
 
     @property
     def passed(self) -> bool:
         return self.status in ("pass", "vacuous")
+
+    def raise_if_refused(self) -> None:
+        if self.status == "refused":
+            raise ValueError(f"M-SOSC check too large: {self.refusal}")
 
 
 def _null_space(a):
@@ -245,7 +250,9 @@ def msosc_check(p: ProblemInstance, x: Point, y, z=None) -> MsoscReport:
     the same instance sizes as ``msrcq_check``, and a cone with more than
     ``MAX_RAY_ROWS`` one-sided generators.
     """
-    return _msosc(p, x, y, z, _condition_system(p, x, y, z))
+    report = _msosc(p, x, y, z, _condition_system(p, x, y, z))
+    report.raise_if_refused()
+    return report
 
 
 def _msosc(p: ProblemInstance, x: Point, y, z, system) -> MsoscReport:
@@ -258,9 +265,8 @@ def _msosc(p: ProblemInstance, x: Point, y, z, system) -> MsoscReport:
         return MsoscReport("vacuous", float("nan"), 0)
     rays = np.vstack([img[pos], -img[neg]]) @ nmat
     if len(rays) > MAX_RAY_ROWS:
-        raise ValueError(
-            f"M-SOSC check too large: {len(rays)} one-sided cone generators exceed {MAX_RAY_ROWS}"
-        )
+        refusal = f"{len(rays)} one-sided cone generators exceed {MAX_RAY_ROWS}"
+        return MsoscReport("refused", float("nan"), k1, refusal)
     found = _cone_min(_hess_matrix(p, x, z, np.tensordot(nmat.T, basis, axes=1)), rays)
     if found is None:
         return MsoscReport("vacuous", float("nan"), k1)
@@ -283,7 +289,7 @@ class ConditionReport:
 
 
 def condition_report(p: ProblemInstance, x: Point, y, z=None) -> ConditionReport:
-    """``msrcq_check`` and ``msosc_check`` on one condition system."""
+    """``msrcq_check`` and ``msosc_check`` on one condition system (records a refused M-SOSC)."""
     system = _condition_system(p, x, y, z)
     msrcq = _msrcq(system)
     msosc = _msosc(p, x, y, z, system)

@@ -39,12 +39,12 @@ from .config import (
     ConfigError,
     RunConfig,
     apply_flag_overrides,
+    instance_settings,
     parse_problem_file,
 )
 from .manifolds import FixedRank, RankDeficiencyError, nearest_rank_r, random_point, sphere_point
 from .problems import (
     RMC,
-    SPHERE_L1_DEMO_A,
     CircleExample,
     SphereL1,
     build_family,
@@ -68,46 +68,25 @@ FIGURE1_RHOS = (1.0, 10.0, 100.0, 1000.0)
 # problem builder
 
 
-def _mode(cfg: RunConfig):
-    if cfg.family not in FAMILIES:
-        raise ConfigError(f"unknown family {cfg.family!r}")
-    return cfg.mode or FAMILIES[cfg.family].mode
-
-
 def build_problem(cfg: RunConfig):
     """Returns (problem, x0, reference-triple-or-None, exact-matrix-or-None)."""
-    mode = _mode(cfg)
-    if mode != FAMILIES[cfg.family].mode and (mode != "random" or cfg.family == "circle"):
-        raise ConfigError(f"unknown {cfg.family} mode {mode!r}")
-    if cfg.matrix is not None and cfg.family != "sphere-l1":
-        raise ConfigError(f"family {cfg.family} does not read a [matrix] section (sphere-l1 only)")
-    if cfg.matrix is not None and mode == "random":
-        raise ConfigError("a [matrix] section fixes the instance; mode random would draw another")
+    mode, s = instance_settings(cfg)
     if cfg.family == "circle":
         return build_family(CircleExample()), sphere_point([1.0, 0.0]), circle_reference(), None
     if cfg.family == "sphere-l1":
-        seed = cfg.seed if cfg.seed is not None else 0
-        if cfg.matrix is not None:
-            a = cfg.matrix
-        elif mode == "random":
-            a = np.random.default_rng(seed).standard_normal((cfg.n, cfg.n))
-        else:
-            a = SPHERE_L1_DEMO_A
-        p = build_family(SphereL1(a, mu=cfg.mu))
         if mode == "random":
-            x0 = random_point(p.manifold, np.random.default_rng([seed, 1]))
-        else:
-            x0 = sphere_point(np.ones(a.shape[0]) / math.sqrt(a.shape[0]))
-        return p, x0, None, None
+            a = np.random.default_rng(s["seed"]).standard_normal((s["n"], s["n"]))
+            p = build_family(SphereL1(a, mu=s["mu"]))
+            return p, random_point(p.manifold, np.random.default_rng([s["seed"], 1])), None, None
+        a = s["matrix"]
+        x0 = sphere_point(np.ones(a.shape[0]) / math.sqrt(a.shape[0]))
+        return build_family(SphereL1(a, mu=s["mu"])), x0, None, None
     if mode == "random":
-        seed = cfg.seed if cfg.seed is not None else 1
-        a, mask, a_exact = generate_rmc_instance(cfg.m, cfg.n, cfg.r, cfg.oversample, seed)
-        r = cfg.r
-        x0 = rmc_spectral_init(a, mask, r)
+        a, mask, a_exact = generate_rmc_instance(s["m"], s["n"], s["r"], s["oversample"], s["seed"])
+        x0, r = rmc_spectral_init(a, mask, s["r"]), s["r"]
     else:
-        a, mask, a_exact = rmc_basic_instance(cfg.seed if cfg.seed is not None else 42)
-        r = 3
-        x0 = nearest_rank_r(FixedRank(5, 5, r), a)
+        a, mask, a_exact = rmc_basic_instance(s["seed"])
+        x0, r = nearest_rank_r(FixedRank(5, 5, 3), a), 3
     return build_family(RMC(a, mask, r)), x0, None, a_exact
 
 
@@ -167,21 +146,11 @@ def write_summary(path: Path, entries: dict) -> None:
 def write_conditions(path: Path, report) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"kkt_residual = {report.kkt_residual:.6e}\n")
-        fh.write(
-            "msrcq = {} (rank {}/{}, {} generators)\n".format(
-                "pass" if report.msrcq.passed else "fail",
-                report.msrcq.rank_found,
-                report.msrcq.rank_required,
-                report.msrcq.n_generators,
-            )
-        )
-        fh.write(
-            "msosc = {} (min value {}, cone nullity {})\n".format(
-                report.msosc.status,
-                _fmt(report.msosc.min_value) or "n/a",
-                report.msosc.cone_nullity,
-            )
-        )
+        rcq, sosc = report.msrcq, report.msosc
+        fh.write(f"msrcq = {'pass' if rcq.passed else 'fail'} (rank {rcq.rank_found}/{rcq.rank_required}, "
+                 f"{rcq.n_generators} generators)\n")
+        found = f"min value {_fmt(sosc.min_value) or 'n/a'}, cone nullity {sosc.cone_nullity}"
+        fh.write(f"msosc = {sosc.status} ({sosc.refusal or found})\n")
         fh.write(f"critical_cone_trivial = {report.critical_cone_trivial}\n")
         fh.write(f"tolerances = {report.tolerances}\n")
 
@@ -238,6 +207,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_figure1(cfg: RunConfig, out: Path) -> int:
+    # figure1 takes no setting: cfg is the default, the circle
     p, x0, ref, _ = build_problem(cfg)
     results = [alm_run(p, figure1_config(rho), x0, reference=ref) for rho in FIGURE1_RHOS]
 
@@ -306,11 +276,12 @@ def cmd_sphere_l1(cfg: RunConfig, out: Path) -> int:
     trip = polish_kkt(p, res.x, res.y, res.z, tol=1e-10)
     report = condition_report(p, trip.x, trip.y, trip.z)
     write_conditions(out / "conditions.txt", report)
+    report.msosc.raise_if_refused()  # once the file holds the M-SRCQ answer
     entries["msrcq"] = "pass" if report.msrcq.passed else "fail"
     entries["msosc"] = report.msosc.status
 
     code = EXIT_OK
-    if _mode(cfg) == "builtin5x5":
+    if instance_settings(cfg)[0] == "builtin5x5":
         x = trip.x.ambient
         sign = 1.0 if x[1] >= 0 else -1.0
         e2 = np.zeros(x.size)
@@ -339,7 +310,7 @@ def cmd_rmc(cfg: RunConfig, out: Path) -> int:
     write_summary(out / "summary.txt", entries)
     if not res.converged:
         return EXIT_PARTIAL
-    if _mode(cfg) == "basic5x5" and (
+    if instance_settings(cfg)[0] == "basic5x5" and (
         entries["recovery_error"] > 1e-6 or entries["max_kkt_residual"] > 1e-7
     ):
         print(
@@ -361,6 +332,7 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> int:
         return EXIT_PARTIAL
     report = condition_report(p, trip.x, trip.y, trip.z)
     write_conditions(out / "conditions.txt", report)
+    report.msosc.raise_if_refused()  # once the file holds the M-SRCQ answer
     seed = cfg.seed if cfg.seed is not None else 0
     calm = calmness_probe(p, trip.x, trip.y, trip.z, seed=seed)
     ebfit = error_bound_fit(p, trip.x, trip.y, trip.z, seed=seed)
@@ -383,13 +355,14 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> int:
 # argument parsing
 
 
-# subcommand: (handler, help, the family it fixes or None)
+# subcommand: (handler, help, the family it fixes: "*" for --family, None for
+# a command that takes no setting)
 COMMANDS = {
-    "solve": (cmd_solve, "run the solver on a problem family", None),
-    "figure1": (cmd_figure1, "fixed-penalty rate study on the circle instance", "circle"),
+    "solve": (cmd_solve, "run the solver on a problem family", "*"),
+    "figure1": (cmd_figure1, "fixed-penalty rate study on the circle instance", None),
     "sphere-l1": (cmd_sphere_l1, "l1-penalised quadratic on the sphere", "sphere-l1"),
     "rmc": (cmd_rmc, "robust matrix completion on the fixed-rank manifold", "rmc"),
-    "analyze": (cmd_analyze, "optimality conditions, calmness and error-bound probes", None),
+    "analyze": (cmd_analyze, "optimality conditions, calmness and error-bound probes", "*"),
 }
 
 
@@ -413,29 +386,34 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, family) in COMMANDS.items():
-        # no prefix abbreviations: --mu must not silently mean --multiplier-bound
+        # no prefix abbreviations: --r must not silently mean --rho0
         ps = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        ps.add_argument("--config", metavar="PATH", help="problem configuration file")
         ps.add_argument("--out", metavar="DIR", help="output directory (default ./out)")
-        # solve and analyze take every [problem] key, a family command its own
-        keys = ("seed", *FAMILIES[family].keys) if family else PROBLEM_KEYS
+        if family is None:
+            continue
+        ps.add_argument("--config", metavar="PATH", help="problem configuration file")
+        if family == "*":  # solve and analyze: every [problem] key
+            keys = PROBLEM_KEYS
+        else:  # seed, mode and the keys the family's modes read
+            read = {"seed", "mode"}.union(*FAMILIES[family].values())
+            keys = [k for k in PROBLEM_KEYS if k in read]
+            ps.set_defaults(family=family)
         for key, typ in {**{k: PROBLEM_KEYS[k] for k in keys}, **ALM_KEYS}.items():
             spec = dict(action="store_true") if typ is bool else dict(type=typ)
             if key == "family":
                 spec["choices"] = tuple(FAMILIES)
-            elif key == "mode" and family:
-                spec["choices"] = (FAMILIES[family].mode, "random")
+            elif key == "mode" and family != "*":
+                spec["choices"] = tuple(FAMILIES[family])
             flag = "--" + key.replace("_", "-")
             ps.add_argument(flag, default=None, help=FLAG_HELP.get(key), **spec)
-        if family:
-            ps.set_defaults(family=family)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
-        cfg = parse_problem_file(args.config) if args.config else RunConfig()
+        # figure1 takes no --config
+        cfg = parse_problem_file(args.config) if getattr(args, "config", None) else RunConfig()
         cfg = apply_flag_overrides(cfg, args)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)

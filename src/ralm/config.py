@@ -2,9 +2,9 @@
 
 Three tables declare every run setting once: ``PROBLEM_KEYS`` (the
 ``[problem]`` keys and their types), ``ALM_KEYS`` (the ``[alm]`` keys, from
-``ALMConfig``'s type hints) and ``FAMILIES`` (each family's default mode and
-the ``[problem]`` keys its own command takes).  The config file, the
-command-line flags of ``ralm.cli`` and the family modes all derive from them.
+``ALMConfig``'s type hints) and ``FAMILIES`` (each family's modes and the
+settings each mode's instance reads, with their defaults).  The config file,
+the command-line flags of ``ralm.cli`` and the instances all derive from them.
 
 Format: ``[section]`` headers followed by ``key=value`` lines; the optional
 ``[matrix]`` section holds whitespace-separated matrix rows, one row per
@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, get_type_hints
+from typing import Optional, get_type_hints
 
 import numpy as np
 
+from .problems import SPHERE_L1_DEMO_A
 from .solver import ALMConfig
 
 
@@ -30,13 +31,14 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    # None is "not set": the instance's default from FAMILIES applies
     family: str = "circle"
-    n: int = 20
-    m: int = 200
-    r: int = 5
-    mu: float = 0.25
-    seed: Optional[int] = None  # commands pick their own default when unset
-    oversample: float = 3.0
+    n: Optional[int] = None
+    m: Optional[int] = None
+    r: Optional[int] = None
+    mu: Optional[float] = None
+    seed: Optional[int] = None
+    oversample: Optional[float] = None
     mode: Optional[str] = None
     alm: ALMConfig = field(default_factory=ALMConfig)
     matrix: Optional[np.ndarray] = None
@@ -56,17 +58,31 @@ PROBLEM_KEYS = {
 ALM_KEYS = get_type_hints(ALMConfig)
 
 
-class Family(NamedTuple):
-    mode: Optional[str]  # run when neither --mode nor the file names one
-    keys: tuple  # the [problem] keys its own command takes besides seed
-
-
-# sphere-l1 and rmc also have a "random" mode
+# family -> mode (the first is the default) -> the settings its instance reads,
+# with their defaults ("matrix" is the [matrix] section).  Every instance takes
+# seed, even one that draws nothing from it: analyze draws its probe from it.
 FAMILIES = {
-    "circle": Family(None, ()),
-    "sphere-l1": Family("builtin5x5", ("mode", "n", "mu")),
-    "rmc": Family("basic5x5", ("mode", "m", "n", "r", "oversample")),
+    "circle": {None: {}},
+    "sphere-l1": {"builtin5x5": {"mu": 0.25, "matrix": SPHERE_L1_DEMO_A},
+                  "random": {"n": 20, "mu": 0.25, "seed": 0}},
+    "rmc": {"basic5x5": {"seed": 42},
+            "random": {"m": 200, "n": 20, "r": 5, "oversample": 3.0, "seed": 1}},
 }
+
+
+def instance_settings(cfg: RunConfig):
+    """(mode, {setting: value}) of the instance ``cfg`` names, defaults filled
+    in; a setting the instance does not read raises ConfigError."""
+    modes = FAMILIES[cfg.family]
+    mode = cfg.mode or next(iter(modes))
+    if mode not in modes:
+        raise ConfigError(f"unknown {cfg.family} mode {mode!r}")
+    reads, where = modes[mode], f"{cfg.family} mode {mode}" if mode else cfg.family
+    for key in ("n", "m", "r", "mu", "oversample", "matrix"):  # all but seed
+        if key not in reads and getattr(cfg, key) is not None:
+            what = "a [matrix] section" if key == "matrix" else f"the setting {key}"
+            raise ConfigError(f"{where} does not read {what}")
+    return mode, {k: v if getattr(cfg, k) is None else getattr(cfg, k) for k, v in reads.items()}
 
 
 def _parse_scalar(raw: str, typ, lineno: int):
@@ -144,10 +160,9 @@ def apply_flag_overrides(cfg: RunConfig, args) -> RunConfig:
                 setattr(target, name, val)
     if getattr(args, "out", None) is not None:
         cfg.out_dir = args.out
-    for name in ("n", "m", "r"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
-    if cfg.seed is not None and cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    for name, low in (("n", 1), ("m", 1), ("r", 1), ("seed", 0)):
+        val = getattr(cfg, name)
+        if val is not None and val < low:
+            raise ConfigError(f"{name} must be >= {low}, got {val}")
     cfg.alm.validate()
     return cfg

@@ -49,6 +49,8 @@ INIT_STEP = 1.0
 FINAL_EPS_FACTOR = 30.0
 # Accepted steps one subproblem may take.
 INNER_MAX_ITERS = 5000
+# Bound on each multiplier entry that enters a subproblem (safeguarded ALM).
+MULTIPLIER_BOUND = 1e8
 
 
 def _require_finite(cfg) -> None:
@@ -72,14 +74,13 @@ class ALMConfig:
     eps0: float = 1e-2
     eps_decay: float = 0.5
     eps_floor: float = 1e-12
-    multiplier_bound: float = 1e8
     kkt_tol: float = 1e-7
     max_outer: int = 200
     fixed_rho: bool = False
 
     def validate(self):
         _require_finite(self)
-        for name in ("rho0", "eps0", "eps_floor", "multiplier_bound", "kkt_tol"):
+        for name in ("rho0", "eps0", "eps_floor", "kkt_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not self.gamma > 1:
@@ -301,10 +302,8 @@ def subproblem_solve(
     return SubproblemResult(best_x, best_grad, best_gn, iters, stalled=best_gn > eps)
 
 
-def _clip_multiplier(v, bound: float):
-    if v is None:
-        return None
-    return np.clip(np.asarray(v, dtype=float), -bound, bound)
+def _clip_multiplier(v):
+    return None if v is None else np.clip(np.asarray(v, dtype=float), -MULTIPLIER_BOUND, MULTIPLIER_BOUND)
 
 
 def distance_to_reference(p: ProblemInstance, x, y, z, reference):
@@ -381,8 +380,8 @@ def alm_run(
     stall_streak = 0
     best_maxcomp = max(comps)
     for k in range(config.max_outer):
-        w = _clip_multiplier(y, config.multiplier_bound)
-        p_mult = _clip_multiplier(z, config.multiplier_bound)
+        w = _clip_multiplier(y)
+        p_mult = _clip_multiplier(z)
         eps_k = max(config.eps_floor, min(config.eps0 * config.eps_decay**k, 0.1 * r_sum))
         if r_sum <= FINAL_EPS_FACTOR * config.kkt_tol:
             eps_k = min(eps_k, config.kkt_tol)

@@ -500,6 +500,13 @@ class TestExactMsosc:
         with pytest.raises(ValueError, match=f"{MAX_RAY_ROWS + 1} one-sided cone generators exceed"):
             msosc_check(p, x, y)
 
+    def test_condition_report_records_a_refusal_and_keeps_msrcq(self):
+        p, x, y = ray_cone_instance(np.linspace(2.0, 1.0, MAX_RAY_ROWS + 3), MAX_RAY_ROWS + 1)
+        rep = condition_report(p, x, y)
+        assert (rep.msrcq.passed, rep.msrcq.rank_found, rep.msrcq.rank_required) == (True, 11, 11)
+        assert (rep.msosc.status, rep.msosc.passed) == ("refused", False)
+        assert rep.msosc.refusal == f"{MAX_RAY_ROWS + 1} one-sided cone generators exceed {MAX_RAY_ROWS}"
+
 
 class TestCalmnessProbe:
     def test_circle_ratios_bounded(self):

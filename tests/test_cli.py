@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -10,7 +11,7 @@ import pytest
 
 import ralm.analysis
 import ralm.cli
-from ralm.analysis import fit_log_linear
+from ralm.analysis import MAX_RAY_ROWS, condition_report, fit_log_linear
 from ralm.cli import (
     EXIT_CHECK_FAILED,
     EXIT_ERROR,
@@ -18,6 +19,7 @@ from ralm.cli import (
     EXIT_PARTIAL,
     main,
     make_parser,
+    write_conditions,
 )
 from ralm.config import (
     PROBLEM_KEYS,
@@ -28,6 +30,8 @@ from ralm.config import (
 )
 from ralm.problems import rmc_basic_instance
 from ralm.solver import ALMConfig
+
+from helpers import ray_cone_instance
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -79,7 +83,6 @@ ALM_VALUES = {
     "eps0": ("0.1", 0.1),
     "eps_decay": ("0.25", 0.25),
     "eps_floor": ("1e-11", 1e-11),
-    "multiplier_bound": ("1e6", 1e6),
     "kkt_tol": ("1e-8", 1e-8),
     "max_outer": ("17", 17),
     "fixed_rho": ("yes", True),
@@ -94,11 +97,18 @@ PROBLEM_VALUES = {
     "oversample": ("2.5", 2.5),
     "mode": ("random", "random"),
 }
-# the [problem] flags each family command takes
-FAMILY_COMMAND_FLAGS = {
-    "figure1": {"seed"},
-    "sphere-l1": {"seed", "mode", "n", "mu"},
-    "rmc": {"seed", "mode", "m", "n", "r", "oversample"},
+# the exact flags each command's --help lists (besides --help): figure1 reads
+# no setting, a family command takes seed, mode and the keys its modes read
+ALM_FLAGS = {"--rho0", "--gamma", "--tau", "--eps0", "--eps-decay", "--eps-floor", "--kkt-tol",
+             "--max-outer", "--fixed-rho"}
+ANY_FAMILY_FLAGS = {"--config", "--out", "--family", "--n", "--m", "--r", "--mu", "--seed",
+                    "--oversample", "--mode", *ALM_FLAGS}
+COMMAND_FLAGS = {
+    "solve": ANY_FAMILY_FLAGS,
+    "figure1": {"--out"},
+    "sphere-l1": {"--config", "--out", "--seed", "--mode", "--n", "--mu", *ALM_FLAGS},
+    "rmc": {"--config", "--out", "--seed", "--mode", "--m", "--n", "--r", "--oversample", *ALM_FLAGS},
+    "analyze": ANY_FAMILY_FLAGS,
 }
 
 
@@ -170,7 +180,8 @@ class TestCommandOutputs:
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
-        assert "--jobs" not in capsys.readouterr().out
+        flags = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out)) - {"--help"}
+        assert flags == COMMAND_FLAGS[command]
 
     @pytest.mark.parametrize(
         "argv,field",
@@ -297,19 +308,19 @@ class TestFlagTable:
 
     @pytest.mark.parametrize(
         "command, key",
-        [(c, k) for c in FAMILY_COMMAND_FLAGS for k in PROBLEM_VALUES],
+        [(c, k) for c in ("figure1", "sphere-l1", "rmc") for k in PROBLEM_VALUES],
     )
     def test_family_command_takes_seed_and_its_own_keys(self, tmp_path, capsys, command, key):
         raw, want = PROBLEM_VALUES[key]
         argv = [command, "--" + key, raw, "--out", str(tmp_path / "o")]
-        if key not in FAMILY_COMMAND_FLAGS[command]:
+        if "--" + key not in COMMAND_FLAGS[command]:
             assert main(argv) == EXIT_ERROR
             err = capsys.readouterr().err
             assert err.startswith("error: unrecognized arguments") and err.count("\n") == 1
             return
         cfg = apply_flag_overrides(RunConfig(), make_parser().parse_args(argv))
         assert getattr(cfg, key) == want
-        assert cfg.family == {"figure1": "circle"}.get(command, command)
+        assert cfg.family == command
 
     def test_file_fixed_rho_survives_a_run_without_the_flag(self, tmp_path, alm_configs):
         f = tmp_path / "fixed.cfg"
@@ -332,12 +343,49 @@ class TestFlagTable:
         assert main(first) == EXIT_OK
         assert main(["solve", "--out", out]) == EXIT_OK
         got = [(c.family, c.mode, c.n, c.seed, c.alm.kkt_tol) for c in seen]
-        assert got == [("sphere-l1", "random", 4, 3, 1e-6), ("circle", None, 20, None, 1e-7)]
+        assert got == [("sphere-l1", "random", 4, 3, 1e-6), ("circle", None, None, None, 1e-7)]
 
-    def test_eps_floor_and_multiplier_bound_reach_the_solver(self, tmp_path, alm_configs):
-        argv = ["solve", "--eps-floor", "1e-11", "--multiplier-bound", "1e6"]
+    def test_eps_floor_reaches_the_solver(self, tmp_path, alm_configs):
+        argv = ["solve", "--eps-floor", "1e-11"]
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_OK
-        assert [(alm.eps_floor, alm.multiplier_bound) for alm in alm_configs] == [(1e-11, 1e6)]
+        assert [alm.eps_floor for alm in alm_configs] == [1e-11]
+
+
+class TestUnreadSettingsRefused:
+    """A setting the command or its instance does not read exits 1 with one
+    line naming it; seed is always taken."""
+
+    @pytest.mark.parametrize(
+        "argv, setting",
+        [
+            (["figure1", "--seed", "3"], "--seed"),
+            (["figure1", "--max-outer", "1"], "--max-outer"),
+            (["figure1", "--config", "x.cfg"], "--config"),
+            (["solve", "--family", "circle", "--n", "7"], "setting n"),
+            (["sphere-l1", "--mode", "builtin5x5", "--n", "50"], "setting n"),
+            (["rmc", "--mode", "basic5x5", "--m", "30"], "setting m"),
+            (["rmc", "--mode", "basic5x5", "--r", "2"], "setting r"),
+            (["rmc", "--mode", "basic5x5", "--oversample", "9"], "setting oversample"),
+            (["solve", "--family", "rmc", "--mu", "0.5"], "setting mu"),
+            (["solve", "--family", "sphere-l1", "--mode", "random", "--m", "9"], "setting m"),
+        ],
+    )
+    def test_unread_setting_exits_one_line(self, tmp_path, capsys, argv, setting):
+        code = main(argv + ["--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and setting in err
+        assert not (tmp_path / "o" / "summary.txt").exists()
+
+    def test_unread_setting_in_a_config_file(self, tmp_path, capsys):
+        f = tmp_path / "circle.cfg"
+        f.write_text("[problem]\nfamily=circle\nn=7\n")
+        assert main(["solve", "--config", str(f), "--out", str(tmp_path / "o")]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: circle does not read the setting n\n"
+
+    @pytest.mark.parametrize("family", ["circle", "sphere-l1", "rmc"])
+    def test_seed_is_always_taken(self, tmp_path, family):
+        assert main(["solve", "--family", family, "--seed", "3", "--out", str(tmp_path)]) == EXIT_OK
 
 
 class TestConfigParsing:
@@ -636,6 +684,28 @@ class TestAnalyzeCommand:
         monkeypatch.setattr(ralm.analysis, "tangent_basis", counting)
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_OK
         assert len(calls) == builds
+
+
+class TestRefusedMsosc:
+    def test_conditions_file_reads_the_refusal(self, tmp_path):
+        p, x, y = ray_cone_instance(np.linspace(2.0, 1.0, MAX_RAY_ROWS + 3), MAX_RAY_ROWS + 1)
+        write_conditions(tmp_path / "c.txt", condition_report(p, x, y))
+        lines = (tmp_path / "c.txt").read_text().splitlines()
+        assert lines[1] == "msrcq = pass (rank 11/11, 20 generators)"
+        assert lines[2] == "msosc = refused (9 one-sided cone generators exceed 8)"
+
+    @pytest.mark.parametrize("command", [["sphere-l1"], ["analyze", "--family", "sphere-l1"]])
+    def test_command_writes_msrcq_then_exits_one_line(self, tmp_path, capsys, monkeypatch, command):
+        # a cap below zero refuses every cone, here one without ray rows
+        monkeypatch.setattr(ralm.analysis, "MAX_RAY_ROWS", -1)
+        argv = [*command, "--mode", "random", "--n", "10", "--seed", "7", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_ERROR
+        refusal = "0 one-sided cone generators exceed -1"
+        assert capsys.readouterr().err == f"error: M-SOSC check too large: {refusal}\n"
+        lines = (tmp_path / "conditions.txt").read_text().splitlines()
+        assert lines[1].startswith("msrcq = pass (rank 10/10")
+        assert lines[2] == f"msosc = refused ({refusal})"
+        assert not (tmp_path / "summary.txt").exists()
 
 
 class TestColdStart:

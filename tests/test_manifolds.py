@@ -463,8 +463,8 @@ class TestFactoredTangent:
 def rmc_merit(m, n, r):
     """RMC instance (seed 1; the basic instance at 5 x 5), its start, and the
     merit gradient of the first subproblem (w = 0, rho = 1) as a function of x."""
-    mode = "basic5x5" if (m, n, r) == (5, 5, 3) else "random"
-    p, x0, _, _ = build_problem(RunConfig(family="rmc", mode=mode, m=m, n=n, r=r, seed=1))
+    dims = {} if (m, n, r) == (5, 5, 3) else dict(mode="random", m=m, n=n, r=r)
+    p, x0, _, _ = build_problem(RunConfig(family="rmc", seed=1, **dims))
     shifts = merit_shifts(p, np.zeros((m, n)), None, 1.0)
     return p, x0, lambda x: merit_rgrad(p, x, merit_eval(p, x, shifts, 1.0)[1])
 

@@ -680,7 +680,7 @@ class TestALMRun:
     @pytest.mark.parametrize(
         "field,value",
         non_finite_cases(
-            ["rho0", "gamma", "tau", "eps0", "eps_decay", "eps_floor", "multiplier_bound", "kkt_tol"]
+            ["rho0", "gamma", "tau", "eps0", "eps_decay", "eps_floor", "kkt_tol"]
         ),
     )
     def test_nan_config_value_rejected(self, field, value):

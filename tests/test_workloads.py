@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from ralm import cli
 from ralm.cli import main
+from ralm.config import RunConfig, apply_flag_overrides
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "ralmbench" / "workloads.py"
 
@@ -26,6 +28,16 @@ def load_workloads():
 
 workloads = load_workloads()
 COMMANDS = workloads.WORKLOADS["small-analyze"](0) + workloads.WORKLOADS["sphere-200"](0)
+EVERY_COMMAND = [cmd for make in workloads.WORKLOADS.values() for cmd in make(0)]
+
+
+@pytest.mark.parametrize("cmd", EVERY_COMMAND, ids=[c.label for c in EVERY_COMMAND])
+def test_benchmark_setup_builds_the_instance(cmd):
+    """The benchmark's setup_s step (``build_instances`` in ralmbench/run.py)
+    builds each command's problem without ``main``; a refusal there would
+    stop the benchmark."""
+    args = cli.make_parser().parse_args(list(cmd.argv))
+    cli.build_problem(apply_flag_overrides(RunConfig(), args))
 
 
 @pytest.mark.parametrize("cmd", COMMANDS, ids=[c.label for c in COMMANDS])
