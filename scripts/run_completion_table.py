@@ -13,13 +13,13 @@ import numpy as np
 
 from ralm.cli import _Parser
 from ralm.manifolds import RankDeficiencyError
-from ralm.problems import RMC, build_family, generate_rmc_instance, rmc_spectral_init
+from ralm.problems import generate_rmc_instance, rmc_problem, rmc_spectral_init
 from ralm.solver import ALMConfig, alm_run, kkt_residual_components
 
 
 def run_case(m, n, r, oversample, seed):
     a, mask, a_exact = generate_rmc_instance(m, n, r, oversample, seed)
-    p = build_family(RMC(a, mask, r))
+    p = rmc_problem(a, mask, r)
     x0 = rmc_spectral_init(a, mask, r)
     t0 = time.perf_counter()
     res = alm_run(p, ALMConfig(max_outer=60), x0)

@@ -8,25 +8,23 @@ calmness and two-sided KKT error bounds at the computed solutions.
 
 from .convex import Box, ScaledL1
 from .manifolds import FixedRank, Point, RankDeficiencyError, Sphere
-from .problems import RMC, CircleExample, ProblemInstance, SphereL1, build_family
-from .solver import ALMConfig, ALMResult, SolveStatus, alm_run
+from .problems import ProblemInstance, circle_problem, rmc_problem, sphere_l1_problem
+from .solver import ALMConfig, ALMResult, alm_run
 
 __all__ = [
     "ALMConfig",
     "ALMResult",
     "Box",
-    "CircleExample",
     "FixedRank",
     "Point",
     "ProblemInstance",
-    "RMC",
     "RankDeficiencyError",
     "ScaledL1",
-    "SolveStatus",
     "Sphere",
-    "SphereL1",
     "alm_run",
-    "build_family",
+    "circle_problem",
+    "rmc_problem",
+    "sphere_l1_problem",
 ]
 
 __version__ = "0.1.0"

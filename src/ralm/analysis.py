@@ -132,7 +132,7 @@ def _condition_system(p: ProblemInstance, x: Point, y, z):
     basis = tangent_basis(p.manifold, x)
     maps = (p.g1,) if p.q is None else (p.g1, p.g2)
     img = np.column_stack(
-        [np.concatenate([np.ravel(g.jacobian_apply(xa, b)) for g in maps]) for b in basis]
+        [np.concatenate([np.ravel(g.jacobian_apply(b)) for g in maps]) for b in basis]
     )
     masks = _ctheta_generator_signs(p.theta, p.g1.value(xa), y, CONE_TOL)
     if p.q is not None:
@@ -271,8 +271,7 @@ def _msosc(p: ProblemInstance, x: Point, y, z, system) -> MsoscReport:
     if found is None:
         return MsoscReport("vacuous", float("nan"), k1)
     xi = np.tensordot(nmat @ found[1], basis, axes=1)
-    xa = x.ambient
-    star = psi_conjugate(p.theta, p.g1.value(xa), p.g1.jacobian_apply(xa, xi), y, CONE_TOL, CONE_TOL)
+    star = psi_conjugate(p.theta, p.g1.value(x.ambient), p.g1.jacobian_apply(xi), y, CONE_TOL, CONE_TOL)
     if not star.finite:
         return MsoscReport("fail", float("nan"), k1)
     value = hess_quadform(p, x, z, xi) - star.value

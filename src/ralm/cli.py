@@ -44,15 +44,14 @@ from .config import (
 )
 from .manifolds import FixedRank, RankDeficiencyError, nearest_rank_r, random_point, sphere_point
 from .problems import (
-    RMC,
-    CircleExample,
-    SphereL1,
-    build_family,
+    circle_problem,
     circle_reference,
     generate_rmc_instance,
     objective_value,
     rmc_basic_instance,
+    rmc_problem,
     rmc_spectral_init,
+    sphere_l1_problem,
 )
 from .solver import alm_run, kkt_residual_components
 
@@ -72,22 +71,22 @@ def build_problem(cfg: RunConfig):
     """Returns (problem, x0, reference-triple-or-None, exact-matrix-or-None)."""
     mode, s = instance_settings(cfg)
     if cfg.family == "circle":
-        return build_family(CircleExample()), sphere_point([1.0, 0.0]), circle_reference(), None
+        return circle_problem(), sphere_point([1.0, 0.0]), circle_reference(), None
     if cfg.family == "sphere-l1":
         if mode == "random":
             a = np.random.default_rng(s["seed"]).standard_normal((s["n"], s["n"]))
-            p = build_family(SphereL1(a, mu=s["mu"]))
+            p = sphere_l1_problem(a, s["mu"])
             return p, random_point(p.manifold, np.random.default_rng([s["seed"], 1])), None, None
         a = s["matrix"]
         x0 = sphere_point(np.ones(a.shape[0]) / math.sqrt(a.shape[0]))
-        return build_family(SphereL1(a, mu=s["mu"])), x0, None, None
+        return sphere_l1_problem(a, s["mu"]), x0, None, None
     if mode == "random":
         a, mask, a_exact = generate_rmc_instance(s["m"], s["n"], s["r"], s["oversample"], s["seed"])
         x0, r = rmc_spectral_init(a, mask, s["r"]), s["r"]
     else:
         a, mask, a_exact = rmc_basic_instance(s["seed"])
         x0, r = nearest_rank_r(FixedRank(5, 5, 3), a), 3
-    return build_family(RMC(a, mask, r)), x0, None, a_exact
+    return rmc_problem(a, mask, r), x0, None, a_exact
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +169,16 @@ def write_probe_csv(path: Path, calm, ebfit) -> None:
 # commands
 
 
+def _status(res) -> str:
+    """The summary's status line, from whether the run converged."""
+    return "converged" if res.converged else "partial-convergence"
+
+
 def _summary_entries(p, res, elapsed, a_exact=None):
     comps = kkt_residual_components(p, res.x, res.y, res.z)
     entries = {
         "family": p.label,
-        "status": res.status.value,
+        "status": _status(res),
         "stop_reason": res.reason,
         "outer_iterations": len(res.history) - 1,
         "wall_time_seconds": elapsed,
@@ -232,7 +236,7 @@ def cmd_figure1(cfg: RunConfig, out: Path) -> int:
     fits = [fit_log_linear(figure1_tail(res.history)) for res in results]
     entries = {}
     for rho, res, (slope, r2) in zip(FIGURE1_RHOS, results, fits):
-        entries[f"rho{rho:g}_status"] = res.status.value
+        entries[f"rho{rho:g}_status"] = _status(res)
         entries[f"rho{rho:g}_slope"] = slope
         entries[f"rho{rho:g}_r2"] = r2
     slopes = [f[0] for f in fits]
@@ -323,8 +327,10 @@ def cmd_rmc(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_analyze(cfg: RunConfig, out: Path) -> int:
-    p, res, _, _ = _solve(cfg, conditions=True)
+    p, res, elapsed, a_exact = _solve(cfg, conditions=True)
     if not res.converged:
+        write_summary(out / "summary.txt", _summary_entries(p, res, elapsed, a_exact))
+        print(f"analyze: the solve did not converge (stop reason {res.reason})", file=sys.stderr)
         return EXIT_PARTIAL
     trip = polish_kkt(p, res.x, res.y, res.z, tol=1e-12)
     if trip.residual > POLISHED_KKT_GATE:

@@ -13,7 +13,6 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, fields
-from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
@@ -59,11 +58,6 @@ def _require_finite(cfg) -> None:
         val = getattr(cfg, f.name)
         if isinstance(val, float) and not math.isfinite(val):
             raise ValueError(f"{f.name} must be finite, got {val}")
-
-
-class SolveStatus(Enum):
-    CONVERGED = "converged"
-    PARTIAL = "partial-convergence"
 
 
 @dataclass
@@ -130,10 +124,6 @@ class ALMResult:
     @property
     def converged(self) -> bool:
         return self.reason == "converged"
-
-    @property
-    def status(self) -> SolveStatus:
-        return SolveStatus.CONVERGED if self.converged else SolveStatus.PARTIAL
 
 
 def kkt_blocks(p: ProblemInstance, x: Point, y, z=None):

@@ -2,7 +2,7 @@
 import numpy as np
 
 from ralm.manifolds import Manifold, Point, project_tangent, sphere_point
-from ralm.problems import SphereL1, build_family, tilted_instance
+from ralm.problems import sphere_l1_problem, tilted_instance
 
 
 def random_tangent(manifold: Manifold, x: Point, seed) -> np.ndarray:
@@ -24,7 +24,7 @@ def ray_cone_instance(a_diag, n_rays):
     n = len(a_diag)
     c = np.zeros(n)
     c[1 : 1 + n_rays] = 1.0
-    p = tilted_instance(build_family(SphereL1(np.diag(a_diag), mu=1.0)), a=c)
+    p = tilted_instance(sphere_l1_problem(np.diag(a_diag), 1.0), a=c)
     y = c.copy()
     y[0] = 1.0
     return p, sphere_point(np.eye(n)[0]), y

@@ -28,16 +28,15 @@ from ralm.manifolds import (
     sphere_point,
 )
 from ralm.problems import (
-    RMC,
     SPHERE_L1_DEMO_A,
-    CircleExample,
-    SphereL1,
     aug_lagrangian,
     aug_lagrangian_value,
-    build_family,
+    circle_problem,
     generate_rmc_instance,
     rmc_basic_instance,
+    rmc_problem,
     rmc_spectral_init,
+    sphere_l1_problem,
 )
 from ralm.solver import ALMConfig, alm_run, kkt_residual_components
 
@@ -63,7 +62,7 @@ def criterion(num, label):
 def test_criterion_1_circle_exactness():
     with criterion(1, "circle instance converges to the known triple"):
         t0 = time.perf_counter()
-        p = build_family(CircleExample())
+        p = circle_problem()
         res = alm_run(p, ALMConfig(), sphere_point([1.0, 0.0]))
         elapsed = time.perf_counter() - t0
         assert res.converged
@@ -77,7 +76,7 @@ def test_criterion_1_circle_exactness():
 def test_criterion_2_rate_ordering():
     with criterion(2, "fixed-penalty log-linear tails with slopes decreasing in rho"):
         t0 = time.perf_counter()
-        p = build_family(CircleExample())
+        p = circle_problem()
         x0 = sphere_point([1.0, 0.0])
         slopes = []
         for rho in (1.0, 10.0, 100.0, 1000.0):
@@ -96,7 +95,7 @@ def test_criterion_2_rate_ordering():
 def test_criterion_3_sphere_demo_instance():
     with criterion(3, "fixed 5x5 sphere instance: solution, multiplier, conditions"):
         t0 = time.perf_counter()
-        p = build_family(SphereL1(SPHERE_L1_DEMO_A, mu=0.25))
+        p = sphere_l1_problem(SPHERE_L1_DEMO_A, 0.25)
         res = alm_run(p, ALMConfig(), sphere_point(np.ones(5) / np.sqrt(5)))
         assert res.converged
         trip = polish_kkt(p, res.x, res.y, res.z, tol=1e-10)
@@ -117,7 +116,7 @@ def test_criterion_4_srcq_on_random_sphere_instances():
         t0 = time.perf_counter()
         for seed in range(1, 21):
             rng = np.random.default_rng(seed)
-            p = build_family(SphereL1(rng.standard_normal((10, 10)), mu=0.25))
+            p = sphere_l1_problem(rng.standard_normal((10, 10)), 0.25)
             res = alm_run(p, ALMConfig(), random_point(p.manifold, seed + 1000))
             assert res.converged, f"seed {seed} did not converge"
             trip = polish_kkt(p, res.x, res.y, res.z, tol=1e-10)
@@ -130,7 +129,7 @@ def test_criterion_5_rmc_basic_recovery():
     with criterion(5, "5x5 rank-3 instance with block outliers recovers the ground truth"):
         t0 = time.perf_counter()
         a, mask, a_exact = rmc_basic_instance(42)
-        p = build_family(RMC(a, mask, 3))
+        p = rmc_problem(a, mask, 3)
         x0 = nearest_rank_r(FixedRank(5, 5, 3), a)
         res = alm_run(p, ALMConfig(), x0)
         assert res.converged
@@ -145,7 +144,7 @@ def test_criterion_6_rmc_scaled_random():
         t0 = time.perf_counter()
         for seed in (1, 2, 3):
             a, mask, a_exact = generate_rmc_instance(200, 200, 5, 3.0, seed)
-            p = build_family(RMC(a, mask, 5))
+            p = rmc_problem(a, mask, 5)
             x0 = rmc_spectral_init(a, mask, 5)
             res = alm_run(p, ALMConfig(max_outer=60), x0)
             assert res.converged, f"seed {seed} did not converge"
@@ -157,7 +156,7 @@ def test_criterion_6_rmc_scaled_random():
 
 
 def _polished_circle():
-    p = build_family(CircleExample())
+    p = circle_problem()
     res = alm_run(p, ALMConfig(), sphere_point([1.0, 0.0]))
     trip = polish_kkt(p, res.x, res.y, res.z, tol=1e-11)
     return p, trip
@@ -252,9 +251,9 @@ class TestCriterion9PropertySuites:
             rng = np.random.default_rng(3)
             mask = rng.random((5, 6)) < 0.5
             families = [
-                build_family(CircleExample()),
-                build_family(SphereL1(rng.standard_normal((6, 6)), mu=0.3)),
-                build_family(RMC(rng.standard_normal((5, 6)), mask, 2)),
+                circle_problem(),
+                sphere_l1_problem(rng.standard_normal((6, 6)), 0.3),
+                rmc_problem(rng.standard_normal((5, 6)), mask, 2),
             ]
             for p in families:
                 for _ in range(100):
@@ -277,7 +276,7 @@ class TestCriterion9PropertySuites:
         with criterion("9e", "multiplier chain identity per iteration of the acceptance runs"):
             histories = COLLECTED_HISTORIES
             if not histories:  # selective run: regenerate the circle history
-                p = build_family(CircleExample())
+                p = circle_problem()
                 histories = [alm_run(p, ALMConfig(), sphere_point([1.0, 0.0])).history]
             checked = 0
             for history in histories:

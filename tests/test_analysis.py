@@ -30,15 +30,14 @@ from ralm.manifolds import (
     tangent_basis,
 )
 from ralm.problems import (
-    RMC,
     SPHERE_L1_DEMO_A,
-    CircleExample,
     Objective,
     ProblemInstance,
     SmoothMap,
-    SphereL1,
-    build_family,
+    circle_problem,
     rhess_apply,
+    rmc_problem,
+    sphere_l1_problem,
     tilted_instance,
 )
 from ralm.solver import ALMConfig, alm_run, kkt_blocks, kkt_residual
@@ -58,7 +57,7 @@ def stacked(blocks):
 
 
 def solved_sphere_demo():
-    p = build_family(SphereL1(SPHERE_L1_DEMO_A, mu=0.25))
+    p = sphere_l1_problem(SPHERE_L1_DEMO_A, 0.25)
     res = alm_run(p, ALMConfig(), sphere_point(np.ones(5) / np.sqrt(5)))
     trip = polish_kkt(p, res.x, res.y, res.z, tol=1e-10)
     return p, trip
@@ -66,12 +65,12 @@ def solved_sphere_demo():
 
 class TestNaturalMap:
     def test_zero_at_known_solution(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x, y, z = circle_solution()
         assert np.linalg.norm(stacked(kkt_blocks(p, x, y, z))) <= 1e-12
 
     def test_blockwise_norms_sum_to_residual(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         rng = np.random.default_rng(0)
         for _ in range(100):
             x = random_point(p.manifold, rng)
@@ -92,14 +91,14 @@ class TestNaturalMap:
         assert np.linalg.norm(stacked(blocks)) <= 10 * max(trip.residual, 1e-12)
 
     def test_perturbing_y_off_kink_moves_first_block_only(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x, y, z = circle_solution()
         delta = 1e-3  # stays inside the prox-inactive band |g1 + y| < mu
         grad0, theta0, set0 = kkt_blocks(p, x, y, z)
         grad1, theta1, set1 = kkt_blocks(p, x, y + delta, z)
         np.testing.assert_allclose(theta1, theta0, atol=1e-15)
         np.testing.assert_allclose(set1, set0, atol=1e-15)
-        expected = p.g1.jacobian_adjoint(x.ambient, np.array([delta]))
+        expected = p.g1.jacobian_adjoint(np.array([delta]))
         moved = grad1 - grad0
         from ralm.manifolds import project_tangent
 
@@ -109,15 +108,15 @@ class TestNaturalMap:
 def constant_zero_map(n):
     return SmoothMap(
         value=lambda x: np.zeros(1),
-        jacobian_apply=lambda x, xi: np.zeros(1),
-        jacobian_adjoint=lambda x, y: np.zeros(n),
+        jacobian_apply=lambda xi: np.zeros(1),
+        jacobian_adjoint=lambda y: np.zeros(n),
         out_shape=(1,),
     )
 
 
 class TestMsrcq:
     def test_circle_passes(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x, y, z = circle_solution()
         rep = msrcq_check(p, x, y, z)
         assert rep.passed
@@ -146,12 +145,12 @@ class TestMsrcq:
     def test_rejects_an_infeasible_point_without_z(self):
         # x violates 2 x1 + x2 >= 0; without z the set block used to be
         # dropped and x passed the KKT gate
-        p = build_family(CircleExample())
+        p = circle_problem()
         with pytest.raises(ValueError, match="set constraint"):
             msrcq_check(p, sphere_point([-RT2, -RT2]), np.array([-RT2]))
 
     def test_requires_approximate_kkt(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x = sphere_point([1.0, 0.0])
         for check in (msrcq_check, msosc_check):
             with pytest.raises(ValueError, match="not an approximate KKT point"):
@@ -160,7 +159,7 @@ class TestMsrcq:
     def test_random_sphere_instances_all_pass(self):
         for seed in range(1, 9):
             rng = np.random.default_rng(seed)
-            p = build_family(SphereL1(rng.standard_normal((10, 10)), mu=0.25))
+            p = sphere_l1_problem(rng.standard_normal((10, 10)), 0.25)
             res = alm_run(p, ALMConfig(), random_point(p.manifold, seed + 50))
             trip = polish_kkt(p, res.x, res.y, res.z, tol=1e-10)
             assert msrcq_check(p, trip.x, trip.y, trip.z).passed
@@ -169,7 +168,7 @@ class TestMsrcq:
         # rmc 200x200 r=5: a 40000 x (1975 + 40000) stack, far above the cap;
         # the size is refused before the KKT gate and the tangent basis
         rng = np.random.default_rng(0)
-        p = build_family(RMC(rng.standard_normal((200, 200)), rng.random((200, 200)) < 0.15, 5))
+        p = rmc_problem(rng.standard_normal((200, 200)), rng.random((200, 200)) < 0.15, 5)
         x = random_point(FixedRank(200, 200, 5), 1)
         for check in (msrcq_check, msosc_check):
             with pytest.raises(ValueError, match="dense 40000 x 41975 system"):
@@ -184,8 +183,8 @@ def dense_msrcq_rank(p, x, y, z, tol=1e-8, cone_tol=1e-8):
     dim_z = int(np.prod(p.g2.out_shape)) if p.q is not None else 0
     cols = []
     for b in tangent_basis(p.manifold, x):
-        top = np.ravel(p.g1.jacobian_apply(xa, b))
-        bottom = np.ravel(p.g2.jacobian_apply(xa, b)) if dim_z else np.zeros(0)
+        top = np.ravel(p.g1.jacobian_apply(b))
+        bottom = np.ravel(p.g2.jacobian_apply(b)) if dim_z else np.zeros(0)
         cols.append(np.concatenate([top, bottom]))
     blocks = [(0, _ctheta_generator_signs(p.theta, p.g1.value(xa), y, cone_tol))]
     if dim_z:
@@ -204,8 +203,8 @@ def dense_msrcq_rank(p, x, y, z, tol=1e-8, cone_tol=1e-8):
 def affine_map(mat, offset):
     return SmoothMap(
         value=lambda x: mat @ x - offset,
-        jacobian_apply=lambda x, xi: mat @ xi,
-        jacobian_adjoint=lambda x, w: mat.T @ w,
+        jacobian_apply=lambda xi: mat @ xi,
+        jacobian_adjoint=lambda w: mat.T @ w,
         out_shape=(mat.shape[0],),
     )
 
@@ -217,7 +216,7 @@ def polished_cli_instance(**fields):
 
 
 def polished_circle_with_box(lower, upper):
-    p = replace(build_family(CircleExample()), q=Box(np.array([lower]), np.array([upper])))
+    p = replace(circle_problem(), q=Box(np.array([lower]), np.array([upper])))
     res = alm_run(p, ALMConfig(), sphere_point([1.0, 0.0]))
     return p, polish_kkt(p, res.x, res.y, res.z, tol=1e-12)
 
@@ -287,7 +286,7 @@ class TestMsrcqReduction:
 
 class TestMsosc:
     def test_circle_vacuous(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x, y, z = circle_solution()
         rep = msosc_check(p, x, y, z)
         assert rep.status == "vacuous"
@@ -310,8 +309,8 @@ class TestMsosc:
             ),
             g1=SmoothMap(
                 value=lambda x: x.copy(),
-                jacobian_apply=lambda x, xi: xi.copy(),
-                jacobian_adjoint=lambda x, y: y.copy(),
+                jacobian_apply=lambda xi: xi.copy(),
+                jacobian_adjoint=lambda y: y.copy(),
                 out_shape=(n,),
             ),
             theta=ScaledL1(0.0),
@@ -336,8 +335,8 @@ class TestMsosc:
             ),
             g1=SmoothMap(
                 value=lambda x: x.copy(),
-                jacobian_apply=lambda x, xi: xi.copy(),
-                jacobian_adjoint=lambda x, y: y.copy(),
+                jacobian_apply=lambda xi: xi.copy(),
+                jacobian_adjoint=lambda y: y.copy(),
                 out_shape=(n,),
             ),
             theta=ScaledL1(0.0),
@@ -353,7 +352,7 @@ class TestMsosc:
         from ralm.problems import rmc_basic_instance
 
         a, mask, a_exact = rmc_basic_instance(42)
-        p = build_family(RMC(a, mask, 3))
+        p = rmc_problem(a, mask, 3)
         x0 = nearest_rank_r(FixedRank(5, 5, 3), a)
         res = alm_run(p, ALMConfig(), x0)
         trip = polish_kkt(p, res.x, res.y, res.z, tol=1e-10)
@@ -453,11 +452,11 @@ class TestHessMatrix:
         rng = np.random.default_rng(41)
         z = None
         if name == "circle":
-            p, z = build_family(CircleExample()), rng.standard_normal(1)
+            p, z = circle_problem(), rng.standard_normal(1)
         elif name == "sphere":
-            p = build_family(SphereL1(rng.standard_normal((7, 7)), mu=0.3))
+            p = sphere_l1_problem(rng.standard_normal((7, 7)), 0.3)
         else:
-            p = build_family(RMC(rng.standard_normal((6, 5)), rng.random((6, 5)) < 0.7, 2))
+            p = rmc_problem(rng.standard_normal((6, 5)), rng.random((6, 5)) < 0.7, 2)
         p = tilted_instance(p, a=rng.standard_normal(p.manifold.ambient_shape))
         x = random_point(p.manifold, rng)
         dirs = tangent_basis(p.manifold, x)
@@ -474,7 +473,7 @@ class TestExactMsosc:
         n, k, j = 200, 0, 57
         d = np.zeros(n)
         d[k], d[j] = 1.0, 1.01
-        p = build_family(SphereL1(np.diag(np.sqrt(d)), mu=0.0))
+        p = sphere_l1_problem(np.diag(np.sqrt(d)), 0.0)
         x = sphere_point(np.eye(n)[k])
         rep = msosc_check(p, x, np.zeros(n))
         assert rep.status == "fail"
@@ -510,14 +509,14 @@ class TestExactMsosc:
 
 class TestCalmnessProbe:
     def test_circle_ratios_bounded(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x, y, z = circle_solution()
         rep = calmness_probe(p, x, y, z, radii=(1e-2, 1e-3), trials_per_radius=5, seed=0)
         assert all(r.failures == 0 for r in rep.records)
         assert np.isfinite(rep.kappa_hat)
 
     def test_requires_polished_point(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x0 = sphere_point([1.0, 0.0])
         with pytest.raises(ValueError):
             calmness_probe(p, x0, np.zeros(1), np.zeros(1))
@@ -536,7 +535,7 @@ class TestCalmnessProbe:
         for module in (analysis, cli):
             monkeypatch.setattr(module, "alm_run", recording(module.alm_run))
         assert cli.main(["figure1", "--out", str(tmp_path)]) == cli.EXIT_OK
-        p = build_family(CircleExample())
+        p = circle_problem()
         x, y, z = circle_solution()
         calmness_probe(p, x, y, z, radii=(1e-3,), trials_per_radius=4)
         assert len(threads) == 8
@@ -545,7 +544,7 @@ class TestCalmnessProbe:
     def test_constraint_shift_moves_solution_linearly(self):
         # displacement under a shift of the nonsmooth argument scales like the
         # shift: re-solve at two magnitudes and compare
-        p = build_family(CircleExample())
+        p = circle_problem()
         x, y, z = circle_solution()
         moves = []
         for delta in (1e-3, 1e-4):
@@ -563,14 +562,14 @@ def solved_rmc_basic():
     from ralm.problems import rmc_basic_instance
 
     a, mask, _ = rmc_basic_instance(42)
-    p = build_family(RMC(a, mask, 3))
+    p = rmc_problem(a, mask, 3)
     res = alm_run(p, ALMConfig(), nearest_rank_r(FixedRank(5, 5, 3), a))
     return p, polish_kkt(p, res.x, res.y, res.z, tol=1e-10)
 
 
 class TestBuiltinFamilyProbes:
     def test_natural_map_matches_residual_on_random_triples_and_kkt_points(self):
-        p_circle = build_family(CircleExample())
+        p_circle = circle_problem()
         rng = np.random.default_rng(31)
         for _ in range(200):
             x = random_point(p_circle.manifold, rng)
@@ -595,7 +594,7 @@ class TestBuiltinFamilyProbes:
         assert kkt_residual(p, trip.x, trip.y, trip.z) == trip.residual
 
     def test_error_bound_positive_for_all_families(self):
-        p_c = build_family(CircleExample())
+        p_c = circle_problem()
         x, y, z = circle_solution()
         for p, xx, yy, zz in [
             (p_c, x, y, z),
@@ -611,7 +610,7 @@ class TestBuiltinFamilyProbes:
         # comparison; the stiff sphere instance only reaches its modulus below
         # radius ~1e-4 (the active set changes at larger radii), so it is
         # compared across the two smallest decades
-        p_c = build_family(CircleExample())
+        p_c = circle_problem()
         x, y, z = circle_solution()
         rep = calmness_probe(p_c, x, y, z, radii=(1e-2, 1e-5), trials_per_radius=10, seed=1)
         assert rep.records[1].max_ratio <= 2.0 * rep.records[0].max_ratio
@@ -636,7 +635,7 @@ def _unpack(pair):
 
 class TestErrorBoundFit:
     def test_circle_constants_finite_positive(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x, y, z = circle_solution()
         fit = error_bound_fit(p, x, y, z, n_samples=200, radius=0.05, seed=1)
         assert not fit.degenerate
@@ -644,14 +643,14 @@ class TestErrorBoundFit:
         assert len(fit.samples) == 200
 
     def test_sample_at_solution_excluded(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x, y, z = circle_solution()
         fit = error_bound_fit(p, x, y, z, n_samples=50, radius=0.01, seed=2)
         # every kept ratio comes from a sample with positive residual
         assert all(r > 1e-14 for _, r in fit.samples if r > 1e-14)
 
     def test_pure_multiplier_perturbation_scales_linearly(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x, y, z = circle_solution()
         vals = []
         for delta in (1e-3, 1e-4):
@@ -660,6 +659,6 @@ class TestErrorBoundFit:
         assert vals[0] / vals[1] == pytest.approx(10.0, rel=1e-6)
 
     def test_requires_polished_point(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         with pytest.raises(ValueError):
             error_bound_fit(p, sphere_point([1.0, 0.0]), np.zeros(1), np.zeros(1))

@@ -666,6 +666,17 @@ class TestAnalyzeCommand:
         c1 = float(summary.split("errorbound_c1 = ")[1].splitlines()[0])
         assert c1 > 0
 
+    def test_partial_solve_says_why_it_stopped(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["analyze", "--family", "circle", "--max-outer", "1", "--out", str(out)])
+        assert code == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert err == "analyze: the solve did not converge (stop reason max_outer)\n"
+        summary = (out / "summary.txt").read_text()
+        assert "status = partial-convergence" in summary
+        assert "stop_reason = max_outer" in summary
+        assert sorted(p.name for p in out.iterdir()) == ["summary.txt"]
+
     @pytest.mark.parametrize(
         "argv, builds",
         [(["analyze", "--family", "circle"], 2), (["sphere-l1", "--mode", "builtin5x5"], 1)],

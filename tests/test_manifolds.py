@@ -27,13 +27,12 @@ from ralm.manifolds import (
     tangent_vector,
 )
 from ralm.problems import (
-    CircleExample,
-    SphereL1,
-    build_family,
+    circle_problem,
     hess_quadform,
     merit_eval,
     merit_rgrad,
     merit_shifts,
+    sphere_l1_problem,
     tilted_instance,
 )
 
@@ -265,14 +264,14 @@ class TestGradientsAndHessians:
     # lives in problems.hess_quadform
 
     def test_sphere_hessian_constant_function_is_zero(self):
-        p = build_family(SphereL1(np.zeros((3, 3)), mu=0.0))  # f = 0
+        p = sphere_l1_problem(np.zeros((3, 3)), 0.0)  # f = 0
         x = random_point(p.manifold, 2)
         xi = random_tangent(p.manifold, x, 3)
         assert abs(hess_quadform(p, x, None, xi)) <= 1e-14
 
     def test_sphere_hessian_quadratic_example(self):
         # f(x) = x_2^2 at the diagonal point: curvature cancels the Euclidean term
-        p = build_family(CircleExample())
+        p = circle_problem()
         x = sphere_point([RT2, RT2])
         xi = np.array([1.0, -1.0]) / np.sqrt(2.0)
         q = hess_quadform(p, x, np.zeros(1), xi)
@@ -286,7 +285,7 @@ class TestGradientsAndHessians:
         # f(x) = <a, x> at x = a/|a| has Riemannian Hessian -|a| Id
         rng = np.random.default_rng(5)
         a = rng.standard_normal(4)
-        p = tilted_instance(build_family(SphereL1(np.zeros((4, 4)), mu=0.0)), a=-a)
+        p = tilted_instance(sphere_l1_problem(np.zeros((4, 4)), 0.0), a=-a)
         x = sphere_point(a / np.linalg.norm(a))
         xi = random_tangent(p.manifold, x, 6)
         q = hess_quadform(p, x, None, xi)

@@ -5,14 +5,11 @@ import ralm.problems
 from ralm.convex import dist2_grad, moreau_env, prox, project_set
 from ralm.manifolds import Sphere, project_tangent, random_point, retract, sphere_point
 from ralm.problems import (
-    RMC,
     SPHERE_L1_DEMO_A,
-    CircleExample,
     ProblemInstance,
-    SphereL1,
     aug_lagrangian,
     aug_lagrangian_value,
-    build_family,
+    circle_problem,
     generate_rmc_instance,
     hess_quadform,
     lagrangian_rgrad,
@@ -23,7 +20,9 @@ from ralm.problems import (
     objective_value,
     rhess_apply,
     rmc_basic_instance,
+    rmc_problem,
     rmc_spectral_init,
+    sphere_l1_problem,
     tilted_instance,
 )
 from ralm.solver import subproblem_solve
@@ -39,9 +38,9 @@ def make_families():
     mask[rng.random((4, 5)) < 0.6] = True
     a_rmc = rng.standard_normal((4, 5))
     return {
-        "circle": build_family(CircleExample()),
-        "sphere-l1": build_family(SphereL1(rng.standard_normal((6, 6)), mu=0.3)),
-        "rmc": build_family(RMC(a_rmc, mask, 2)),
+        "circle": circle_problem(),
+        "sphere-l1": sphere_l1_problem(rng.standard_normal((6, 6)), 0.3),
+        "rmc": rmc_problem(a_rmc, mask, 2),
     }
 
 
@@ -63,25 +62,25 @@ class TestAdjointConsistency:
                 if g is None:
                     continue
                 y = rng.standard_normal(g.out_shape)
-                lhs = np.sum(g.jacobian_apply(x.ambient, xi) * y)
-                rhs = np.sum(xi * g.jacobian_adjoint(x.ambient, y))
+                lhs = np.sum(g.jacobian_apply(xi) * y)
+                rhs = np.sum(xi * g.jacobian_adjoint(y))
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
 class TestFamilies:
     def test_circle_structure(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         assert isinstance(p.manifold, Sphere) and p.manifold.n == 2
         assert p.theta.mu == 1.0
         np.testing.assert_array_equal(p.q.lower, [0.0])
         np.testing.assert_array_equal(p.q.upper, [np.inf])
         x = np.array([1.0, 0.0])
         np.testing.assert_allclose(p.g1.value(x), [1.0])
-        np.testing.assert_allclose(p.g1.jacobian_adjoint(x, np.array([2.0])), [2.0, -2.0])
+        np.testing.assert_allclose(p.g1.jacobian_adjoint(np.array([2.0])), [2.0, -2.0])
         np.testing.assert_allclose(p.g2.value(x), [2.0])
 
     def test_sphere_l1_demo_value(self):
-        p = build_family(SphereL1(SPHERE_L1_DEMO_A, mu=0.25))
+        p = sphere_l1_problem(SPHERE_L1_DEMO_A, 0.25)
         e2 = np.zeros(5)
         e2[1] = -1.0
         assert p.f.value_grad(e2)[0] == pytest.approx(-625.0)
@@ -89,7 +88,7 @@ class TestFamilies:
     def test_rmc_full_mask_is_difference(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((3, 3))
-        p = build_family(RMC(a, np.ones((3, 3), dtype=bool), 1))
+        p = rmc_problem(a, np.ones((3, 3), dtype=bool), 1)
         x = rng.standard_normal((3, 3))
         np.testing.assert_allclose(p.g1.value(x), x - a)
 
@@ -97,14 +96,12 @@ class TestFamilies:
         rng = np.random.default_rng(2)
         mask = rng.random((4, 4)) < 0.5
         a = rng.standard_normal((4, 4))
-        p = build_family(RMC(a, mask, 2))
+        p = rmc_problem(a, mask, 2)
         u = rng.standard_normal((4, 4))
-        np.testing.assert_array_equal(
-            p.g1.jacobian_apply(a, u), p.g1.jacobian_adjoint(a, u)
-        )
+        np.testing.assert_array_equal(p.g1.jacobian_apply(u), p.g1.jacobian_adjoint(u))
 
     def test_g2_requires_q(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         with pytest.raises(ValueError):
             ProblemInstance(manifold=p.manifold, f=p.f, g1=p.g1, theta=p.theta, g2=p.g2, q=None)
 
@@ -133,12 +130,12 @@ def separate_formulas():
     a_rmc, mask = rng.standard_normal((4, 5)), rng.random((4, 5)) < 0.6
     return {
         "circle": (
-            build_family(CircleExample()),
+            circle_problem(),
             lambda x: float(x[1] ** 2),
             lambda x: np.array([0.0, 2.0 * x[1]]),
         ),
-        "sphere-l1": (build_family(SphereL1(a, mu=0.3)), lambda x: float(-x @ (ata @ x)), lambda x: -2.0 * (ata @ x)),
-        "rmc": (build_family(RMC(a_rmc, mask, 2)), lambda x: 0.0, lambda x: np.zeros((4, 5))),
+        "sphere-l1": (sphere_l1_problem(a, 0.3), lambda x: float(-x @ (ata @ x)), lambda x: -2.0 * (ata @ x)),
+        "rmc": (rmc_problem(a_rmc, mask, 2), lambda x: 0.0, lambda x: np.zeros((4, 5))),
     }
 
 
@@ -161,29 +158,29 @@ class TestValueGrad:
 
 class TestLagrangian:
     def test_value_at_known_triple(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x = sphere_point([RT2, RT2])
         val = lagrangian_value(p, x, np.array([RT2]), np.array([0.0]))
         assert val == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_multipliers_give_objective_smooth_part(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x = sphere_point([0.0, 1.0])
         assert lagrangian_value(p, x, np.zeros(1), np.zeros(1)) == pytest.approx(1.0)
 
     def test_identity_map_example(self):
-        p = build_family(SphereL1(np.eye(2), mu=1.0))
+        p = sphere_l1_problem(np.eye(2), 1.0)
         x = sphere_point([1.0, 0.0])
         assert lagrangian_value(p, x, np.array([1.0, 0.0])) == pytest.approx(0.0)
 
     def test_rgrad_vanishes_at_known_triple(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x = sphere_point([RT2, RT2])
         g = lagrangian_rgrad(p, x, np.array([RT2]), np.array([0.0]))
         np.testing.assert_allclose(g, np.zeros(2), atol=1e-14)
 
     def test_omitted_set_multiplier_is_rejected(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         # violates 2 x1 + x2 >= 0; with z = 1 the gradient is (0.5, -0.5)
         x, y = sphere_point([-RT2, -RT2]), np.array([-RT2])
         np.testing.assert_allclose(lagrangian_rgrad(p, x, y, np.ones(1)), [0.5, -0.5], atol=1e-14)
@@ -193,7 +190,7 @@ class TestLagrangian:
             lagrangian_value(p, x, y)
 
     def test_rgrad_reduces_to_projected_objective_gradient(self):
-        p = build_family(SphereL1(SPHERE_L1_DEMO_A, mu=0.25))
+        p = sphere_l1_problem(SPHERE_L1_DEMO_A, 0.25)
         x = random_point(p.manifold, 3)
         g = lagrangian_rgrad(p, x, np.zeros(5))
         np.testing.assert_allclose(
@@ -219,14 +216,14 @@ class TestLagrangian:
 
 class TestAugmentedLagrangian:
     def test_gradient_vanishes_at_solved_configuration(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x = sphere_point([RT2, RT2])
         val, grad = aug_lagrangian(p, x, np.array([RT2]), np.array([0.0]), 10.0)
         np.testing.assert_allclose(grad, np.zeros(2), atol=1e-12)
         assert val == pytest.approx(0.5 + 0.5 * 10.0 * (RT2 / 10.0) ** 2, abs=1e-12)
 
     def test_inactive_set_term_contributes_nothing(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x = sphere_point([RT2, RT2])  # g2 = 3*sqrt(2)/2 interior
         val0, grad0 = aug_lagrangian(p, x, np.zeros(1), np.zeros(1), 2.0)
         # removing the set term entirely gives the same value and gradient
@@ -236,7 +233,7 @@ class TestAugmentedLagrangian:
         np.testing.assert_allclose(grad0, grad1, atol=1e-15)
 
     def test_rejects_nonpositive_rho(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x = sphere_point([1.0, 0.0])
         with pytest.raises(ValueError):
             aug_lagrangian(p, x, np.zeros(1), np.zeros(1), 0.0)
@@ -311,20 +308,20 @@ def reference_aug_lagrangian(p, x, w, p_mult, rho):
     env_val, env_grad = moreau_env(p.theta, p.g1.value(xa) + np.asarray(w) / rho, rho)
     f_val, f_grad = p.f.value_grad(xa)
     val = f_val + env_val
-    ambient = f_grad + p.g1.jacobian_adjoint(xa, env_grad)
+    ambient = f_grad + p.g1.jacobian_adjoint(env_grad)
     if p.q is not None:
         d_val, d_grad = dist2_grad(p.q, p.g2.value(xa) + np.asarray(p_mult) / rho, rho)
         val += d_val
-        ambient = ambient + p.g2.jacobian_adjoint(xa, d_grad)
+        ambient = ambient + p.g2.jacobian_adjoint(d_grad)
     return val, project_tangent(p.manifold, x, ambient)
 
 
 def acceptance_families():
-    a, mask, _ = rmc_basic_instance()
+    a, mask, _ = rmc_basic_instance(42)
     return {
-        "circle": build_family(CircleExample()),
-        "sphere-l1-builtin5x5": build_family(SphereL1(SPHERE_L1_DEMO_A, mu=0.25)),
-        "rmc-basic5x5": build_family(RMC(a, mask, 3)),
+        "circle": circle_problem(),
+        "sphere-l1-builtin5x5": sphere_l1_problem(SPHERE_L1_DEMO_A, 0.25),
+        "rmc-basic5x5": rmc_problem(a, mask, 3),
     }
 
 
@@ -349,7 +346,7 @@ class TestFusedMerit:
 
 def rmc_random_30():
     a, mask, _ = generate_rmc_instance(30, 30, 2, 3.0, 4)
-    return build_family(RMC(a, mask, 2)), a, mask
+    return rmc_problem(a, mask, 2), a, mask
 
 
 class TestObservedEntryMerit:
@@ -378,8 +375,8 @@ class TestObservedEntryMerit:
             assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
 
     def test_full_mask_keeps_the_dense_path(self):
-        a, mask, _ = rmc_basic_instance()
-        assert mask.all() and build_family(RMC(a, mask, 3)).g1.support is None
+        a, mask, _ = rmc_basic_instance(42)
+        assert mask.all() and rmc_problem(a, mask, 3).g1.support is None
 
     def test_envelope_sees_only_observed_entries_in_the_inner_solve(self, monkeypatch):
         p, a, mask = rmc_random_30()
@@ -399,7 +396,7 @@ class TestObservedEntryMerit:
 
 class TestTiltedInstance:
     def test_tilt_changes_gradient_by_constant(self):
-        p = build_family(SphereL1(np.eye(3), mu=0.5))
+        p = sphere_l1_problem(np.eye(3), 0.5)
         rng = np.random.default_rng(19)
         a = rng.standard_normal(3)
         pt = tilted_instance(p, a=a)
@@ -410,7 +407,7 @@ class TestTiltedInstance:
         assert val_t == pytest.approx(val - float(a @ x.ambient))
 
     def test_shifts_move_constraint_values_only(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         b = np.array([0.2])
         c = np.array([-0.1])
         pt = tilted_instance(p, b=b, c=c)
@@ -418,19 +415,17 @@ class TestTiltedInstance:
         np.testing.assert_allclose(pt.g1.value(x.ambient), p.g1.value(x.ambient) + b)
         np.testing.assert_allclose(pt.g2.value(x.ambient), p.g2.value(x.ambient) + c)
         xi = random_tangent(p.manifold, x, 3)
-        np.testing.assert_array_equal(
-            pt.g1.jacobian_apply(x.ambient, xi), p.g1.jacobian_apply(x.ambient, xi)
-        )
+        np.testing.assert_array_equal(pt.g1.jacobian_apply(xi), p.g1.jacobian_apply(xi))
 
     def test_original_instance_untouched(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x = sphere_point([1.0, 0.0])
         before = p.g1.value(x.ambient).copy()
         tilted_instance(p, a=np.ones(2), b=np.ones(1), c=np.ones(1))
         np.testing.assert_array_equal(p.g1.value(x.ambient), before)
 
     def test_shift_without_set_constraint_rejected(self):
-        p = build_family(SphereL1(np.eye(2), mu=1.0))
+        p = sphere_l1_problem(np.eye(2), 1.0)
         with pytest.raises(ValueError):
             tilted_instance(p, c=np.ones(2))
 
@@ -449,7 +444,7 @@ class TestRhessApply:
     def test_symmetric_and_matches_polarised_second_differences(self, name):
         rng = np.random.default_rng(31)
         if name == "rmc-70x60":
-            p = build_family(RMC(rng.standard_normal((70, 60)), np.ones((70, 60), dtype=bool), 3))
+            p = rmc_problem(rng.standard_normal((70, 60)), np.ones((70, 60), dtype=bool), 3)
         else:
             p = make_families()[name]
         p = tilted_instance(p, a=rng.standard_normal(p.manifold.ambient_shape))
@@ -468,7 +463,7 @@ class TestRhessApply:
 
 class TestHessQuadform:
     def test_sphere_closed_form_matches_value_differences(self):
-        p = build_family(SphereL1(SPHERE_L1_DEMO_A, mu=0.25))
+        p = sphere_l1_problem(SPHERE_L1_DEMO_A, 0.25)
         rng = np.random.default_rng(23)
         x = random_point(p.manifold, rng)
         xi = random_tangent(p.manifold, x, rng)
@@ -480,12 +475,12 @@ class TestHessQuadform:
         assert abs(q - fd) <= 1e-4 * max(1.0, abs(q))
 
     def test_zero_direction(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x = sphere_point([1.0, 0.0])
         assert hess_quadform(p, x, np.zeros(1), np.zeros(2)) == 0.0
 
     def test_omitted_set_multiplier_is_rejected(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         # violates 2 x1 + x2 >= 0; with z = 1 the form is 1 + (3 sqrt(2)/2 - 1)
         x, xi = sphere_point([-RT2, -RT2]), np.array([RT2, -RT2])
         assert hess_quadform(p, x, np.ones(1), xi) == pytest.approx(1.5 * np.sqrt(2.0), abs=1e-14)
@@ -499,7 +494,7 @@ class TestHessQuadform:
         # f = -<A, X> on the fixed-rank manifold: Hess f is the curvature term alone
         rng = np.random.default_rng(29)
         a = rng.standard_normal((m, n))
-        p = tilted_instance(build_family(RMC(a, np.ones((m, n), dtype=bool), r)), a=a)
+        p = tilted_instance(rmc_problem(a, np.ones((m, n), dtype=bool), r), a=a)
         x = random_point(p.manifold, rng)
         xi = random_tangent(p.manifold, x, rng)
         xi /= np.linalg.norm(xi)

@@ -17,25 +17,23 @@ from ralm.manifolds import (
     tangent_norm,
 )
 from ralm.problems import (
-    RMC,
     SPHERE_L1_DEMO_A,
-    CircleExample,
-    SphereL1,
     aug_lagrangian,
-    build_family,
+    circle_problem,
     lagrangian_rgrad,
     merit_eval,
     merit_rgrad,
     merit_shifts,
     objective_value,
     rmc_basic_instance,
+    rmc_problem,
+    sphere_l1_problem,
 )
 from ralm.solver import (
     ARMIJO_C,
     FINAL_EPS_FACTOR,
     INIT_STEP,
     ALMConfig,
-    SolveStatus,
     alm_run,
     auxiliary_v,
     kkt_blocks,
@@ -55,12 +53,12 @@ def circle_solution():
 
 class TestKKTResidual:
     def test_zero_at_known_solution(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x, y, z = circle_solution()
         assert kkt_residual(p, x, y, z) <= 1e-12
 
     def test_components_at_infeasible_point(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x = sphere_point([1.0, 0.0])
         comps = kkt_residual_components(p, x, np.zeros(1), np.zeros(1))
         assert comps[0] == pytest.approx(0.0, abs=1e-14)  # gradient of x2^2 vanishes
@@ -69,7 +67,7 @@ class TestKKTResidual:
         assert kkt_residual(p, x, np.zeros(1), np.zeros(1)) == pytest.approx(1.0)
 
     def test_omitted_set_multiplier_is_rejected(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         # violates 2 x1 + x2 >= 0 (g2 = -2.12) and is stationary for this y
         x, y = sphere_point([-RT2, -RT2]), np.array([-RT2])
         assert kkt_residual(p, x, y, np.zeros(1)) == pytest.approx(1.5 * np.sqrt(2.0))
@@ -79,7 +77,7 @@ class TestKKTResidual:
             update_multipliers(p, x, y, None, 1.0)
 
     def test_nonnegative_on_random_triples(self):
-        p = build_family(SphereL1(np.eye(4), mu=0.5))
+        p = sphere_l1_problem(np.eye(4), 0.5)
         rng = np.random.default_rng(0)
         for _ in range(50):
             x = random_point(p.manifold, rng)
@@ -89,7 +87,7 @@ class TestKKTResidual:
 
 class TestUpdateMultipliers:
     def test_soft_threshold_below_mu(self):
-        p = build_family(SphereL1(np.eye(1 + 1), mu=0.25))
+        p = sphere_l1_problem(np.eye(1 + 1), 0.25)
         # craft x so g1(x) + w/rho = (0.1, ...): use w to steer
         x = sphere_point([1.0, 0.0])
         w = np.array([-0.9, 0.0])
@@ -98,20 +96,20 @@ class TestUpdateMultipliers:
         assert y[0] == pytest.approx(0.1, abs=1e-15)
 
     def test_zero_argument_gives_zero(self):
-        p = build_family(SphereL1(np.eye(2), mu=1.0))
+        p = sphere_l1_problem(np.eye(2), 1.0)
         x = sphere_point([1.0, 0.0])
         y, _, _ = update_multipliers(p, x, np.array([-1.0, 0.0]), None, 1.0)
         assert y[0] == 0.0
 
     def test_projection_branch(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         # g2(x) + p/rho = -1.5 with x = (-1, 0): g2 = -2, p = 1
         x = sphere_point([-1.0, 0.0])
         _, z, _ = update_multipliers(p, x, np.zeros(1), np.array([1.0]), 2.0)
         assert z[0] == pytest.approx(-3.0)
 
     def test_multiplier_in_subdifferential(self):
-        p = build_family(SphereL1(SPHERE_L1_DEMO_A, mu=0.25))
+        p = sphere_l1_problem(SPHERE_L1_DEMO_A, 0.25)
         rng = np.random.default_rng(1)
         for _ in range(20):
             x = random_point(p.manifold, rng)
@@ -123,23 +121,23 @@ class TestUpdateMultipliers:
 
 class TestAuxiliaryV:
     def test_zero_at_kkt_pair_for_any_rho(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x, y, z = circle_solution()
         for rho in (1.0, 10.0, 1e4, 1e8):
             assert auxiliary_v(p, x, y, z, rho) <= 1e-12
 
     def test_zero_when_feasible_with_zero_multipliers(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x, _, _ = circle_solution()  # g1(x*) = 0 and g2(x*) in Q
         assert auxiliary_v(p, x, np.zeros(1), np.zeros(1), 1.0) == 0.0
 
     def test_infeasible_point_example(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x = sphere_point([1.0, 0.0])
         assert auxiliary_v(p, x, np.zeros(1), np.zeros(1), 1.0) == pytest.approx(1.0)
 
     def test_matches_multiplier_increment(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         rng = np.random.default_rng(2)
         for _ in range(20):
             x = random_point(p.manifold, rng)
@@ -187,11 +185,11 @@ def reference_multiplier_step(p, x, w, p_mult, rho):
 
 
 def acceptance_families():
-    a, mask, _ = rmc_basic_instance()
+    a, mask, _ = rmc_basic_instance(42)
     return {
-        "circle": build_family(CircleExample()),
-        "sphere-l1-builtin5x5": build_family(SphereL1(SPHERE_L1_DEMO_A, mu=0.25)),
-        "rmc-basic5x5": build_family(RMC(a, mask, 3)),
+        "circle": circle_problem(),
+        "sphere-l1-builtin5x5": sphere_l1_problem(SPHERE_L1_DEMO_A, 0.25),
+        "rmc-basic5x5": rmc_problem(a, mask, 3),
     }
 
 
@@ -242,7 +240,7 @@ class TestPenaltyUpdate:
 
 class TestSubproblem:
     def test_immediate_return_at_stationary_point(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x, y, z = circle_solution()
         res = subproblem_solve(p, y, z, 100.0, x, 1e-6)
         assert res.iters == 0
@@ -250,14 +248,14 @@ class TestSubproblem:
         np.testing.assert_array_equal(res.x.ambient, x.ambient)
 
     def test_reaches_requested_tolerance(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x0 = sphere_point([0.0, 1.0])
         res = subproblem_solve(p, np.zeros(1), np.zeros(1), 10.0, x0, 1e-3)
         assert not res.stalled
         assert res.grad_norm <= 1e-3
 
     def test_descends_toward_known_optimum(self):
-        p = build_family(SphereL1(SPHERE_L1_DEMO_A, mu=0.25))
+        p = sphere_l1_problem(SPHERE_L1_DEMO_A, 0.25)
         e1 = np.zeros(5)
         e1[0] = 1.0
         # e1 is a stationary saddle of the merit; nudge off it
@@ -267,12 +265,12 @@ class TestSubproblem:
         assert objective_value(p, res.x) <= objective_value(p, x0)
 
     def test_rejects_bad_tolerance(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         with pytest.raises(ValueError):
             subproblem_solve(p, np.zeros(1), np.zeros(1), 1.0, sphere_point([1, 0]), 0.0)
 
     def test_iters_counts_every_step_when_max_iters_runs_out(self, monkeypatch):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x0 = sphere_point([0.0, 1.0])
         monkeypatch.setattr(ralm.solver, "INNER_MAX_ITERS", 3)
         res = subproblem_solve(p, np.zeros(1), np.zeros(1), 10.0, x0, 1e-15)
@@ -282,7 +280,7 @@ class TestSubproblem:
     @pytest.mark.parametrize("rho", [0.1, 1.0, 100.0])
     def test_first_trial_step_is_scaled_by_the_penalty(self, monkeypatch, rho):
         # rho <= 1 keeps the unit step
-        p = build_family(CircleExample())
+        p = circle_problem()
         w, pm, x0 = np.array([0.3]), np.array([0.1]), sphere_point([0.0, 1.0])
         _, grads = merit_eval(p, x0, merit_shifts(p, w, pm, rho), rho)
         grad = merit_rgrad(p, x0, grads)
@@ -315,14 +313,14 @@ class TestSubproblemEvaluationReuse:
     def test_one_envelope_evaluation_per_trial_point(self, monkeypatch, family):
         rng = np.random.default_rng(3)
         if family == "circle":
-            p = build_family(CircleExample())
+            p = circle_problem()
             w, pm, x0 = np.array([0.3]), np.array([0.1]), sphere_point([0.0, 1.0])
         elif family == "sphere-l1":
-            p = build_family(SphereL1(SPHERE_L1_DEMO_A, mu=0.25))
+            p = sphere_l1_problem(SPHERE_L1_DEMO_A, 0.25)
             w, pm, x0 = np.zeros(5), None, random_point(p.manifold, rng)
         else:
-            a, mask, _ = rmc_basic_instance()
-            p = build_family(RMC(a, mask, 3))
+            a, mask, _ = rmc_basic_instance(42)
+            p = rmc_problem(a, mask, 3)
             w, pm, x0 = np.zeros((5, 5)), None, random_point(p.manifold, rng)
         counts = {"moreau_env": 0, "retract": 0, "value_grad": 0}
         counting(monkeypatch, ralm.problems, "moreau_env", counts)
@@ -494,7 +492,7 @@ class TestNonmonotoneAcceptance:
         counting(monkeypatch, ralm.solver, "retract", counts)
         for seed in (1, 2, 3):
             a = np.random.default_rng(seed).standard_normal((50, 50))
-            p = build_family(SphereL1(a, mu=0.25))
+            p = sphere_l1_problem(a, 0.25)
             x0 = random_point(p.manifold, np.random.default_rng([seed, 1]))
             alm_run(p, ALMConfig(), x0)
         # the monotone rule needs 4964 retractions here, the last-5 reference 2382
@@ -511,7 +509,7 @@ def non_finite_cases(fields):
 
 class TestALMRun:
     def test_circle_converges_to_known_triple(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         res = alm_run(p, ALMConfig(), sphere_point([1.0, 0.0]))
         assert res.converged
         assert np.linalg.norm(res.x.ambient - [RT2, RT2]) <= 1e-6
@@ -520,13 +518,13 @@ class TestALMRun:
 
     @pytest.mark.parametrize("rho0", [1.0, 10.0, 100.0])
     def test_circle_converges_for_all_initial_penalties(self, rho0):
-        p = build_family(CircleExample())
+        p = circle_problem()
         res = alm_run(p, ALMConfig(rho0=rho0), sphere_point([1.0, 0.0]))
         assert res.converged
         assert np.linalg.norm(res.x.ambient - [RT2, RT2]) <= 1e-6
 
     def test_starting_at_solution_terminates_immediately(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         x, y, z = circle_solution()
         res = alm_run(p, ALMConfig(), x, y, z)
         assert res.converged
@@ -534,7 +532,7 @@ class TestALMRun:
         assert res.history[0].k == 0
 
     def test_sphere_demo_reaches_reference_solution(self):
-        p = build_family(SphereL1(SPHERE_L1_DEMO_A, mu=0.25))
+        p = sphere_l1_problem(SPHERE_L1_DEMO_A, 0.25)
         x0 = sphere_point(np.ones(5) / np.sqrt(5))
         res = alm_run(p, ALMConfig(), x0)
         assert res.converged
@@ -543,41 +541,41 @@ class TestALMRun:
         assert np.linalg.norm(np.abs(res.x.ambient) - e2) <= 1e-6
 
     def test_max_outer_zero_reports_partial(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         res = alm_run(p, ALMConfig(max_outer=0), sphere_point([1.0, 0.0]))
-        assert res.status is SolveStatus.PARTIAL
+        assert not res.converged
         assert res.reason == "max_outer"
 
     def test_repeated_stalls_stop_the_run(self, monkeypatch):
         # an inner solver that may take no step stalls on every subproblem
-        p = build_family(CircleExample())
+        p = circle_problem()
         monkeypatch.setattr(ralm.solver, "INNER_MAX_ITERS", 0)
         res = alm_run(p, ALMConfig(max_outer=50), sphere_point([1.0, 0.0]))
         assert res.reason == "stalled"
-        assert res.status is SolveStatus.PARTIAL
+        assert not res.converged
         assert len(res.history) - 1 == 5
 
     def test_rejects_infeasible_start(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         from ralm.manifolds import Point
 
         with pytest.raises(ValueError):
             alm_run(p, ALMConfig(), Point(ambient=np.array([2.0, 0.0])))
 
     def test_invalid_config_rejected(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         with pytest.raises(ValueError):
             alm_run(p, ALMConfig(tau=1.5), sphere_point([1.0, 0.0]))
 
     def test_penalty_monotone_and_feasible_iterates(self):
-        p = build_family(SphereL1(SPHERE_L1_DEMO_A, mu=0.25))
+        p = sphere_l1_problem(SPHERE_L1_DEMO_A, 0.25)
         res = alm_run(p, ALMConfig(), sphere_point(np.ones(5) / np.sqrt(5)))
         rhos = [rec.rho for rec in res.history]
         assert all(b >= a for a, b in zip(rhos, rhos[1:]))
         check_point(p.manifold, res.x)
 
     def test_history_schema(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         ref = circle_solution()
         res = alm_run(p, ALMConfig(), sphere_point([1.0, 0.0]), reference=ref)
         ks = [rec.k for rec in res.history]
@@ -590,7 +588,7 @@ class TestALMRun:
         assert res.history[1].dist_to_reference > res.history[-1].dist_to_reference
 
     def test_invariant_diagnostics_per_iteration(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         res = alm_run(p, ALMConfig(), sphere_point([1.0, 0.0]))
         for rec in res.history[1:]:
             assert rec.chain_gap <= 1e-10
@@ -599,7 +597,7 @@ class TestALMRun:
 
     def test_multiplier_consistency_inequality_explicit(self):
         # |g1 - prox(g1 + y_next)| <= |g1 - prox_{theta/rho}(g1 + w/rho)|
-        p = build_family(SphereL1(SPHERE_L1_DEMO_A, mu=0.25))
+        p = sphere_l1_problem(SPHERE_L1_DEMO_A, 0.25)
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = random_point(p.manifold, rng)
@@ -612,7 +610,7 @@ class TestALMRun:
             assert lhs <= rhs + 1e-12
 
     def test_determinism(self):
-        p = build_family(SphereL1(SPHERE_L1_DEMO_A, mu=0.25))
+        p = sphere_l1_problem(SPHERE_L1_DEMO_A, 0.25)
         x0 = sphere_point(np.ones(5) / np.sqrt(5))
         r1 = alm_run(p, ALMConfig(), x0)
         r2 = alm_run(p, ALMConfig(), x0)
@@ -648,7 +646,7 @@ class TestALMRun:
         assert counts["retract"] <= 1500
 
     def test_fixed_rho_flag_freezes_penalty(self):
-        p = build_family(CircleExample())
+        p = circle_problem()
         res = alm_run(
             p,
             ALMConfig(rho0=1.0, fixed_rho=True, kkt_tol=1e-10, max_outer=100),
@@ -661,7 +659,7 @@ class TestALMRun:
         left = rng.standard_normal((6, 2))
         right = rng.standard_normal((5, 2))
         a = left @ right.T
-        p = build_family(RMC(a, np.ones((6, 5), dtype=bool), 2))
+        p = rmc_problem(a, np.ones((6, 5), dtype=bool), 2)
         from ralm.manifolds import FixedRank, nearest_rank_r
 
         x0 = nearest_rank_r(FixedRank(6, 5, 2), a)
@@ -673,7 +671,7 @@ class TestALMRun:
     def test_non_finite_data_raises_at_first_outer_iteration(self):
         a = SPHERE_L1_DEMO_A.copy()
         a[2, 3] = np.nan
-        p = build_family(SphereL1(a, mu=0.25))
+        p = sphere_l1_problem(a, 0.25)
         with pytest.raises(ValueError, match="non-finite KKT residual at outer iteration 0"):
             alm_run(p, ALMConfig(), sphere_point(np.ones(5) / np.sqrt(5)))
 

@@ -3,7 +3,8 @@
 Every small-analyze and sphere-200 command must pass its own check, or fail
 exactly as ``is_known_failure`` describes, so that a change to an output line
 the benchmark reads (``conditions.txt``'s ``msrcq = fail (rank 83/400`` line,
-a summary key) fails here rather than as a lower success rate."""
+a summary key) fails here rather than as a lower success rate.  The
+small-analyze commands also reproduce their pinned output digests."""
 import importlib.util
 import sys
 from pathlib import Path
@@ -27,8 +28,22 @@ def load_workloads():
 
 
 workloads = load_workloads()
-COMMANDS = workloads.WORKLOADS["small-analyze"](0) + workloads.WORKLOADS["sphere-200"](0)
+SMALL = workloads.WORKLOADS["small-analyze"](0)
+COMMANDS = SMALL + workloads.WORKLOADS["sphere-200"](0)
 EVERY_COMMAND = [cmd for make in workloads.WORKLOADS.values() for cmd in make(0)]
+
+# output_digest of each small-analyze command at seed 0.  These read the same
+# with 1 and 2 BLAS threads.  The sphere-200 (and rmc-200) digests change with
+# the BLAS thread count, which pytest does not fix, so they are not pinned.  A
+# change that moves the iterates updates these pins and says why.
+DIGESTS = {
+    "figure1": "f805169e46a53959",
+    "analyze-circle/seed0": "f02fa8a723803699",
+    "analyze-rmc-basic5x5": "73b30900da15e97b",
+    "sphere-l1-builtin5x5": "5592d650ddba861f",
+    "rmc-basic5x5": "819d2f1b00103fdb",
+    "analyze-rmc-20/seed1": "154e22a3e54fedfc",
+}
 
 
 @pytest.mark.parametrize("cmd", EVERY_COMMAND, ids=[c.label for c in EVERY_COMMAND])
@@ -42,6 +57,8 @@ def test_benchmark_setup_builds_the_instance(cmd):
 
 @pytest.mark.parametrize("cmd", COMMANDS, ids=[c.label for c in COMMANDS])
 def test_command_passes_its_check_or_fails_as_known(cmd, tmp_path):
+    """Each small-analyze command also reproduces its pinned ``DIGESTS``
+    entry; the sphere-200 commands are checked by their answers only."""
     out = tmp_path / "out"
     code = main([*cmd.argv, "--out", str(out)])
     if cmd.known_failure is not None:
@@ -49,3 +66,5 @@ def test_command_passes_its_check_or_fails_as_known(cmd, tmp_path):
     else:
         assert code == 0
         assert cmd.check(workloads.read_summary(out)) == []
+    if cmd in SMALL:
+        assert workloads.output_digest(out) == DIGESTS[cmd.label]
