@@ -356,8 +356,8 @@ def calmness_probe(
     Solves the tilted/shifted instance warm-started at the unperturbed triple
     and records (distance moved) / (perturbation size); the multiplier set is
     treated as the singleton (y, z), which is why the strict constraint
-    qualification is verified first.  Trials run in order in the calling
-    thread, each from its own seed drawn before the first trial.
+    qualification is verified first.  Each trial draws its perturbation from
+    its own seed, all drawn before the first trial.
     """
     r0 = kkt_residual(p, x, y, z)
     if r0 > POLISHED_KKT_GATE:
@@ -368,21 +368,15 @@ def calmness_probe(
     records = []
     root = np.random.default_rng(seed)
     seeds = root.integers(0, 2**63 - 1, size=(len(radii), trials_per_radius))
-
-    def run_trial(radius, cfg, trial_seed):
-        rng = np.random.default_rng(trial_seed)
-        a, b, c = _perturbation(p, radius, rng)
-        pert = tilted_instance(p, a, b, c)
-        res = alm_run(pert, cfg, x, y, z)
-        if not res.converged:
-            return None
-        return distance_to_reference(p, res.x, res.y, res.z, (x, y, z)) / radius
-
-    for i, radius in enumerate(radii):
+    for radius, radius_seeds in zip(radii, seeds):
         tol = min(1e-10, radius * 1e-3)
         cfg = replace(base, kkt_tol=tol, eps_floor=min(base.eps_floor, tol / 10.0))
-        outcomes = [run_trial(radius, cfg, s) for s in seeds[i]]
-        ratios = [o for o in outcomes if o is not None]
+        ratios = []
+        for trial_seed in radius_seeds:
+            a, b, c = _perturbation(p, radius, np.random.default_rng(trial_seed))
+            res = alm_run(tilted_instance(p, a, b, c), cfg, x, y, z)
+            if res.converged:
+                ratios.append(distance_to_reference(p, res.x, res.y, res.z, (x, y, z)) / radius)
         failures = trials_per_radius - len(ratios)
         records.append(
             RadiusRecord(
@@ -425,13 +419,11 @@ def error_bound_fit(
         x_s = retract(p.manifold, x, (r / nrm) * xi) if nrm > 0 else x
         dy = rng.standard_normal(y.shape)
         dy *= rng.uniform(0.0, radius) / max(norm(dy), 1e-300)
-        dz = None
-        if z is not None:
-            dz = rng.standard_normal(np.asarray(z).shape)
-            dz *= rng.uniform(0.0, radius) / max(norm(dz), 1e-300)
         dist_val = distance(p.manifold, x_s, x) + norm(dy)
         z_s = None
         if z is not None:
+            dz = rng.standard_normal(np.asarray(z).shape)
+            dz *= rng.uniform(0.0, radius) / max(norm(dz), 1e-300)
             z_s = np.asarray(z) + dz
             dist_val += norm(dz)
         r_val = kkt_residual(p, x_s, y + dy, z_s)
@@ -477,7 +469,7 @@ def figure1_tail(history):
 def figure1_config(rho: float) -> ALMConfig:
     return ALMConfig(
         rho0=rho,
-        fixed_rho=True,
+        gamma=1.0,
         kkt_tol=1e-10,
         eps0=1e-3,
         eps_decay=0.25,

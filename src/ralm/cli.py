@@ -6,8 +6,8 @@ written into the --out directory.
 
 Exit codes: 0 success, 1 usage/config error, a rank-deficient instance, a
 non-finite KKT residual or an analysis instance above the size cap, 2 partial
-convergence or failed polish, 3 a reproduction check failed (known-solution
-mismatch, rate-ordering violation).
+convergence or failed polish (one stderr line says why), 3 a reproduction
+check failed (known-solution mismatch, rate-ordering violation).
 """
 from __future__ import annotations
 
@@ -103,17 +103,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
-HISTORY_COLUMNS = (
-    "k",
-    "rho",
-    "R",
-    "V",
-    "grad_norm",
-    "inner_iters",
-    "eps_k",
-    "wall_time",
-    "dist_to_ref",
-)
+# history.csv column -> the IterationRecord field it holds
+HISTORY_COLUMNS = {
+    "k": "k",
+    "rho": "rho",
+    "R": "kkt_residual",
+    "V": "aux_v",
+    "grad_norm": "inner_grad_norm",
+    "inner_iters": "inner_iters",
+    "eps_k": "eps_k",
+    "wall_time": "wall_time",
+    "dist_to_ref": "dist_to_reference",
+}
 
 
 def write_history_csv(path: Path, history) -> None:
@@ -121,19 +122,7 @@ def write_history_csv(path: Path, history) -> None:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_COLUMNS)
         for rec in history:
-            writer.writerow(
-                [
-                    rec.k,
-                    _fmt(rec.rho),
-                    _fmt(rec.kkt_residual),
-                    _fmt(rec.aux_v),
-                    _fmt(rec.inner_grad_norm),
-                    rec.inner_iters,
-                    _fmt(rec.eps_k),
-                    _fmt(rec.wall_time),
-                    _fmt(rec.dist_to_reference),
-                ]
-            )
+            writer.writerow([_fmt(getattr(rec, name)) for name in HISTORY_COLUMNS.values()])
 
 
 def write_summary(path: Path, entries: dict) -> None:
@@ -174,6 +163,12 @@ def _status(res) -> str:
     return "converged" if res.converged else "partial-convergence"
 
 
+def _not_converged(command: str, reason: str) -> int:
+    """Say on stderr why ``command`` exits 2, in one line."""
+    print(f"{command}: the solve did not converge (stop reason {reason})", file=sys.stderr)
+    return EXIT_PARTIAL
+
+
 def _summary_entries(p, res, elapsed, a_exact=None):
     comps = kkt_residual_components(p, res.x, res.y, res.z)
     entries = {
@@ -207,7 +202,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     p, res, elapsed, a_exact = _solve(cfg)
     write_history_csv(out / "history.csv", res.history)
     write_summary(out / "summary.txt", _summary_entries(p, res, elapsed, a_exact))
-    return EXIT_OK if res.converged else EXIT_PARTIAL
+    return EXIT_OK if res.converged else _not_converged("solve", res.reason)
 
 
 def cmd_figure1(cfg: RunConfig, out: Path) -> int:
@@ -243,8 +238,9 @@ def cmd_figure1(cfg: RunConfig, out: Path) -> int:
     ordered = all(slopes[i + 1] < slopes[i] for i in range(len(slopes) - 1))
     entries["slopes_strictly_decreasing"] = ordered
     write_summary(out / "summary.txt", entries)
-    if not all(res.converged for res in results):
-        return EXIT_PARTIAL
+    failed = [f"{res.reason} at rho {rho:g}" for rho, res in zip(FIGURE1_RHOS, results) if not res.converged]
+    if failed:
+        return _not_converged("figure1", ", ".join(failed))
     if not ordered:
         print("figure1: fitted slopes are not strictly decreasing in rho", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -276,7 +272,7 @@ def cmd_sphere_l1(cfg: RunConfig, out: Path) -> int:
     entries = _summary_entries(p, res, elapsed)
     if not res.converged:
         write_summary(out / "summary.txt", entries)
-        return EXIT_PARTIAL
+        return _not_converged("sphere-l1", res.reason)
     trip = polish_kkt(p, res.x, res.y, res.z, tol=1e-10)
     report = condition_report(p, trip.x, trip.y, trip.z)
     write_conditions(out / "conditions.txt", report)
@@ -313,7 +309,7 @@ def cmd_rmc(cfg: RunConfig, out: Path) -> int:
     entries["r"] = p.manifold.r
     write_summary(out / "summary.txt", entries)
     if not res.converged:
-        return EXIT_PARTIAL
+        return _not_converged("rmc", res.reason)
     if instance_settings(cfg)[0] == "basic5x5" and (
         entries["recovery_error"] > 1e-6 or entries["max_kkt_residual"] > 1e-7
     ):
@@ -330,11 +326,12 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> int:
     p, res, elapsed, a_exact = _solve(cfg, conditions=True)
     if not res.converged:
         write_summary(out / "summary.txt", _summary_entries(p, res, elapsed, a_exact))
-        print(f"analyze: the solve did not converge (stop reason {res.reason})", file=sys.stderr)
-        return EXIT_PARTIAL
+        return _not_converged("analyze", res.reason)
     trip = polish_kkt(p, res.x, res.y, res.z, tol=1e-12)
     if trip.residual > POLISHED_KKT_GATE:
-        print(f"polish failed: residual {trip.residual:.3e}", file=sys.stderr)
+        entries = _summary_entries(p, res, elapsed, a_exact)
+        write_summary(out / "summary.txt", {**entries, "polished_residual": trip.residual})
+        print(f"analyze: polish failed: residual {trip.residual:.3e}", file=sys.stderr)
         return EXIT_PARTIAL
     report = condition_report(p, trip.x, trip.y, trip.z)
     write_conditions(out / "conditions.txt", report)
@@ -372,7 +369,7 @@ COMMANDS = {
 }
 
 
-FLAG_HELP = {"seed": "random seed", "fixed_rho": "disable penalty growth (tau = 1 semantics)"}
+FLAG_HELP = {"seed": "random seed", "gamma": "penalty growth factor (1 keeps the penalty fixed)"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -394,7 +391,7 @@ def make_parser() -> argparse.ArgumentParser:
     for name, (_, help_text, family) in COMMANDS.items():
         # no prefix abbreviations: --r must not silently mean --rho0
         ps = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        ps.add_argument("--out", metavar="DIR", help="output directory (default ./out)")
+        ps.add_argument("--out", metavar="DIR", default="out", help="output directory (default ./out)")
         if family is None:
             continue
         ps.add_argument("--config", metavar="PATH", help="problem configuration file")
@@ -405,7 +402,7 @@ def make_parser() -> argparse.ArgumentParser:
             keys = [k for k in PROBLEM_KEYS if k in read]
             ps.set_defaults(family=family)
         for key, typ in {**{k: PROBLEM_KEYS[k] for k in keys}, **ALM_KEYS}.items():
-            spec = dict(action="store_true") if typ is bool else dict(type=typ)
+            spec = dict(type=typ)
             if key == "family":
                 spec["choices"] = tuple(FAMILIES)
             elif key == "mode" and family != "*":
@@ -421,7 +418,7 @@ def main(argv=None) -> int:
         # figure1 takes no --config
         cfg = parse_problem_file(args.config) if getattr(args, "config", None) else RunConfig()
         cfg = apply_flag_overrides(cfg, args)
-        out = Path(cfg.out_dir)
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         handler = COMMANDS[args.command][0]
         return handler(cfg, out)

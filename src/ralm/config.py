@@ -1,10 +1,11 @@
 """What a run is configured by, and the line-oriented files that set it.
 
 Three tables declare every run setting once: ``PROBLEM_KEYS`` (the
-``[problem]`` keys and their types), ``ALM_KEYS`` (the ``[alm]`` keys, from
-``ALMConfig``'s type hints) and ``FAMILIES`` (each family's modes and the
-settings each mode's instance reads, with their defaults).  The config file,
-the command-line flags of ``ralm.cli`` and the instances all derive from them.
+``[problem]`` keys and their types, from ``RunConfig``'s type hints),
+``ALM_KEYS`` (the ``[alm]`` keys, from ``ALMConfig``'s) and ``FAMILIES``
+(each family's modes and the settings each mode's instance reads, with their
+defaults).  The config file, the command-line flags of ``ralm.cli`` and the
+instances all derive from them.
 
 Format: ``[section]`` headers followed by ``key=value`` lines; the optional
 ``[matrix]`` section holds whitespace-separated matrix rows, one row per
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Optional, get_type_hints
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -42,25 +43,30 @@ class RunConfig:
     mode: Optional[str] = None
     alm: ALMConfig = field(default_factory=ALMConfig)
     matrix: Optional[np.ndarray] = None
-    out_dir: str = "out"
 
 
-PROBLEM_KEYS = {
-    "family": str,
-    "n": int,
-    "m": int,
-    "r": int,
-    "mu": float,
-    "seed": int,
-    "oversample": float,
-    "mode": str,
-}
-ALM_KEYS = get_type_hints(ALMConfig)
+def _scalar_fields(cls) -> dict:
+    """{name: type} of the int, float and str fields of a dataclass, with
+    Optional unwrapped: the keys of its config-file section."""
+    keys = {}
+    for name, typ in get_type_hints(cls).items():
+        typ = next((t for t in get_args(typ) if t is not type(None)), typ)
+        if typ in (int, float, str):
+            keys[name] = typ
+    return keys
+
+
+# RunConfig's alm and matrix fields are the [alm] and [matrix] sections
+PROBLEM_KEYS = _scalar_fields(RunConfig)
+ALM_KEYS = _scalar_fields(ALMConfig)
+# The [problem] keys every instance takes: family and mode name it, and seed
+# is taken even where the instance draws nothing from it (analyze draws its
+# probe from it).
+EVERY_INSTANCE_TAKES = {"family", "mode", "seed"}
 
 
 # family -> mode (the first is the default) -> the settings its instance reads,
-# with their defaults ("matrix" is the [matrix] section).  Every instance takes
-# seed, even one that draws nothing from it: analyze draws its probe from it.
+# with their defaults ("matrix" is the [matrix] section).
 FAMILIES = {
     "circle": {None: {}},
     "sphere-l1": {"builtin5x5": {"mu": 0.25, "matrix": SPHERE_L1_DEMO_A},
@@ -78,8 +84,8 @@ def instance_settings(cfg: RunConfig):
     if mode not in modes:
         raise ConfigError(f"unknown {cfg.family} mode {mode!r}")
     reads, where = modes[mode], f"{cfg.family} mode {mode}" if mode else cfg.family
-    for key in ("n", "m", "r", "mu", "oversample", "matrix"):  # all but seed
-        if key not in reads and getattr(cfg, key) is not None:
+    for key in (*PROBLEM_KEYS, "matrix"):
+        if key not in reads and key not in EVERY_INSTANCE_TAKES and getattr(cfg, key) is not None:
             what = "a [matrix] section" if key == "matrix" else f"the setting {key}"
             raise ConfigError(f"{where} does not read {what}")
     return mode, {k: v if getattr(cfg, k) is None else getattr(cfg, k) for k, v in reads.items()}
@@ -88,13 +94,6 @@ def instance_settings(cfg: RunConfig):
 def _parse_scalar(raw: str, typ, lineno: int):
     raw = raw.strip()
     try:
-        if typ is bool:
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
         return typ(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse value {raw!r} as {typ.__name__}", lineno) from exc
@@ -158,8 +157,6 @@ def apply_flag_overrides(cfg: RunConfig, args) -> RunConfig:
             val = getattr(args, name, None)
             if val is not None:
                 setattr(target, name, val)
-    if getattr(args, "out", None) is not None:
-        cfg.out_dir = args.out
     for name, low in (("n", 1), ("m", 1), ("r", 1), ("seed", 0)):
         val = getattr(cfg, name)
         if val is not None and val < low:

@@ -70,15 +70,14 @@ class ALMConfig:
     eps_floor: float = 1e-12
     kkt_tol: float = 1e-7
     max_outer: int = 200
-    fixed_rho: bool = False
 
     def validate(self):
         _require_finite(self)
         for name in ("rho0", "eps0", "eps_floor", "kkt_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if not self.gamma > 1:
-            raise ValueError("gamma must be > 1")
+        if not self.gamma >= 1:
+            raise ValueError("gamma must be >= 1")
         if not (0 < self.tau < 1):
             raise ValueError("tau must lie in (0, 1)")
         if not (0 < self.eps_decay < 1):
@@ -193,11 +192,12 @@ def auxiliary_v(p: ProblemInstance, x: Point, y, z, rho: float) -> float:
     return max(update_multipliers(p, x, y, z, rho)[2])
 
 
-def penalty_update(v_new: float, v_prev, rho: float, gamma: float, tau: float, k: int) -> float:
-    """Keep rho when k = 0 or V contracted by tau; otherwise multiply by gamma."""
-    if gamma <= 1 or not (0 < tau < 1):
-        raise ValueError("need gamma > 1 and tau in (0, 1)")
-    if k == 0 or v_prev is None or v_new <= tau * v_prev:
+def penalty_update(v_new: float, v_prev, rho: float, gamma: float, tau: float) -> float:
+    """Keep rho at the first update (no previous V) or when V contracted by
+    tau; otherwise multiply it by gamma, so gamma = 1 keeps it fixed."""
+    if gamma < 1 or not (0 < tau < 1):
+        raise ValueError("need gamma >= 1 and tau in (0, 1)")
+    if v_prev is None or v_new <= tau * v_prev:
         return rho
     return gamma * rho
 
@@ -406,8 +406,7 @@ def alm_run(
                 multiplier_consistency_gap=mult_gap,
             )
         )
-        if not config.fixed_rho:
-            rho = penalty_update(v_new, v_prev, rho, config.gamma, config.tau, k)
+        rho = penalty_update(v_new, v_prev, rho, config.gamma, config.tau)
         y, z, v_prev, r_sum = y_new, z_new, v_new, r_new
         if max(comps) <= config.kkt_tol:
             return ALMResult("converged", x, y, z, history)

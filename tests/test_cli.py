@@ -85,7 +85,6 @@ ALM_VALUES = {
     "eps_floor": ("1e-11", 1e-11),
     "kkt_tol": ("1e-8", 1e-8),
     "max_outer": ("17", 17),
-    "fixed_rho": ("yes", True),
 }
 PROBLEM_VALUES = {
     "family": ("rmc", "rmc"),
@@ -100,7 +99,7 @@ PROBLEM_VALUES = {
 # the exact flags each command's --help lists (besides --help): figure1 reads
 # no setting, a family command takes seed, mode and the keys its modes read
 ALM_FLAGS = {"--rho0", "--gamma", "--tau", "--eps0", "--eps-decay", "--eps-floor", "--kkt-tol",
-             "--max-outer", "--fixed-rho"}
+             "--max-outer"}
 ANY_FAMILY_FLAGS = {"--config", "--out", "--family", "--n", "--m", "--r", "--mu", "--seed",
                     "--oversample", "--mode", *ALM_FLAGS}
 COMMAND_FLAGS = {
@@ -113,13 +112,8 @@ COMMAND_FLAGS = {
 
 
 def as_flags(values):
-    """Command-line spelling of {key: (raw, _)}; a bool key is a bare flag."""
-    argv = []
-    for key, (raw, want) in values.items():
-        argv.append("--" + key.replace("_", "-"))
-        if not isinstance(want, bool):
-            argv.append(raw)
-    return argv
+    """Command-line spelling of {key: (raw, _)}."""
+    return [arg for key, (raw, _) in values.items() for arg in ("--" + key.replace("_", "-"), raw)]
 
 
 @pytest.fixture
@@ -164,9 +158,11 @@ class TestCommandOutputs:
             ["rmc", "--mode", "xyz"],
             ["solve", "--n", "abc"],
             ["solve", "--jobs", "2"],
+            ["analyze", "--fixed-rho"],
             ["rmc", "--max", "4"],
         ],
-        ids=["unknown-flag", "bad-choice", "bad-int", "removed-jobs", "prefix-of-a-flag"],
+        ids=["unknown-flag", "bad-choice", "bad-int", "removed-jobs", "removed-fixed-rho",
+             "prefix-of-a-flag"],
     )
     def test_usage_error_exits_one_line(self, tmp_path, capsys, argv):
         code = main(argv + ["--out", str(tmp_path / "o")])
@@ -174,6 +170,14 @@ class TestCommandOutputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["solve", "--family", "circle"], ["sphere-l1"], ["rmc"]],
+                             ids=["solve", "sphere-l1", "rmc"])
+    def test_partial_run_says_why_on_stderr(self, tmp_path, capsys, argv):
+        code = main(argv + ["--max-outer", "1", "--out", str(tmp_path / "o")])
+        assert code == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert err == f"{argv[0]}: the solve did not converge (stop reason max_outer)\n"
 
     @pytest.mark.parametrize("command", list(WRITTEN_FILES))
     def test_help_exits_zero(self, capsys, command):
@@ -247,6 +251,12 @@ class TestSolveCommand:
         summary = (out / "summary.txt").read_text()
         assert "status = partial-convergence" in summary
         assert "stop_reason = max_outer" in summary
+
+    def test_unit_gamma_keeps_the_penalty_fixed(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["solve", "--family", "circle", "--gamma", "1", "--out", str(out)]) == EXIT_OK
+        rows = read_csv(out / "history.csv")
+        assert len(rows) > 2 and all(float(row[1]) == 1.0 for row in rows[1:])
 
     def test_max_outer_zero_exits_partial(self, tmp_path):
         code = main(
@@ -322,11 +332,11 @@ class TestFlagTable:
         assert getattr(cfg, key) == want
         assert cfg.family == command
 
-    def test_file_fixed_rho_survives_a_run_without_the_flag(self, tmp_path, alm_configs):
+    def test_file_unit_gamma_survives_a_run_without_the_flag(self, tmp_path, alm_configs):
         f = tmp_path / "fixed.cfg"
-        f.write_text("[problem]\nfamily=circle\n[alm]\nfixed_rho=yes\n")
+        f.write_text("[problem]\nfamily=circle\n[alm]\ngamma=1\n")
         assert main(["solve", "--config", str(f), "--out", str(tmp_path / "o")]) == EXIT_OK
-        assert [alm.fixed_rho for alm in alm_configs] == [True]
+        assert [alm.gamma for alm in alm_configs] == [1.0]
 
     def test_one_parser_carries_no_values_between_calls(self, tmp_path, monkeypatch):
         assert make_parser() is make_parser()
@@ -508,6 +518,22 @@ class TestFigure1Command:
         summary = (out / "summary.txt").read_text()
         assert "slopes_strictly_decreasing = True" in summary
 
+    def test_partial_penalties_named_on_stderr(self, tmp_path, capsys, monkeypatch):
+        real = ralm.cli.figure1_config
+
+        def capped(rho):
+            cfg = real(rho)
+            if rho < 100:
+                cfg.max_outer = 1
+            return cfg
+
+        monkeypatch.setattr(ralm.cli, "figure1_config", capped)
+        assert main(["figure1", "--out", str(tmp_path)]) == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        reasons = "max_outer at rho 1, max_outer at rho 10"
+        assert err == f"figure1: the solve did not converge (stop reason {reasons})\n"
+        assert "rho1000_status = converged" in (tmp_path / "summary.txt").read_text()
+
     def test_fit_log_linear_on_exact_geometric(self):
         slope, r2 = fit_log_linear([10.0 ** (-k) for k in range(8)])
         assert slope == pytest.approx(-1.0)
@@ -675,6 +701,16 @@ class TestAnalyzeCommand:
         summary = (out / "summary.txt").read_text()
         assert "status = partial-convergence" in summary
         assert "stop_reason = max_outer" in summary
+        assert sorted(p.name for p in out.iterdir()) == ["summary.txt"]
+
+    def test_failed_polish_writes_the_solve_summary(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ralm.cli, "POLISHED_KKT_GATE", -1.0)
+        out = tmp_path / "o"
+        assert main(["analyze", "--family", "circle", "--out", str(out)]) == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert err.startswith("analyze: polish failed: residual ") and err.count("\n") == 1
+        summary = (out / "summary.txt").read_text()
+        assert "status = converged" in summary and "polished_residual = " in summary
         assert sorted(p.name for p in out.iterdir()) == ["summary.txt"]
 
     @pytest.mark.parametrize(

@@ -223,19 +223,19 @@ class TestOneKKTSource:
 
 class TestPenaltyUpdate:
     def test_first_iteration_keeps_rho(self):
-        assert penalty_update(5.0, None, 1.0, 10.0, 0.8, 0) == 1.0
+        assert penalty_update(5.0, None, 1.0, 10.0, 0.8) == 1.0
 
     def test_zero_progress_measure_keeps_rho(self):
-        assert penalty_update(0.0, 1.0, 2.0, 10.0, 0.8, 3) == 2.0
+        assert penalty_update(0.0, 1.0, 2.0, 10.0, 0.8) == 2.0
 
     def test_insufficient_contraction_grows_rho(self):
-        assert penalty_update(1.0, 1.0, 1.0, 10.0, 0.8, 2) == 10.0
+        assert penalty_update(1.0, 1.0, 1.0, 10.0, 0.8) == 10.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            penalty_update(1.0, 1.0, 1.0, 0.5, 0.8, 1)
+            penalty_update(1.0, 1.0, 1.0, 0.5, 0.8)
         with pytest.raises(ValueError):
-            penalty_update(1.0, 1.0, 1.0, 10.0, 1.5, 1)
+            penalty_update(1.0, 1.0, 1.0, 10.0, 1.5)
 
 
 class TestSubproblem:
@@ -645,11 +645,11 @@ class TestALMRun:
         # penalty-scaled one 602
         assert counts["retract"] <= 1500
 
-    def test_fixed_rho_flag_freezes_penalty(self):
+    def test_unit_gamma_freezes_penalty(self):
         p = circle_problem()
         res = alm_run(
             p,
-            ALMConfig(rho0=1.0, fixed_rho=True, kkt_tol=1e-10, max_outer=100),
+            ALMConfig(rho0=1.0, gamma=1.0, kkt_tol=1e-10, max_outer=100),
             sphere_point([1.0, 0.0]),
         )
         assert all(rec.rho == 1.0 for rec in res.history)
