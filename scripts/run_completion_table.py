@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Robust matrix completion benchmark over a grid of sizes and seeds.
 
-Each row reports size, rank, seed, outer iterations, summed inner steps, wall
-time, the final maximum KKT residual, the recovery error, the ratio
-|X|_F / |P_Omega A|_F of the solution to the observed data (a run whose
-iterates grow far beyond the data shows a large ratio) and the stop reason.
+Each row reports size, rank, seed, outer iterations, summed inner steps,
+summed inner trial points (rank-deficient retractions included), wall time,
+the final maximum KKT residual, the recovery error, the ratio |X|_F /
+|P_Omega A|_F of the solution to the observed data (a run whose iterates grow
+far beyond the data shows a large ratio) and the stop reason.
 """
 import sys
 import time
@@ -27,6 +28,7 @@ def run_case(m, n, r, oversample, seed):
     return {
         "outer": len(res.history) - 1,
         "inner": sum(rec.inner_iters for rec in res.history),
+        "trials": sum(rec.inner_trials for rec in res.history),
         "time": elapsed,
         "residual": max(kkt_residual_components(p, res.x, res.y, res.z)),
         "recovery": np.linalg.norm(res.x.ambient - a_exact),
@@ -49,13 +51,13 @@ def main() -> None:
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
 
-    print(f"{'m':>6} {'n':>6} {'r':>3} {'seed':>4} {'outer':>5} {'inner':>6} {'time(s)':>8} "
+    print(f"{'m':>6} {'n':>6} {'r':>3} {'seed':>4} {'outer':>5} {'inner':>6} {'trials':>6} {'time(s)':>8} "
           f"{'max residual':>13} {'recovery':>10} {'|X|/|PA|':>9}  stop_reason")
     for size in sizes:
         for seed in seeds:
             row = run_case(size, size, args.rank, args.oversample, seed)
             print(
-                f"{size:>6} {size:>6} {args.rank:>3} {seed:>4} {row['outer']:>5} {row['inner']:>6} "
+                f"{size:>6} {size:>6} {args.rank:>3} {seed:>4} {row['outer']:>5} {row['inner']:>6} {row['trials']:>6} "
                 f"{row['time']:>8.2f} {row['residual']:>13.3e} {row['recovery']:>10.3e} "
                 f"{row['size_ratio']:>9.3f}  {row['reason']}"
             )

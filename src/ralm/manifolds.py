@@ -11,8 +11,9 @@ vectors back onto the manifold:
   thin SVD factorisation ``U diag(s) V^T`` kept consistent with the ambient
   matrix.  ``tangent_vector`` returns a tangent vector as its factors
   (``FixedRankTangent``): its norm and scaling cost O((m + n) r), and
-  ``bb_pair`` forms the Barzilai-Borwein pair of the tangent step from them
-  in O((m + n) r^2).  ``project_tangent`` returns the dense ambient matrix.
+  ``bb_pair`` forms the Barzilai-Borwein triple of the tangent step from
+  them in O((m + n) r^2), taking the gradient norms the solver already
+  holds.  ``project_tangent`` returns the dense ambient matrix.
   The retraction is the metric projection (a full SVD) when
   min(m, n) <= 50, and above that the orthographic retraction, built from
   the tangent factors with r x r factorizations only; the orthographic path
@@ -168,14 +169,15 @@ class FixedRankTangent:
     ``t * xi`` scales the factors.  ``np.asarray(xi)`` is the dense ambient
     matrix: it is formed on first use and kept, and a scaled copy forms its
     own from the original's, so a vector and its scaled copies form one
-    dense matrix between them.
+    dense matrix between them.  ``factors()`` is likewise formed once.
     """
 
-    __slots__ = ("x", "m", "u_p", "v_p", "_ambient", "_scaled_from")
+    __slots__ = ("x", "m", "u_p", "v_p", "_ambient", "_factors", "_scaled_from")
 
     def __init__(self, x: Point, m, u_p, v_p):
         self.x, self.m, self.u_p, self.v_p = x, m, u_p, v_p
         self._ambient = None
+        self._factors = None
         self._scaled_from = None  # (t, xi) for the copy t * xi
 
     def __rmul__(self, t):
@@ -185,8 +187,13 @@ class FixedRankTangent:
 
     def factors(self):
         """(L, R) with xi = L R^T = [U M + U_p, U] [V, V_p]^T."""
-        u, v = self.x.u, self.x.v
-        return np.concatenate((u @ self.m + self.u_p, u), axis=1), np.concatenate((v, self.v_p), axis=1)
+        if self._factors is None:
+            u, v = self.x.u, self.x.v
+            self._factors = (
+                np.concatenate((u @ self.m + self.u_p, u), axis=1),
+                np.concatenate((v, self.v_p), axis=1),
+            )
+        return self._factors
 
     def __array__(self, dtype=None, copy=None):
         if self._ambient is None:
@@ -320,21 +327,26 @@ def retract(manifold: Manifold, x: Point, xi) -> Point:
     return _fixed_rank_retract(manifold, x, xi)
 
 
-def bb_pair(x: Point, x_new: Point, grad, grad_new, t: float):
-    """The Barzilai-Borwein pair (|s|^2, <s, y>) of the step x_new = R_x(-t grad).
+def bb_pair(x: Point, x_new: Point, grad, grad_new, t: float, gn: float, gn_new: float):
+    """The Barzilai-Borwein triple (|s|^2, <s, y>, |y|^2) of the step
+    x_new = R_x(-t grad), given gn = |grad| and gn_new = |grad_new|.
 
-    Fixed rank: the tangent step s = -t grad and y = P_x(grad_new) - grad
-    (Iannazzo & Porcelli, IMA J. Numer. Anal. 2018), from the factors in
-    O((m + n) r^2).  Sphere: the secant s = x_new - x and y = grad_new - grad.
+    Fixed rank: the tangent step s = -t grad and the ambient difference
+    y = grad_new - grad, left untransported (Iannazzo & Porcelli, IMA J.
+    Numer. Anal. 2018).  Since s is tangent at x, <s, y> is the same as with
+    y = P_x(grad_new) - grad.  Only <grad, grad_new> is formed, from the
+    factors in O((m + n) r^2); |s|^2 and |y|^2 then follow from the two
+    norms.  Sphere: the secant s = x_new - x and y = grad_new - grad, whose
+    |y|^2 is one more dot product; the norms are not used.
     """
     if isinstance(grad, FixedRankTangent):
         (left, right), (left_new, right_new) = grad.factors(), grad_new.factors()
-        gg = tangent_norm(grad) ** 2
+        gg = gn**2
         g_gnew = float(((left.T @ left_new) * (right.T @ right_new)).sum())
-        return t * t * gg, t * (gg - g_gnew)
+        return t * t * gg, t * (gg - g_gnew), gn_new**2 - 2.0 * g_gnew + gg
     s_vec = x_new.ambient - x.ambient
     y_vec = np.asarray(grad_new) - np.asarray(grad)
-    return float((s_vec * s_vec).sum()), float((s_vec * y_vec).sum())
+    return float((s_vec * s_vec).sum()), float((s_vec * y_vec).sum()), float(y_vec @ y_vec)
 
 
 def distance(manifold: Manifold, x: Point, y: Point) -> float:

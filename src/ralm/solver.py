@@ -3,9 +3,10 @@
 The outer loop alternates an inexact minimisation of the smooth augmented
 Lagrangian on the manifold with closed-form multiplier updates, growing the
 penalty only when the feasibility measure V fails to contract by a factor
-tau.  The inner solver is Riemannian gradient descent with a Barzilai-Borwein
-trial step and nonmonotone Armijo backtracking along the retraction; it
-terminates when the gradient norm reaches the requested tolerance.
+tau.  The inner solver is Riemannian gradient descent with an adaptive
+Barzilai-Borwein trial step (BB2 when it is well below BB1, else BB1) and
+nonmonotone Armijo backtracking along the retraction; it terminates when the
+gradient norm reaches the requested tolerance.
 """
 from __future__ import annotations
 
@@ -38,6 +39,9 @@ NONMONOTONE_MEMORY = 5
 # Armijo sufficient-decrease constant and step shrink factor per backtrack.
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
+# Adaptive BB (Zhou, Gao & Dai, Comput. Optim. Appl. 2006): the next trial
+# step is BB2 when BB2 < ABB_RATIO * BB1, else BB1.
+ABB_RATIO = 0.8
 # The first trial step of a subproblem is INIT_STEP / max(rho, 1): the
 # envelope term of L_rho is rho-smooth, so a unit step overshoots by about a
 # factor rho and would be backtracked log2(rho) times.
@@ -94,6 +98,7 @@ class IterationRecord:
     aux_v: float
     inner_grad_norm: float
     inner_iters: int
+    inner_trials: int  # trial points, rank-deficient retractions included
     eps_k: float
     wall_time: float
     dist_to_reference: float = float("nan")
@@ -109,6 +114,7 @@ class SubproblemResult:
     grad: Union[np.ndarray, FixedRankTangent]  # Riemannian gradient of the merit at x
     grad_norm: float
     iters: int  # accepted steps
+    trials: int  # trial points, rank-deficient retractions included
     stalled: bool
 
 
@@ -202,6 +208,24 @@ def penalty_update(v_new: float, v_prev, rho: float, gamma: float, tau: float) -
     return gamma * rho
 
 
+def abb_step(ss: float, sy: float, yy: float, t: float) -> float:
+    """The next trial step from the Barzilai-Borwein triple (|s|^2, <s, y>,
+    |y|^2) of an accepted step of length t.
+
+    BB2 = <s, y> / |y|^2 when it is below ``ABB_RATIO`` times
+    BB1 = |s|^2 / <s, y>, else BB1; BB1 also when |y|^2 <= 0, which rounding
+    can produce on the fixed-rank manifold.  The result is clamped to
+    [1e-12, 1e10].  Without positive curvature (<s, y> <= 1e-30) the step is
+    4 t, capped at ``INIT_STEP`` * 1e6.
+    """
+    if sy <= 1e-30:
+        return min(4.0 * t, INIT_STEP * 1e6)
+    step = ss / sy
+    if yy > 0 and sy / yy < ABB_RATIO * step:
+        step = sy / yy
+    return min(max(step, 1e-12), 1e10)
+
+
 def subproblem_solve(
     p: ProblemInstance,
     w,
@@ -212,8 +236,9 @@ def subproblem_solve(
 ) -> SubproblemResult:
     """Drive |grad L_rho(x, w, p)| below eps by Riemannian gradient descent.
 
-    Trial steps come from a safeguarded Barzilai-Borwein estimate and are
-    backtracked until the Armijo condition holds against a reference value.
+    Trial steps come from the safeguarded adaptive Barzilai-Borwein rule of
+    ``abb_step`` and are backtracked until the Armijo condition holds
+    against a reference value.
     Once the requested Armijo decrease falls below the rounding noise of the
     merit value, steps are instead accepted when the value does not exceed
     the reference beyond that noise and the gradient norm does not exceed a
@@ -227,7 +252,9 @@ def subproblem_solve(
     and p/rho computed once per call).  Its gradient is completed from that
     evaluation (``merit_rgrad``) only where it is needed: at an accepted
     point, and at a noise-floor trial whose gradient norm decides acceptance.
-    ``iters`` counts the accepted steps.
+    Each gradient's norm is taken once, and ``bb_pair`` forms the BB triple
+    from the two norms.  ``iters`` counts the accepted steps and ``trials``
+    the trial points.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -241,7 +268,7 @@ def subproblem_solve(
     recent_gns = deque([grad_norm], maxlen=NONMONOTONE_MEMORY)
     step = INIT_STEP / max(rho, 1.0)
     no_improve = 0
-    iters = 0
+    iters = trials = 0
     while iters < INNER_MAX_ITERS and best_gn > eps and no_improve < 100:
         t = step
         accepted = False
@@ -249,6 +276,7 @@ def subproblem_solve(
         slack = 1e-14 * (1.0 + abs(val))
         ref_val, ref_gn = max(recent_vals), max(recent_gns)
         for _ in range(60):
+            trials += 1
             try:
                 x_try = retract(p.manifold, x, -t * grad)
             except RankDeficiencyError:
@@ -265,7 +293,8 @@ def subproblem_solve(
                 # requested decrease is unresolvable in floating point; keep
                 # polishing as long as the gradient norm stays within reference
                 grad_try = merit_rgrad(p, x_try, grads)
-                if tangent_norm(grad_try) <= ref_gn:
+                gn_try = tangent_norm(grad_try)
+                if gn_try <= ref_gn:
                     accepted = True
                     break
             t *= BACKTRACK
@@ -273,14 +302,10 @@ def subproblem_solve(
             break
         if grad_try is None:
             grad_try = merit_rgrad(p, x_try, grads)
-        # BB1 estimate: s is the tangent step -t grad on fixed rank, x_try - x on the sphere
-        ss, sy = bb_pair(x, x_try, grad, grad_try, t)
-        if sy > 1e-30:
-            step = min(max(ss / sy, 1e-12), 1e10)
-        else:
-            step = min(4.0 * t, INIT_STEP * 1e6)
-        x, val, grad = x_try, val_try, grad_try
-        grad_norm = tangent_norm(grad)
+            gn_try = tangent_norm(grad_try)
+        # s is the tangent step -t grad on fixed rank, x_try - x on the sphere
+        step = abb_step(*bb_pair(x, x_try, grad, grad_try, t, grad_norm, gn_try), t)
+        x, val, grad, grad_norm = x_try, val_try, grad_try, gn_try
         recent_vals.append(val)
         recent_gns.append(grad_norm)
         iters += 1
@@ -289,7 +314,7 @@ def subproblem_solve(
             no_improve = 0
         else:
             no_improve += 1
-    return SubproblemResult(best_x, best_grad, best_gn, iters, stalled=best_gn > eps)
+    return SubproblemResult(best_x, best_grad, best_gn, iters, trials, stalled=best_gn > eps)
 
 
 def _clip_multiplier(v):
@@ -358,6 +383,7 @@ def alm_run(
             aux_v=auxiliary_v(p, x, y, z, rho),
             inner_grad_norm=comps[0],
             inner_iters=0,
+            inner_trials=0,
             eps_k=float("nan"),
             wall_time=time.perf_counter() - t_start,
             dist_to_reference=distance_to_reference(p, x, y, z, reference),
@@ -398,6 +424,7 @@ def alm_run(
                 aux_v=v_new,
                 inner_grad_norm=sub.grad_norm,
                 inner_iters=sub.iters,
+                inner_trials=sub.trials,
                 eps_k=eps_k,
                 wall_time=time.perf_counter() - t_start,
                 dist_to_reference=distance_to_reference(p, x, y_new, z_new, reference),

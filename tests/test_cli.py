@@ -790,6 +790,10 @@ class TestCompletionTableScript:
         assert header.split()[0] == "m" and len(rows) == 1
         assert rows[0].split()[:4] == ["20", "20", "2", "1"]
         assert rows[0].split()[-1] == "converged"
+        # every accepted inner step is a trial point
+        assert header.split()[5:7] == ["inner", "trials"]
+        inner, trials = map(int, rows[0].split()[5:7])
+        assert 0 < inner <= trials
 
     @pytest.mark.parametrize(
         "args,message",

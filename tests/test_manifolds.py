@@ -469,8 +469,9 @@ def rmc_merit(m, n, r):
 
 
 class TestFactoredBBPair:
-    """``bb_pair``: the tangent step on the fixed-rank manifold, the ambient
-    secant on the sphere; and the retraction facts the solver relies on."""
+    """``bb_pair``: the tangent step and the ambient gradient difference on
+    the fixed-rank manifold, the ambient secant on the sphere; and the
+    retraction facts the solver relies on."""
 
     # 5 x 5 takes the dense-SVD retraction, the others the orthographic one
     @pytest.mark.parametrize("m,n,r", [(200, 200, 5), (80, 60, 3), (5, 5, 3)])
@@ -482,13 +483,17 @@ class TestFactoredBBPair:
         grad_new = rgrad(x_new)
         # s = -t G and y = G+ - G on the dense gradients
         g, g_new = np.asarray(grad), np.asarray(grad_new)
-        ref_ss, ref_sy = t * t * np.sum(g * g), np.sum(-t * g * (g_new - g))
-        ss, sy = bb_pair(x, x_new, grad, grad_new, t)
+        y_vec = g_new - g
+        ref_ss, ref_sy, ref_yy = t * t * np.sum(g * g), np.sum(-t * g * y_vec), np.sum(y_vec * y_vec)
+        ss, sy, yy = bb_pair(x, x_new, grad, grad_new, t, tangent_norm(grad), tangent_norm(grad_new))
         assert ss == pytest.approx(ref_ss, rel=1e-12, abs=0)
         # both forms of <s, y> cancel t |G|^2 against t <G, G+>, so they agree
         # to a relative 1e-12 of that scale (measured: within 2 eps of it)
         scale = max(abs(ref_sy), t * np.linalg.norm(g) * (np.linalg.norm(g) + np.linalg.norm(g_new)))
         assert abs(sy - ref_sy) <= 1e-12 * scale
+        # |y|^2 = |G+|^2 - 2 <G, G+> + |G|^2 cancels against |G|^2 + |G+|^2, so
+        # it is exact to a relative 1e-14 of that (measured: within 8e-16)
+        assert abs(yy - ref_yy) <= 1e-14 * (np.sum(g * g) + np.sum(g_new * g_new))
 
     def test_sphere_pair_is_the_ambient_secant(self):
         manifold = Sphere(6)
@@ -498,7 +503,32 @@ class TestFactoredBBPair:
         x_new = retract(manifold, x, -0.1 * grad)
         grad_new = tangent_vector(manifold, x_new, rng.standard_normal(6))
         s_vec, y_vec = x_new.ambient - x.ambient, grad_new - grad
-        assert bb_pair(x, x_new, grad, grad_new, 0.1) == (np.sum(s_vec * s_vec), np.sum(s_vec * y_vec))
+        ss, sy, yy = bb_pair(x, x_new, grad, grad_new, 0.1, norm(grad), norm(grad_new))
+        assert (ss, sy) == (np.sum(s_vec * s_vec), np.sum(s_vec * y_vec))
+        assert yy == pytest.approx(np.sum(y_vec * y_vec), rel=1e-14, abs=0)
+
+    def test_each_gradient_forms_its_factors_once(self, monkeypatch):
+        """A gradient's factors, formed when it is the new gradient of one
+        pair, are reused when it is the old gradient of the next."""
+        p, x, rgrad = rmc_merit(80, 60, 3)
+        xs, grads = [x], [rgrad(x)]
+        for _ in range(2):
+            xs.append(retract(p.manifold, xs[-1], -1e-2 * grads[-1]))
+            grads.append(rgrad(xs[-1]))
+        formed = []
+        concatenate = np.concatenate
+
+        def counted(arrays, *args, **kwargs):
+            formed.append(len(arrays))
+            return concatenate(arrays, *args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", counted)
+        for k in range(2):
+            gn, gn_new = tangent_norm(grads[k]), tangent_norm(grads[k + 1])
+            bb_pair(xs[k], xs[k + 1], grads[k], grads[k + 1], 1e-2, gn, gn_new)
+        # (L, R) of grads 0, 1 and 2, two concatenations each
+        assert len(formed) == 6
+        assert grads[1].factors() is grads[1].factors()
 
     def test_drifted_factors_are_reorthonormalized(self):
         manifold = FixedRank(80, 60, 3)
