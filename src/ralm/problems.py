@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -280,32 +280,54 @@ def lagrangian_rgrad(p: ProblemInstance, x: Point, y, z=None) -> np.ndarray:
     return project_tangent(p.manifold, x, g)
 
 
-def merit_shifts(p: ProblemInstance, w, p_mult, rho: float):
-    """The constants inside L_rho: the shift of g1's envelope argument, p/rho
-    (None without Q) and the envelope term that does not depend on x.
+class MeritShifts(NamedTuple):
+    """The constants of one subproblem's merit, from ``merit_shifts``.
 
-    Without a support the shift is w/rho and the term 0.  With a support S
-    the shift is g1(0) + w/rho at S, to which ``merit_eval`` adds x at S,
-    and the term is the envelope of g1(0) + w/rho off S.
+    ``w_shift``, ``p_shift`` and ``env_off`` enter L_rho (``merit_eval``);
+    ``w_on``, ``p_mult`` and ``gap_off`` are the parts of the multiplier gap
+    that do not depend on x (``multiplier_gap``).
+    """
+
+    w_shift: np.ndarray  # the envelope argument's constant part
+    p_shift: Optional[np.ndarray]  # p/rho (None without Q)
+    env_off: float  # the envelope off the support
+    w_on: np.ndarray  # w where the envelope runs
+    p_mult: Optional[np.ndarray]  # p (None without Q)
+    gap_off: float  # |y+ - w|^2 off the support
+
+
+def merit_shifts(p: ProblemInstance, w, p_mult, rho: float) -> MeritShifts:
+    """The constants inside L_rho and its multiplier gap, once per subproblem.
+
+    Without a support the shift is w/rho and the envelope runs on every
+    entry, so the off-support terms are 0.  With a support S the shift is
+    g1(0) + w/rho at S, to which ``merit_eval`` adds x at S.  Off S the
+    envelope argument u0 = g1(0) + w/rho does not depend on x, and neither
+    does the multiplier step there: ``env_off`` is the envelope of u0 and
+    ``gap_off`` is |rho clamp(u0) - w|^2 over those entries.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    p_shift = None if p.q is None else np.asarray(p_mult) / rho
-    w_shift = np.asarray(w) / rho
+    p_mult = None if p.q is None else np.asarray(p_mult)
+    p_shift = None if p_mult is None else p_mult / rho
+    w = np.asarray(w)
+    w_shift = w / rho
     support = p.g1.support
     if support is None:
-        return w_shift, p_shift, 0.0
+        return MeritShifts(w_shift, p_shift, 0.0, w, p_mult, 0.0)
     u0 = (p.g1.value(np.zeros(p.manifold.ambient_shape)) + w_shift).ravel()
     off = np.ones(u0.size, dtype=bool)
     off[support] = False
     u_off = u0[off]
     # 0 for RMC itself, whose multipliers stay 0 off the observed entries; a
     # tilt or a warm-started multiplier may move it
-    env_off = moreau_env(p.theta, u_off, rho)[0] if u_off.any() else 0.0
-    return u0[support], p_shift, env_off
+    env_off, y_off = moreau_env(p.theta, u_off, rho) if u_off.any() else (0.0, 0.0)
+    w_flat = w.ravel()
+    gap_off = float(np.sum((y_off - w_flat[off]) ** 2))
+    return MeritShifts(u0[support], p_shift, env_off, w_flat[support], p_mult, gap_off)
 
 
-def merit_eval(p: ProblemInstance, x: Point, shifts, rho: float):
+def merit_eval(p: ProblemInstance, x: Point, shifts: MeritShifts, rho: float):
     """L_rho(x, w, p) together with the envelope and distance gradients.
 
     L_rho(x, w, p) = f(x) + env_rho(g1(x) + w/rho) + (rho/2) dist^2(g2(x) + p/rho, Q),
@@ -317,18 +339,17 @@ def merit_eval(p: ProblemInstance, x: Point, shifts, rho: float):
     the Riemannian gradient from these, so a point whose gradient is needed
     is still evaluated only once.
     """
-    w_shift, p_shift, env_off = shifts
     xa = x.ambient
     if p.g1.support is None:
-        u = p.g1.value(xa) + w_shift
+        u = p.g1.value(xa) + shifts.w_shift
     else:
-        u = xa.ravel()[p.g1.support] + w_shift
+        u = xa.ravel()[p.g1.support] + shifts.w_shift
     env_val, env_grad = moreau_env(p.theta, u, rho)
     f_val, f_grad = p.f.value_grad(xa)
-    val = f_val + env_val + env_off
+    val = f_val + env_val + shifts.env_off
     d_grad = None
     if p.q is not None:
-        d_val, d_grad = dist2_grad(p.q, p.g2.value(xa) + p_shift, rho)
+        d_val, d_grad = dist2_grad(p.q, p.g2.value(xa) + shifts.p_shift, rho)
         val += d_val
     return val, (f_grad, env_grad, d_grad)
 
@@ -348,6 +369,23 @@ def merit_rgrad(p: ProblemInstance, x: Point, grads):
     if d_grad is not None:
         ambient = ambient + p.g2.jacobian_adjoint(d_grad)
     return tangent_vector(p.manifold, x, ambient)
+
+
+def multiplier_gap(shifts: MeritShifts, grads, rho: float) -> float:
+    """The penalty rule's V = max(|y+ - w|, |z+ - p|) / rho at the point where
+    ``merit_eval`` returned ``grads``, with no further evaluation.
+
+    The multiplier step y+ is the envelope gradient (on the support; the
+    constant rest is in ``shifts.gap_off``) and z+ is the distance gradient,
+    so V equals ``max(update_multipliers(...)[2])`` up to rounding.
+    """
+    _, env_grad, d_grad = grads
+    diff = env_grad - shifts.w_on
+    gap = math.sqrt(float(np.vdot(diff, diff)) + shifts.gap_off) / rho
+    if d_grad is not None:
+        diff = d_grad - shifts.p_mult
+        gap = max(gap, math.sqrt(float(np.vdot(diff, diff))) / rho)
+    return gap
 
 
 def aug_lagrangian_value(p: ProblemInstance, x: Point, w, p_mult, rho: float) -> float:

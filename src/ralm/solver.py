@@ -5,8 +5,10 @@ Lagrangian on the manifold with closed-form multiplier updates, growing the
 penalty only when the feasibility measure V fails to contract by a factor
 tau.  The inner solver is Riemannian gradient descent with an adaptive
 Barzilai-Borwein trial step (BB2 when it is well below BB1, else BB1) and
-nonmonotone Armijo backtracking along the retraction; it terminates when the
-gradient norm reaches the requested tolerance.
+nonmonotone Armijo backtracking along the retraction.  It stops when the
+gradient norm reaches an absolute tolerance or, until the run nears its end,
+the multiplier gap V at the same point (a relative criterion in the manner of
+Rockafellar's criterion (B)), whichever is larger.
 """
 from __future__ import annotations
 
@@ -30,7 +32,15 @@ from .manifolds import (
     retract,
     tangent_norm,
 )
-from .problems import ProblemInstance, lagrangian_rgrad, merit_eval, merit_rgrad, merit_shifts, require_set_multiplier
+from .problems import (
+    ProblemInstance,
+    lagrangian_rgrad,
+    merit_eval,
+    merit_rgrad,
+    merit_shifts,
+    multiplier_gap,
+    require_set_multiplier,
+)
 
 
 # Accepted iterates a Barzilai-Borwein trial is compared against
@@ -39,6 +49,11 @@ NONMONOTONE_MEMORY = 5
 # Armijo sufficient-decrease constant and step shrink factor per backtrack.
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
+# Relative stop of a subproblem, in the manner of Rockafellar's criterion (B)
+# (Math. Oper. Res. 1976) but with a constant factor: its gradient norm need
+# not go below REL_STOP times the multiplier gap V at the same point
+# (``multiplier_gap``).
+REL_STOP = 1.0
 # Adaptive BB (Zhou, Gao & Dai, Comput. Optim. Appl. 2006): the next trial
 # step is BB2 when BB2 < ABB_RATIO * BB1, else BB1.
 ABB_RATIO = 0.8
@@ -47,8 +62,9 @@ ABB_RATIO = 0.8
 # factor rho and would be backtracked log2(rho) times.
 INIT_STEP = 1.0
 # Once the previous KKT residual is within this factor of kkt_tol, the inner
-# tolerance is capped at kkt_tol, so a subproblem that ends just above it
-# does not force one more outer iteration.
+# tolerance is capped at kkt_tol and the relative stop is off, so a
+# subproblem that ends just above it does not force one more outer
+# iteration.
 FINAL_EPS_FACTOR = 30.0
 # Accepted steps one subproblem may take.
 INNER_MAX_ITERS = 5000
@@ -100,6 +116,7 @@ class IterationRecord:
     inner_iters: int
     inner_trials: int  # trial points, rank-deficient retractions included
     eps_k: float
+    inner_tol: float  # the tolerance the subproblem stopped against
     wall_time: float
     dist_to_reference: float = float("nan")
     # per-iteration diagnostics backing the solver invariants
@@ -116,6 +133,7 @@ class SubproblemResult:
     iters: int  # accepted steps
     trials: int  # trial points, rank-deficient retractions included
     stalled: bool
+    tol: float  # the tolerance in force at x
 
 
 @dataclass
@@ -233,8 +251,17 @@ def subproblem_solve(
     rho: float,
     x_init: Point,
     eps: float,
+    eps_cap: Optional[float] = None,
 ) -> SubproblemResult:
-    """Drive |grad L_rho(x, w, p)| below eps by Riemannian gradient descent.
+    """Drive |grad L_rho(x, w, p)| below a tolerance by Riemannian gradient
+    descent.
+
+    Without ``eps_cap`` the tolerance is eps.  With it, the solve also stops
+    relative to the multiplier step: at the best iterate x the tolerance is
+    max(eps, min(eps_cap, ``REL_STOP`` * V(x))), where V is the penalty
+    rule's gap max(|y+ - w|, |z+ - p|) / rho.  ``multiplier_gap`` reads V
+    from the gradients ``merit_eval`` returned at x, so each new best iterate
+    costs one subtraction and norm over the envelope's entries.
 
     Trial steps come from the safeguarded adaptive Barzilai-Borwein rule of
     ``abb_step`` and are backtracked until the Armijo condition holds
@@ -254,7 +281,8 @@ def subproblem_solve(
     point, and at a noise-floor trial whose gradient norm decides acceptance.
     Each gradient's norm is taken once, and ``bb_pair`` forms the BB triple
     from the two norms.  ``iters`` counts the accepted steps and ``trials``
-    the trial points.
+    the trial points; ``tol`` is the tolerance in force at the returned x,
+    and ``stalled`` says that x misses it.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -263,13 +291,20 @@ def subproblem_solve(
     val, grads = merit_eval(p, x, shifts, rho)
     grad = merit_rgrad(p, x, grads)
     grad_norm = tangent_norm(grad)
+
+    def tolerance(grads):
+        if eps_cap is None:
+            return eps
+        return max(eps, min(eps_cap, REL_STOP * multiplier_gap(shifts, grads, rho)))
+
+    tol = tolerance(grads)
     best_x, best_grad, best_gn = x, grad, grad_norm
     recent_vals = deque([val], maxlen=NONMONOTONE_MEMORY)
     recent_gns = deque([grad_norm], maxlen=NONMONOTONE_MEMORY)
     step = INIT_STEP / max(rho, 1.0)
     no_improve = 0
     iters = trials = 0
-    while iters < INNER_MAX_ITERS and best_gn > eps and no_improve < 100:
+    while iters < INNER_MAX_ITERS and best_gn > tol and no_improve < 100:
         t = step
         accepted = False
         # below this decrease the merit comparison is pure rounding noise
@@ -311,10 +346,11 @@ def subproblem_solve(
         iters += 1
         if grad_norm < best_gn:
             best_x, best_grad, best_gn = x, grad, grad_norm
+            tol = tolerance(grads)
             no_improve = 0
         else:
             no_improve += 1
-    return SubproblemResult(best_x, best_grad, best_gn, iters, trials, stalled=best_gn > eps)
+    return SubproblemResult(best_x, best_grad, best_gn, iters, trials, stalled=best_gn > tol, tol=tol)
 
 
 def _clip_multiplier(v):
@@ -353,11 +389,14 @@ def alm_run(
     Termination uses the max of the three residual components against
     ``config.kkt_tol``; the summed residual R is logged in the history.  The
     safeguard pair (w, p) is the componentwise clamp of the running
-    multipliers to the configured bound.  The inner tolerance schedule
+    multipliers to the configured bound.  The absolute inner tolerance eps_k
     couples a geometric decay with 0.1 R_k so the inexactness vanishes faster
-    than the residual; once R_k is within ``FINAL_EPS_FACTOR`` of
-    ``config.kkt_tol`` it is capped at ``kkt_tol``, so the last subproblem
-    is solved to the stopping tolerance.
+    than the residual.  Each subproblem may also stop relative to its
+    multiplier gap, with ``eps_cap = config.eps0`` (``subproblem_solve``).
+    Once R_k is within ``FINAL_EPS_FACTOR`` of ``config.kkt_tol`` the
+    relative rule is off and eps_k is capped at ``kkt_tol``, so the last
+    subproblems are solved to the stopping tolerance.  Each record's
+    ``inner_tol`` is the tolerance its subproblem stopped against.
 
     Returns the final triple with one history record per outer iteration
     (plus a k = 0 record for the initial state).  Raises ValueError at the
@@ -385,6 +424,7 @@ def alm_run(
             inner_iters=0,
             inner_trials=0,
             eps_k=float("nan"),
+            inner_tol=float("nan"),
             wall_time=time.perf_counter() - t_start,
             dist_to_reference=distance_to_reference(p, x, y, z, reference),
         )
@@ -399,9 +439,10 @@ def alm_run(
         w = _clip_multiplier(y)
         p_mult = _clip_multiplier(z)
         eps_k = max(config.eps_floor, min(config.eps0 * config.eps_decay**k, 0.1 * r_sum))
+        eps_cap = config.eps0
         if r_sum <= FINAL_EPS_FACTOR * config.kkt_tol:
-            eps_k = min(eps_k, config.kkt_tol)
-        sub = subproblem_solve(p, w, p_mult, rho, x, eps_k)
+            eps_k, eps_cap = min(eps_k, config.kkt_tol), None
+        sub = subproblem_solve(p, w, p_mult, rho, x, eps_k, eps_cap)
         x = sub.x
         y_new, z_new, gaps = update_multipliers(p, x, w, p_mult, rho)
         v_new = max(gaps)
@@ -426,6 +467,7 @@ def alm_run(
                 inner_iters=sub.iters,
                 inner_trials=sub.trials,
                 eps_k=eps_k,
+                inner_tol=sub.tol,
                 wall_time=time.perf_counter() - t_start,
                 dist_to_reference=distance_to_reference(p, x, y_new, z_new, reference),
                 chain_gap=chain_gap,

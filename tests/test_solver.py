@@ -25,16 +25,19 @@ from ralm.problems import (
     merit_eval,
     merit_rgrad,
     merit_shifts,
+    multiplier_gap,
     objective_value,
     rmc_basic_instance,
     rmc_problem,
     sphere_l1_problem,
+    tilted_instance,
 )
 from ralm.solver import (
     ABB_RATIO,
     ARMIJO_C,
     FINAL_EPS_FACTOR,
     INIT_STEP,
+    REL_STOP,
     ALMConfig,
     abb_step,
     alm_run,
@@ -453,10 +456,10 @@ def log_subproblems(monkeypatch):
         ralm.solver.merit_eval,
     )
 
-    def logged_solve(p, w, p_mult, rho, x_init, eps):
+    def logged_solve(p, w, p_mult, rho, x_init, *rest):
         call = {"args": (p, w, p_mult, rho, x_init), "retractions": [], "evals": {}}
         calls.append(call)
-        call["result"] = solve(p, w, p_mult, rho, x_init, eps)
+        call["result"] = solve(p, w, p_mult, rho, x_init, *rest)
         return call["result"]
 
     def logged_retract(manifold, x, xi):
@@ -545,6 +548,88 @@ class TestNonmonotoneAcceptance:
         # the monotone rule needs 4964 retractions here, the last-5 reference 2382
         assert counts["retract"] <= 3000
 
+def gap_instances():
+    """name -> (problem, w, p_mult) on the four structures of the multiplier
+    gap: a set constraint, a dense envelope, an envelope on a support, and a
+    support with a nonzero off-support term."""
+    rng = np.random.default_rng(23)
+    rmc20, _, _, _ = build_problem(RunConfig(family="rmc", mode="random", m=20, n=20, r=2, seed=1))
+    off = np.ones(400, dtype=bool)
+    off[rmc20.g1.support] = False
+    # b moves g1 off the support, and w is nonzero there too
+    tilted = tilted_instance(rmc20, b=rng.standard_normal((20, 20)))
+    return {
+        "circle": (circle_problem(), np.array([0.4]), np.array([-0.3])),
+        "sphere-l1": (sphere_l1_problem(rng.standard_normal((30, 30)), 0.25), rng.standard_normal(30), None),
+        "rmc-20": (rmc20, np.where(off.reshape(20, 20), 0.0, rng.standard_normal((20, 20))), None),
+        "rmc-20-off-support": (tilted, 3.0 * rng.standard_normal((20, 20)), None),
+    }
+
+
+GAP_CASES = pytest.mark.parametrize("name", ["circle", "sphere-l1", "rmc-20", "rmc-20-off-support"])
+
+
+class TestRelativeStop:
+    """The multiplier gap V read from ``merit_eval``'s gradients, and the
+    subproblem stop max(eps, min(eps_cap, REL_STOP * V)) built on it."""
+
+    @GAP_CASES
+    def test_merit_gap_matches_the_multiplier_update(self, name):
+        p, w, pm = gap_instances()[name]
+        rng = np.random.default_rng(29)
+        for rho in (0.3, 1.0, 10.0, 1e4):
+            shifts = merit_shifts(p, w, pm, rho)
+            assert (shifts.gap_off > 0) == (name == "rmc-20-off-support")
+            for _ in range(5):
+                x = random_point(p.manifold, rng)
+                gap = multiplier_gap(shifts, merit_eval(p, x, shifts, rho)[1], rho)
+                ref = max(update_multipliers(p, x, w, pm, rho)[2])
+                assert abs(gap - ref) <= 1e-13 * (1.0 + ref)
+
+    @GAP_CASES
+    def test_relative_rule_ends_the_solve_before_eps(self, name):
+        p, w, pm = gap_instances()[name]
+        x0 = random_point(p.manifold, np.random.default_rng(31))
+        rho, eps = 10.0, 1e-10
+        res = subproblem_solve(p, w, pm, rho, x0, eps, 1.0)
+        gap = max(update_multipliers(p, res.x, w, pm, rho)[2])
+        assert not res.stalled
+        assert eps < res.tol <= 1.0
+        assert res.grad_norm <= res.tol <= REL_STOP * gap * (1.0 + 1e-12)
+        # the absolute rule alone solves on
+        full = subproblem_solve(p, w, pm, rho, x0, eps)
+        assert full.tol == eps and full.iters > res.iters
+
+    def test_cap_bounds_the_relative_tolerance(self):
+        # far from feasibility V is large, so the cap decides
+        p, w, pm = gap_instances()["sphere-l1"]
+        x0 = random_point(p.manifold, np.random.default_rng(31))
+        res = subproblem_solve(p, w, pm, 10.0, x0, 1e-10, 1e-3)
+        assert res.tol == 1e-3 < max(update_multipliers(p, res.x, w, pm, 10.0)[2])
+        assert not res.stalled and res.grad_norm <= 1e-3
+
+    @pytest.mark.parametrize("stall", [False, True], ids=["solved", "stalled"])
+    @SMALL_RANDOM_RUNS
+    def test_records_hold_the_tolerance_each_subproblem_used(self, monkeypatch, cfg, stall):
+        p, x0, _, _ = build_problem(cfg)
+        if stall:
+            monkeypatch.setattr(ralm.solver, "INNER_MAX_ITERS", 3)
+        results = []
+        solve = ralm.solver.subproblem_solve
+
+        def logged(*args):
+            results.append(solve(*args))
+            return results[-1]
+
+        monkeypatch.setattr(ralm.solver, "subproblem_solve", logged)
+        history = alm_run(p, ALMConfig(max_outer=30), x0).history
+        assert np.isnan(history[0].inner_tol)
+        assert any(res.stalled for res in results) == stall
+        for res, rec in zip(results, history[1:], strict=True):
+            assert rec.inner_tol == res.tol
+            assert (rec.inner_grad_norm <= rec.inner_tol) == (not res.stalled)
+
+
 def non_finite_cases(fields):
     """(field, value) cases: NaN under the field's name, +inf under name-inf."""
     return [
@@ -556,14 +641,15 @@ def non_finite_cases(fields):
 
 # (argv, trial budget of the solves of seeds 1-3): the sphere-200 and rmc-200
 # benchmark instances.  BB1 steps alone take 2449 and 1394 trial points, the
-# adaptive rule 1853 and 1148 (the same with 1 and 2 BLAS threads).  The
-# sphere-l1 command's polish, not run here, adds 540 with BB1 and 401 with
-# the adaptive rule.
+# adaptive rule 1853 and 1148, and the adaptive rule with the relative stop
+# 1178 and 862 (the same with 1 and 2 BLAS threads).  The sphere-l1
+# command's polish, not run here, adds 540 with BB1, 401 with the adaptive
+# rule and 341 with the relative stop.
 BENCHMARK_TRIAL_BUDGETS = [
-    pytest.param(("sphere-l1", "--mode", "random", "--n", "200"), 2200, id="sphere-l1-200"),
+    pytest.param(("sphere-l1", "--mode", "random", "--n", "200"), 1500, id="sphere-l1-200"),
     pytest.param(
         ("rmc", "--mode", "random", "--m", "200", "--n", "200", "--r", "5", "--oversample", "3", "--max-outer", "60"),
-        1300,
+        1000,
         id="rmc-200",
     ),
 ]
@@ -699,9 +785,20 @@ class TestALMRun:
         np.testing.assert_array_equal(r1.y, r2.y)
 
     @SMALL_RANDOM_RUNS
-    def test_inner_tolerance_capped_at_kkt_tol_near_the_end(self, cfg):
+    def test_inner_tolerance_capped_at_kkt_tol_near_the_end(self, monkeypatch, cfg):
+        """Near the end eps_k is capped at kkt_tol and the relative stop is
+        off, so the absolute rule alone decides; before that the relative
+        tolerance lies between eps_k and the cap eps0."""
         p, x0, _, _ = build_problem(cfg)
         config = ALMConfig()
+        caps = []
+        solve = ralm.solver.subproblem_solve
+
+        def logged(*args):
+            caps.append(args[6])
+            return solve(*args)
+
+        monkeypatch.setattr(ralm.solver, "subproblem_solve", logged)
         history = alm_run(p, config, x0).history
         near_end = [
             rec for prev, rec in zip(history, history[1:])
@@ -709,6 +806,12 @@ class TestALMRun:
         ]
         assert near_end
         assert all(rec.eps_k <= config.kkt_tol for rec in near_end)
+        for prev, rec, cap in zip(history[:-1], history[1:], caps, strict=True):
+            if prev.kkt_residual <= FINAL_EPS_FACTOR * config.kkt_tol:
+                assert cap is None and rec.inner_tol == rec.eps_k
+            else:
+                assert cap == config.eps0
+                assert rec.eps_k <= rec.inner_tol <= max(rec.eps_k, config.eps0)
 
     def test_calmness_probe_retraction_budget(self, monkeypatch):
         p, x0, _, _ = build_problem(RunConfig(family="rmc", mode="basic5x5"))
