@@ -18,7 +18,7 @@ The checks operate at (approximate) KKT triples:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -52,7 +52,7 @@ class KKTTriple:
 
 def polish_kkt(p: ProblemInstance, x: Point, y, z=None, tol: float = 1e-10) -> KKTTriple:
     """Refine an approximate KKT triple with a tight warm-started run."""
-    cfg = ALMConfig(rho0=100.0, kkt_tol=tol, eps_floor=tol / 10.0, max_outer=400)
+    cfg = ALMConfig(rho0=100.0, kkt_tol=tol, max_outer=400)
     res = alm_run(p, cfg, x, y, z)
     return KKTTriple(res.x, res.y, res.z, res.history[-1].kkt_residual)
 
@@ -364,13 +364,12 @@ def calmness_probe(
         raise ValueError(f"probe needs a polished KKT point, residual {r0:.3e}")
     if not msrcq_check(p, x, y, z).passed:
         raise ValueError("strict constraint qualification failed; multiplier may not be unique")
-    base = ALMConfig(rho0=100.0, max_outer=300)
     records = []
     root = np.random.default_rng(seed)
     seeds = root.integers(0, 2**63 - 1, size=(len(radii), trials_per_radius))
     for radius, radius_seeds in zip(radii, seeds):
         tol = min(1e-10, radius * 1e-3)
-        cfg = replace(base, kkt_tol=tol, eps_floor=min(base.eps_floor, tol / 10.0))
+        cfg = ALMConfig(rho0=100.0, kkt_tol=tol, max_outer=300)
         ratios = []
         for trial_seed in radius_seeds:
             a, b, c = _perturbation(p, radius, np.random.default_rng(trial_seed))
@@ -472,7 +471,5 @@ def figure1_config(rho: float) -> ALMConfig:
         gamma=1.0,
         kkt_tol=1e-10,
         eps0=1e-3,
-        eps_decay=0.25,
-        eps_floor=1e-14,
         max_outer=500,
     )

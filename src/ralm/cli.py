@@ -111,7 +111,7 @@ HISTORY_COLUMNS = {
     "V": "aux_v",
     "grad_norm": "inner_grad_norm",
     "inner_iters": "inner_iters",
-    "eps_k": "eps_k",
+    "eps_k": "inner_tol",
     "wall_time": "wall_time",
     "dist_to_ref": "dist_to_reference",
 }

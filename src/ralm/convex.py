@@ -1,10 +1,10 @@
 """Proximal and variational machinery for the scaled l1 penalty and polyhedral sets.
 
 Everything here treats matrices as flattened vectors: the l1 penalty and the
-set projections act elementwise.  The directional epiderivative formulas are
-discontinuous in the base point, so sign blocks are decided with an explicit
-zero-classification tolerance (default 1e-10); callers probing numerically
-converged points can pass a looser one.
+set projections act elementwise.  The sign blocks of the second
+epiderivative (``psi_conjugate``) are discontinuous in the base point, so they
+are decided with an explicit zero-classification tolerance (default 1e-10);
+callers probing numerically converged points can pass a looser one.
 """
 from __future__ import annotations
 
@@ -70,17 +70,6 @@ def moreau_env(theta: ScaledL1, u, rho: float):
     return value, grad
 
 
-def epiderivative_down(theta: ScaledL1, x, d, zero_tol: float = ZERO_CLASS_TOL) -> float:
-    """First directional epiderivative of the l1 penalty at x in direction d.
-
-    mu * ( sum_{x_i=0} |d_i| + sum_{x_i>0} d_i - sum_{x_i<0} d_i ).
-    """
-    x = np.ravel(np.asarray(x, dtype=float))
-    d = np.ravel(np.asarray(d, dtype=float))
-    zero = np.abs(x) <= zero_tol
-    return theta.mu * float(np.sum(np.abs(d[zero])) + np.sum(np.sign(x[~zero]) * d[~zero]))
-
-
 def _second_order_blocks(x, xi, zero_tol):
     """Index blocks of the second epiderivative: kink, up-sliding, down-sliding."""
     x = np.ravel(np.asarray(x, dtype=float))
@@ -91,13 +80,6 @@ def _second_order_blocks(x, xi, zero_tol):
     up = (x > zero_tol) | (zero_x & (xi > zero_tol))
     down = (x < -zero_tol) | (zero_x & (xi < -zero_tol))
     return kink, up, down
-
-
-def epiderivative_down2(theta: ScaledL1, x, xi, w, zero_tol: float = ZERO_CLASS_TOL) -> float:
-    """Second directional epiderivative of the l1 penalty (convex in w)."""
-    w = np.ravel(np.asarray(w, dtype=float))
-    kink, up, down = _second_order_blocks(x, xi, zero_tol)
-    return theta.mu * float(np.sum(np.abs(w[kink])) + np.sum(w[up]) - np.sum(w[down]))
 
 
 @dataclass(frozen=True)

@@ -259,17 +259,6 @@ def require_set_multiplier(p: ProblemInstance, z, name: str) -> None:
         raise ValueError(f"the problem has a set constraint: {name} is required")
 
 
-def lagrangian_value(p: ProblemInstance, x: Point, y, z=None) -> float:
-    """L(x, y, z) = f(x) + <y, g1(x)> + <z, g2(x)> (z-term absent without Q;
-    z required with Q)."""
-    require_set_multiplier(p, z, "z")
-    xa = x.ambient
-    val = p.f.value_grad(xa)[0] + float((np.asarray(y) * p.g1.value(xa)).sum())
-    if p.g2 is not None:
-        val += float((np.asarray(z) * p.g2.value(xa)).sum())
-    return val
-
-
 def lagrangian_rgrad(p: ProblemInstance, x: Point, y, z=None) -> np.ndarray:
     """Riemannian gradient of L(., y, z): projected ambient gradient (z
     required with Q)."""

@@ -5,10 +5,11 @@ Lagrangian on the manifold with closed-form multiplier updates, growing the
 penalty only when the feasibility measure V fails to contract by a factor
 tau.  The inner solver is Riemannian gradient descent with an adaptive
 Barzilai-Borwein trial step (BB2 when it is well below BB1, else BB1) and
-nonmonotone Armijo backtracking along the retraction.  It stops when the
-gradient norm reaches an absolute tolerance or, until the run nears its end,
-the multiplier gap V at the same point (a relative criterion in the manner of
-Rockafellar's criterion (B)), whichever is larger.
+nonmonotone Armijo backtracking along the retraction.  Subproblem k stops
+once the gradient norm reaches max(kkt_tol, min(eps0, REL_STOP * V)), with
+V the multiplier gap at the same point: a relative criterion in the manner of
+Rockafellar's criterion (B), capped at eps0 far from feasibility and floored
+at the run's own stopping tolerance.
 """
 from __future__ import annotations
 
@@ -61,11 +62,6 @@ ABB_RATIO = 0.8
 # envelope term of L_rho is rho-smooth, so a unit step overshoots by about a
 # factor rho and would be backtracked log2(rho) times.
 INIT_STEP = 1.0
-# Once the previous KKT residual is within this factor of kkt_tol, the inner
-# tolerance is capped at kkt_tol and the relative stop is off, so a
-# subproblem that ends just above it does not force one more outer
-# iteration.
-FINAL_EPS_FACTOR = 30.0
 # Accepted steps one subproblem may take.
 INNER_MAX_ITERS = 5000
 # Bound on each multiplier entry that enters a subproblem (safeguarded ALM).
@@ -86,22 +82,18 @@ class ALMConfig:
     gamma: float = 10.0
     tau: float = 0.8
     eps0: float = 1e-2
-    eps_decay: float = 0.5
-    eps_floor: float = 1e-12
     kkt_tol: float = 1e-7
     max_outer: int = 200
 
     def validate(self):
         _require_finite(self)
-        for name in ("rho0", "eps0", "eps_floor", "kkt_tol"):
+        for name in ("rho0", "eps0", "kkt_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not self.gamma >= 1:
             raise ValueError("gamma must be >= 1")
         if not (0 < self.tau < 1):
             raise ValueError("tau must lie in (0, 1)")
-        if not (0 < self.eps_decay < 1):
-            raise ValueError("eps_decay must lie in (0, 1)")
         if self.max_outer < 0:
             raise ValueError("max_outer must be >= 0")
 
@@ -115,7 +107,6 @@ class IterationRecord:
     inner_grad_norm: float
     inner_iters: int
     inner_trials: int  # trial points, rank-deficient retractions included
-    eps_k: float
     inner_tol: float  # the tolerance the subproblem stopped against
     wall_time: float
     dist_to_reference: float = float("nan")
@@ -251,17 +242,17 @@ def subproblem_solve(
     rho: float,
     x_init: Point,
     eps: float,
-    eps_cap: Optional[float] = None,
+    eps_cap: float = 0.0,
 ) -> SubproblemResult:
     """Drive |grad L_rho(x, w, p)| below a tolerance by Riemannian gradient
     descent.
 
-    Without ``eps_cap`` the tolerance is eps.  With it, the solve also stops
-    relative to the multiplier step: at the best iterate x the tolerance is
-    max(eps, min(eps_cap, ``REL_STOP`` * V(x))), where V is the penalty
-    rule's gap max(|y+ - w|, |z+ - p|) / rho.  ``multiplier_gap`` reads V
-    from the gradients ``merit_eval`` returned at x, so each new best iterate
-    costs one subtraction and norm over the envelope's entries.
+    The solve stops relative to the multiplier step: at the best iterate x
+    the tolerance is max(eps, min(eps_cap, ``REL_STOP`` * V(x))), where V is
+    the penalty rule's gap max(|y+ - w|, |z+ - p|) / rho; the default cap 0
+    leaves eps alone.  ``multiplier_gap`` reads V from the gradients
+    ``merit_eval`` returned at x, so each new best iterate costs one
+    subtraction and norm over the envelope's entries.
 
     Trial steps come from the safeguarded adaptive Barzilai-Borwein rule of
     ``abb_step`` and are backtracked until the Armijo condition holds
@@ -293,8 +284,6 @@ def subproblem_solve(
     grad_norm = tangent_norm(grad)
 
     def tolerance(grads):
-        if eps_cap is None:
-            return eps
         return max(eps, min(eps_cap, REL_STOP * multiplier_gap(shifts, grads, rho)))
 
     tol = tolerance(grads)
@@ -389,13 +378,11 @@ def alm_run(
     Termination uses the max of the three residual components against
     ``config.kkt_tol``; the summed residual R is logged in the history.  The
     safeguard pair (w, p) is the componentwise clamp of the running
-    multipliers to the configured bound.  The absolute inner tolerance eps_k
-    couples a geometric decay with 0.1 R_k so the inexactness vanishes faster
-    than the residual.  Each subproblem may also stop relative to its
-    multiplier gap, with ``eps_cap = config.eps0`` (``subproblem_solve``).
-    Once R_k is within ``FINAL_EPS_FACTOR`` of ``config.kkt_tol`` the
-    relative rule is off and eps_k is capped at ``kkt_tol``, so the last
-    subproblems are solved to the stopping tolerance.  Each record's
+    multipliers to the configured bound.  Every subproblem stops once its
+    gradient norm is at most max(``kkt_tol``, min(``eps0``, ``REL_STOP`` * V))
+    at its best iterate (``subproblem_solve`` with ``eps = kkt_tol`` and
+    ``eps_cap = eps0``), so the inexactness shrinks with the multiplier step
+    and never goes below the run's stopping tolerance.  Each record's
     ``inner_tol`` is the tolerance its subproblem stopped against.
 
     Returns the final triple with one history record per outer iteration
@@ -413,17 +400,15 @@ def alm_run(
     t_start = time.perf_counter()
 
     comps = kkt_residual_components(p, x, y, z)
-    r_sum = _finite_residual(comps, 0)
     history = [
         IterationRecord(
             k=0,
             rho=rho,
-            kkt_residual=r_sum,
+            kkt_residual=_finite_residual(comps, 0),
             aux_v=auxiliary_v(p, x, y, z, rho),
             inner_grad_norm=comps[0],
             inner_iters=0,
             inner_trials=0,
-            eps_k=float("nan"),
             inner_tol=float("nan"),
             wall_time=time.perf_counter() - t_start,
             dist_to_reference=distance_to_reference(p, x, y, z, reference),
@@ -438,11 +423,7 @@ def alm_run(
     for k in range(config.max_outer):
         w = _clip_multiplier(y)
         p_mult = _clip_multiplier(z)
-        eps_k = max(config.eps_floor, min(config.eps0 * config.eps_decay**k, 0.1 * r_sum))
-        eps_cap = config.eps0
-        if r_sum <= FINAL_EPS_FACTOR * config.kkt_tol:
-            eps_k, eps_cap = min(eps_k, config.kkt_tol), None
-        sub = subproblem_solve(p, w, p_mult, rho, x, eps_k, eps_cap)
+        sub = subproblem_solve(p, w, p_mult, rho, x, config.kkt_tol, config.eps0)
         x = sub.x
         y_new, z_new, gaps = update_multipliers(p, x, w, p_mult, rho)
         v_new = max(gaps)
@@ -466,7 +447,6 @@ def alm_run(
                 inner_grad_norm=sub.grad_norm,
                 inner_iters=sub.iters,
                 inner_trials=sub.trials,
-                eps_k=eps_k,
                 inner_tol=sub.tol,
                 wall_time=time.perf_counter() - t_start,
                 dist_to_reference=distance_to_reference(p, x, y_new, z_new, reference),
@@ -476,7 +456,7 @@ def alm_run(
             )
         )
         rho = penalty_update(v_new, v_prev, rho, config.gamma, config.tau)
-        y, z, v_prev, r_sum = y_new, z_new, v_new, r_new
+        y, z, v_prev = y_new, z_new, v_new
         if max(comps) <= config.kkt_tol:
             return ALMResult("converged", x, y, z, history)
         # a stalled subproblem does not end the run: the multiplier/penalty

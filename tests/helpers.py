@@ -1,8 +1,10 @@
-"""Shared test helpers."""
+"""Shared test helpers, and the reference formulas that only the tests
+evaluate: the l1 epiderivatives and the Lagrangian value."""
 import numpy as np
 
+from ralm.convex import ZERO_CLASS_TOL, ScaledL1, _second_order_blocks
 from ralm.manifolds import Manifold, Point, project_tangent, sphere_point
-from ralm.problems import sphere_l1_problem, tilted_instance
+from ralm.problems import ProblemInstance, require_set_multiplier, sphere_l1_problem, tilted_instance
 
 
 def random_tangent(manifold: Manifold, x: Point, seed) -> np.ndarray:
@@ -28,3 +30,33 @@ def ray_cone_instance(a_diag, n_rays):
     y = c.copy()
     y[0] = 1.0
     return p, sphere_point(np.eye(n)[0]), y
+
+
+def epiderivative_down(theta: ScaledL1, x, d, zero_tol: float = ZERO_CLASS_TOL) -> float:
+    """First directional epiderivative of the l1 penalty at x in direction d.
+
+    mu * ( sum_{x_i=0} |d_i| + sum_{x_i>0} d_i - sum_{x_i<0} d_i ).
+    """
+    x = np.ravel(np.asarray(x, dtype=float))
+    d = np.ravel(np.asarray(d, dtype=float))
+    zero = np.abs(x) <= zero_tol
+    return theta.mu * float(np.sum(np.abs(d[zero])) + np.sum(np.sign(x[~zero]) * d[~zero]))
+
+
+def epiderivative_down2(theta: ScaledL1, x, xi, w, zero_tol: float = ZERO_CLASS_TOL) -> float:
+    """Second directional epiderivative of the l1 penalty (convex in w), on
+    the sign blocks ``psi_conjugate`` uses."""
+    w = np.ravel(np.asarray(w, dtype=float))
+    kink, up, down = _second_order_blocks(x, xi, zero_tol)
+    return theta.mu * float(np.sum(np.abs(w[kink])) + np.sum(w[up]) - np.sum(w[down]))
+
+
+def lagrangian_value(p: ProblemInstance, x: Point, y, z=None) -> float:
+    """L(x, y, z) = f(x) + <y, g1(x)> + <z, g2(x)> (z-term absent without Q;
+    z required with Q)."""
+    require_set_multiplier(p, z, "z")
+    xa = x.ambient
+    val = p.f.value_grad(xa)[0] + float((np.asarray(y) * p.g1.value(xa)).sum())
+    if p.g2 is not None:
+        val += float((np.asarray(z) * p.g2.value(xa)).sum())
+    return val

@@ -40,7 +40,7 @@ from ralm.problems import (
 )
 from ralm.solver import ALMConfig, alm_run, kkt_residual_components
 
-from helpers import random_tangent
+from helpers import epiderivative_down, epiderivative_down2, random_tangent
 
 RT2 = np.sqrt(2.0) / 2.0
 
@@ -323,7 +323,7 @@ class TestCriterion9PropertySuites:
 
     def test_epiderivative_difference_quotients(self):
         with criterion("9g", "directional epiderivative formulas vs difference quotients"):
-            from ralm.convex import epiderivative_down, epiderivative_down2, l1_value
+            from ralm.convex import l1_value
 
             theta = ScaledL1(0.7)
             rng = np.random.default_rng(5)

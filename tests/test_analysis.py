@@ -549,7 +549,7 @@ class TestCalmnessProbe:
         moves = []
         for delta in (1e-3, 1e-4):
             pert = tilted_instance(p, b=np.array([delta]))
-            cfg = ALMConfig(rho0=100.0, kkt_tol=1e-12, eps_floor=1e-13, max_outer=200)
+            cfg = ALMConfig(rho0=100.0, kkt_tol=1e-12, max_outer=200)
             res = alm_run(pert, cfg, x, y, z)
             assert res.converged
             moves.append(np.linalg.norm(res.x.ambient - x.ambient))

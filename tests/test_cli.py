@@ -81,8 +81,6 @@ ALM_VALUES = {
     "gamma": ("5", 5.0),
     "tau": ("0.5", 0.5),
     "eps0": ("0.1", 0.1),
-    "eps_decay": ("0.25", 0.25),
-    "eps_floor": ("1e-11", 1e-11),
     "kkt_tol": ("1e-8", 1e-8),
     "max_outer": ("17", 17),
 }
@@ -98,8 +96,7 @@ PROBLEM_VALUES = {
 }
 # the exact flags each command's --help lists (besides --help): figure1 reads
 # no setting, a family command takes seed, mode and the keys its modes read
-ALM_FLAGS = {"--rho0", "--gamma", "--tau", "--eps0", "--eps-decay", "--eps-floor", "--kkt-tol",
-             "--max-outer"}
+ALM_FLAGS = {"--rho0", "--gamma", "--tau", "--eps0", "--kkt-tol", "--max-outer"}
 ANY_FAMILY_FLAGS = {"--config", "--out", "--family", "--n", "--m", "--r", "--mu", "--seed",
                     "--oversample", "--mode", *ALM_FLAGS}
 COMMAND_FLAGS = {
@@ -355,10 +352,20 @@ class TestFlagTable:
         got = [(c.family, c.mode, c.n, c.seed, c.alm.kkt_tol) for c in seen]
         assert got == [("sphere-l1", "random", 4, 3, 1e-6), ("circle", None, None, None, 1e-7)]
 
-    def test_eps_floor_reaches_the_solver(self, tmp_path, alm_configs):
-        argv = ["solve", "--eps-floor", "1e-11"]
-        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_OK
-        assert [alm.eps_floor for alm in alm_configs] == [1e-11]
+    @pytest.mark.parametrize("key", ["eps_decay", "eps_floor"])
+    def test_removed_inner_tolerance_settings_are_refused(self, tmp_path, capsys, key):
+        # the inner tolerance is one rule with no schedule to set: the flag
+        # exits 1 with one line on every command that takes [alm] keys, and a
+        # config-file line warns once and is skipped like any unknown key
+        flag = "--" + key.replace("_", "-")
+        for command in ("solve", "sphere-l1", "rmc", "analyze"):
+            assert main([command, flag, "0.5", "--out", str(tmp_path / "o")]) == EXIT_ERROR
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and flag in err
+        f = tmp_path / "old.cfg"
+        f.write_text(f"[alm]\n{key}=0.5\n")
+        assert parse_problem_file(str(f)).alm == ALMConfig()
+        assert capsys.readouterr().err == f"warning: unknown key {key!r} in [alm]\n"
 
 
 class TestUnreadSettingsRefused:

@@ -7,8 +7,6 @@ from ralm.convex import (
     Box,
     ScaledL1,
     dist2_grad,
-    epiderivative_down,
-    epiderivative_down2,
     l1_value,
     moreau_env,
     project_set,
@@ -16,6 +14,8 @@ from ralm.convex import (
     prox_residual,
     psi_conjugate,
 )
+
+from helpers import epiderivative_down, epiderivative_down2
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from ralm.problems import (
     generate_rmc_instance,
     hess_quadform,
     lagrangian_rgrad,
-    lagrangian_value,
     merit_eval,
     merit_rgrad,
     merit_shifts,
@@ -27,7 +26,7 @@ from ralm.problems import (
 )
 from ralm.solver import subproblem_solve
 
-from helpers import random_tangent
+from helpers import lagrangian_value, random_tangent
 
 RT2 = np.sqrt(2.0) / 2.0
 
