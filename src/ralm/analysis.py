@@ -359,9 +359,7 @@ def calmness_probe(
     qualification is verified first.  Each trial draws its perturbation from
     its own seed, all drawn before the first trial.
     """
-    r0 = kkt_residual(p, x, y, z)
-    if r0 > POLISHED_KKT_GATE:
-        raise ValueError(f"probe needs a polished KKT point, residual {r0:.3e}")
+    _require_kkt(p, x, y, z, POLISHED_KKT_GATE)
     if not msrcq_check(p, x, y, z).passed:
         raise ValueError("strict constraint qualification failed; multiplier may not be unique")
     records = []
@@ -404,9 +402,7 @@ def error_bound_fit(
     seed: int = 0,
 ) -> ErrorBoundFit:
     """Fit the two-sided constants of dist <= c R and R <= dist / c around a KKT point."""
-    r0 = kkt_residual(p, x, y, z)
-    if r0 > POLISHED_KKT_GATE:
-        raise ValueError(f"error-bound fit needs a polished KKT point, residual {r0:.3e}")
+    _require_kkt(p, x, y, z, POLISHED_KKT_GATE)
     rng = np.random.default_rng(seed)
     y = np.asarray(y, dtype=float)
     samples = []

@@ -266,6 +266,21 @@ def _write_figure1_gnuplot(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _polish_and_check(command: str, p, res, entries: dict, out: Path, tol: float):
+    """Polish a converged solve to ``tol``, write conditions.txt and return
+    (triple, report); past ``POLISHED_KKT_GATE``, write the solve ``entries``
+    and ``polished_residual`` as the summary, say so on stderr, return (None, None)."""
+    trip = polish_kkt(p, res.x, res.y, res.z, tol=tol)
+    if trip.residual > POLISHED_KKT_GATE:
+        write_summary(out / "summary.txt", {**entries, "polished_residual": trip.residual})
+        print(f"{command}: polish failed: residual {trip.residual:.3e}", file=sys.stderr)
+        return None, None
+    report = condition_report(p, trip.x, trip.y, trip.z)
+    write_conditions(out / "conditions.txt", report)
+    report.msosc.raise_if_refused()  # once the file holds the M-SRCQ answer
+    return trip, report
+
+
 def cmd_sphere_l1(cfg: RunConfig, out: Path) -> int:
     p, res, elapsed, _ = _solve(cfg, conditions=True)
     write_history_csv(out / "history.csv", res.history)
@@ -273,10 +288,9 @@ def cmd_sphere_l1(cfg: RunConfig, out: Path) -> int:
     if not res.converged:
         write_summary(out / "summary.txt", entries)
         return _not_converged("sphere-l1", res.reason)
-    trip = polish_kkt(p, res.x, res.y, res.z, tol=1e-10)
-    report = condition_report(p, trip.x, trip.y, trip.z)
-    write_conditions(out / "conditions.txt", report)
-    report.msosc.raise_if_refused()  # once the file holds the M-SRCQ answer
+    trip, report = _polish_and_check("sphere-l1", p, res, entries, out, tol=1e-10)
+    if trip is None:
+        return EXIT_PARTIAL
     entries["msrcq"] = "pass" if report.msrcq.passed else "fail"
     entries["msosc"] = report.msosc.status
 
@@ -324,18 +338,13 @@ def cmd_rmc(cfg: RunConfig, out: Path) -> int:
 
 def cmd_analyze(cfg: RunConfig, out: Path) -> int:
     p, res, elapsed, a_exact = _solve(cfg, conditions=True)
+    entries = _summary_entries(p, res, elapsed, a_exact)
     if not res.converged:
-        write_summary(out / "summary.txt", _summary_entries(p, res, elapsed, a_exact))
+        write_summary(out / "summary.txt", entries)
         return _not_converged("analyze", res.reason)
-    trip = polish_kkt(p, res.x, res.y, res.z, tol=1e-12)
-    if trip.residual > POLISHED_KKT_GATE:
-        entries = _summary_entries(p, res, elapsed, a_exact)
-        write_summary(out / "summary.txt", {**entries, "polished_residual": trip.residual})
-        print(f"analyze: polish failed: residual {trip.residual:.3e}", file=sys.stderr)
+    trip, report = _polish_and_check("analyze", p, res, entries, out, tol=1e-12)
+    if trip is None:
         return EXIT_PARTIAL
-    report = condition_report(p, trip.x, trip.y, trip.z)
-    write_conditions(out / "conditions.txt", report)
-    report.msosc.raise_if_refused()  # once the file holds the M-SRCQ answer
     seed = cfg.seed if cfg.seed is not None else 0
     calm = calmness_probe(p, trip.x, trip.y, trip.z, seed=seed)
     ebfit = error_bound_fit(p, trip.x, trip.y, trip.z, seed=seed)

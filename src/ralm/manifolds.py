@@ -376,8 +376,8 @@ def tangent_basis(manifold: Manifold, x: Point) -> np.ndarray:
     if isinstance(manifold, Sphere):
         n = manifold.n
         full, _ = np.linalg.qr(np.column_stack([x.ambient, np.eye(n)[:, : n - 1]]), mode="complete")
-        # first column spans x up to sign; the rest span the tangent space
-        return np.array([project_tangent(manifold, x, full[:, j].copy()) for j in range(1, n)])
+        # first column spans x up to sign; the rest, projected, span the tangent space
+        return (full[:, 1:] - np.outer(x.ambient, x.ambient @ full[:, 1:])).T
     m, n, r = manifold.m, manifold.n, manifold.r
     u, v = x.u, x.v
     u_full, _ = np.linalg.qr(u, mode="complete")

@@ -2,14 +2,14 @@
 
 The outer loop alternates an inexact minimisation of the smooth augmented
 Lagrangian on the manifold with closed-form multiplier updates, growing the
-penalty only when the feasibility measure V fails to contract by a factor
-tau.  The inner solver is Riemannian gradient descent with an adaptive
-Barzilai-Borwein trial step (BB2 when it is well below BB1, else BB1) and
-nonmonotone Armijo backtracking along the retraction.  Subproblem k stops
-once the gradient norm reaches max(kkt_tol, min(eps0, REL_STOP * V)), with
-V the multiplier gap at the same point: a relative criterion in the manner of
-Rockafellar's criterion (B), capped at eps0 far from feasibility and floored
-at the run's own stopping tolerance.
+penalty only when the feasibility measure V fails to contract by the fixed
+factor ``PENALTY_TAU``.  The inner solver is Riemannian gradient descent with
+an adaptive Barzilai-Borwein trial step (BB2 when it is well below BB1, else
+BB1) and nonmonotone Armijo backtracking along the retraction.  Subproblem k
+stops once the gradient norm reaches max(kkt_tol, min(eps0, REL_STOP * V)),
+with V the multiplier gap at the same point: a relative criterion in the
+manner of Rockafellar's criterion (B), capped at eps0 far from feasibility and
+floored at the run's own stopping tolerance.
 """
 from __future__ import annotations
 
@@ -55,6 +55,9 @@ BACKTRACK = 0.5
 # not go below REL_STOP times the multiplier gap V at the same point
 # (``multiplier_gap``).
 REL_STOP = 1.0
+# The contraction of V below which rho grows, fixed as in the safeguarded ALM
+# of Andreani, Birgin, Martinez & Schuverdt (SIAM J. Optim. 2008).
+PENALTY_TAU = 0.8
 # Adaptive BB (Zhou, Gao & Dai, Comput. Optim. Appl. 2006): the next trial
 # step is BB2 when BB2 < ABB_RATIO * BB1, else BB1.
 ABB_RATIO = 0.8
@@ -68,32 +71,25 @@ INNER_MAX_ITERS = 5000
 MULTIPLIER_BOUND = 1e8
 
 
-def _require_finite(cfg) -> None:
-    """Reject a NaN or infinite float field of a config dataclass, naming it."""
-    for f in fields(cfg):
-        val = getattr(cfg, f.name)
-        if isinstance(val, float) and not math.isfinite(val):
-            raise ValueError(f"{f.name} must be finite, got {val}")
-
-
 @dataclass
 class ALMConfig:
     rho0: float = 1.0
     gamma: float = 10.0
-    tau: float = 0.8
     eps0: float = 1e-2
     kkt_tol: float = 1e-7
     max_outer: int = 200
 
     def validate(self):
-        _require_finite(self)
+        """The one check of the run settings: finite, and each in its range."""
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ValueError(f"{f.name} must be finite, got {val}")
         for name in ("rho0", "eps0", "kkt_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not self.gamma >= 1:
             raise ValueError("gamma must be >= 1")
-        if not (0 < self.tau < 1):
-            raise ValueError("tau must lie in (0, 1)")
         if self.max_outer < 0:
             raise ValueError("max_outer must be >= 0")
 
@@ -207,12 +203,11 @@ def auxiliary_v(p: ProblemInstance, x: Point, y, z, rho: float) -> float:
     return max(update_multipliers(p, x, y, z, rho)[2])
 
 
-def penalty_update(v_new: float, v_prev, rho: float, gamma: float, tau: float) -> float:
+def penalty_update(v_new: float, v_prev, rho: float, gamma: float) -> float:
     """Keep rho at the first update (no previous V) or when V contracted by
-    tau; otherwise multiply it by gamma, so gamma = 1 keeps it fixed."""
-    if gamma < 1 or not (0 < tau < 1):
-        raise ValueError("need gamma >= 1 and tau in (0, 1)")
-    if v_prev is None or v_new <= tau * v_prev:
+    ``PENALTY_TAU``; otherwise multiply it by gamma (>= 1 by
+    ``ALMConfig.validate``), so gamma = 1 keeps it fixed."""
+    if v_prev is None or v_new <= PENALTY_TAU * v_prev:
         return rho
     return gamma * rho
 
@@ -455,7 +450,7 @@ def alm_run(
                 multiplier_consistency_gap=mult_gap,
             )
         )
-        rho = penalty_update(v_new, v_prev, rho, config.gamma, config.tau)
+        rho = penalty_update(v_new, v_prev, rho, config.gamma)
         y, z, v_prev = y_new, z_new, v_new
         if max(comps) <= config.kkt_tol:
             return ALMResult("converged", x, y, z, history)

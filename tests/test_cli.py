@@ -79,7 +79,6 @@ plot 'figure1.csv' using 1:3 with linespoints title 'rho=1', \\
 ALM_VALUES = {
     "rho0": ("2.5", 2.5),
     "gamma": ("5", 5.0),
-    "tau": ("0.5", 0.5),
     "eps0": ("0.1", 0.1),
     "kkt_tol": ("1e-8", 1e-8),
     "max_outer": ("17", 17),
@@ -96,7 +95,7 @@ PROBLEM_VALUES = {
 }
 # the exact flags each command's --help lists (besides --help): figure1 reads
 # no setting, a family command takes seed, mode and the keys its modes read
-ALM_FLAGS = {"--rho0", "--gamma", "--tau", "--eps0", "--kkt-tol", "--max-outer"}
+ALM_FLAGS = {"--rho0", "--gamma", "--eps0", "--kkt-tol", "--max-outer"}
 ANY_FAMILY_FLAGS = {"--config", "--out", "--family", "--n", "--m", "--r", "--mu", "--seed",
                     "--oversample", "--mode", *ALM_FLAGS}
 COMMAND_FLAGS = {
@@ -157,9 +156,10 @@ class TestCommandOutputs:
             ["solve", "--jobs", "2"],
             ["analyze", "--fixed-rho"],
             ["rmc", "--max", "4"],
+            ["solve", "--tau", "0.5"],
         ],
         ids=["unknown-flag", "bad-choice", "bad-int", "removed-jobs", "removed-fixed-rho",
-             "prefix-of-a-flag"],
+             "prefix-of-a-flag", "removed-tau"],
     )
     def test_usage_error_exits_one_line(self, tmp_path, capsys, argv):
         code = main(argv + ["--out", str(tmp_path / "o")])
@@ -366,6 +366,13 @@ class TestFlagTable:
         f.write_text(f"[alm]\n{key}=0.5\n")
         assert parse_problem_file(str(f)).alm == ALMConfig()
         assert capsys.readouterr().err == f"warning: unknown key {key!r} in [alm]\n"
+
+    def test_removed_tau_in_a_config_file_warns_once(self, tmp_path, capsys):
+        # the penalty contraction factor is the solver constant PENALTY_TAU
+        f = tmp_path / "old.cfg"
+        f.write_text("[alm]\ntau=0.5\n")
+        assert parse_problem_file(str(f)).alm == ALMConfig()
+        assert capsys.readouterr().err == "warning: unknown key 'tau' in [alm]\n"
 
 
 class TestUnreadSettingsRefused:
@@ -710,15 +717,21 @@ class TestAnalyzeCommand:
         assert "stop_reason = max_outer" in summary
         assert sorted(p.name for p in out.iterdir()) == ["summary.txt"]
 
-    def test_failed_polish_writes_the_solve_summary(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv, files",
+        [(["analyze", "--family", "circle"], ["summary.txt"]),
+         (["sphere-l1", "--mode", "builtin5x5"], ["history.csv", "summary.txt"])],
+        ids=["analyze", "sphere-l1"],
+    )
+    def test_failed_polish_writes_the_solve_summary(self, tmp_path, capsys, monkeypatch, argv, files):
         monkeypatch.setattr(ralm.cli, "POLISHED_KKT_GATE", -1.0)
         out = tmp_path / "o"
-        assert main(["analyze", "--family", "circle", "--out", str(out)]) == EXIT_PARTIAL
+        assert main(argv + ["--out", str(out)]) == EXIT_PARTIAL
         err = capsys.readouterr().err
-        assert err.startswith("analyze: polish failed: residual ") and err.count("\n") == 1
+        assert err.startswith(f"{argv[0]}: polish failed: residual ") and err.count("\n") == 1
         summary = (out / "summary.txt").read_text()
         assert "status = converged" in summary and "polished_residual = " in summary
-        assert sorted(p.name for p in out.iterdir()) == ["summary.txt"]
+        assert sorted(p.name for p in out.iterdir()) == files
 
     @pytest.mark.parametrize(
         "argv, builds",

@@ -228,19 +228,18 @@ class TestOneKKTSource:
 
 class TestPenaltyUpdate:
     def test_first_iteration_keeps_rho(self):
-        assert penalty_update(5.0, None, 1.0, 10.0, 0.8) == 1.0
+        assert penalty_update(5.0, None, 1.0, 10.0) == 1.0
 
     def test_zero_progress_measure_keeps_rho(self):
-        assert penalty_update(0.0, 1.0, 2.0, 10.0, 0.8) == 2.0
+        assert penalty_update(0.0, 1.0, 2.0, 10.0) == 2.0
 
     def test_insufficient_contraction_grows_rho(self):
-        assert penalty_update(1.0, 1.0, 1.0, 10.0, 0.8) == 10.0
+        assert penalty_update(1.0, 1.0, 1.0, 10.0) == 10.0
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            penalty_update(1.0, 1.0, 1.0, 0.5, 0.8)
-        with pytest.raises(ValueError):
-            penalty_update(1.0, 1.0, 1.0, 10.0, 1.5)
+        # the penalty settings are checked in one place, ALMConfig.validate
+        with pytest.raises(ValueError, match="gamma"):
+            ALMConfig(gamma=0.5).validate()
 
 
 class TestSubproblem:
@@ -727,7 +726,7 @@ class TestALMRun:
     def test_invalid_config_rejected(self):
         p = circle_problem()
         with pytest.raises(ValueError):
-            alm_run(p, ALMConfig(tau=1.5), sphere_point([1.0, 0.0]))
+            alm_run(p, ALMConfig(gamma=0.5), sphere_point([1.0, 0.0]))
 
     def test_penalty_monotone_and_feasible_iterates(self):
         p = sphere_l1_problem(SPHERE_L1_DEMO_A, 0.25)
@@ -838,7 +837,7 @@ class TestALMRun:
         with pytest.raises(ValueError, match="non-finite KKT residual at outer iteration 0"):
             alm_run(p, ALMConfig(), sphere_point(np.ones(5) / np.sqrt(5)))
 
-    @pytest.mark.parametrize("field,value", non_finite_cases(["rho0", "gamma", "tau", "eps0", "kkt_tol"]))
+    @pytest.mark.parametrize("field,value", non_finite_cases(["rho0", "gamma", "eps0", "kkt_tol"]))
     def test_nan_config_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             ALMConfig(**{field: value}).validate()
