@@ -431,7 +431,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         handler = COMMANDS[args.command][0]
         return handler(cfg, out)
-    except (ConfigError, FileNotFoundError, ValueError, RankDeficiencyError) as exc:
+    except (ConfigError, OSError, ValueError, RankDeficiencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

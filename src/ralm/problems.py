@@ -33,23 +33,28 @@ from .manifolds import (
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """An affine map of the ambient space with its linear part.
+    """An affine map of the ambient space: a linear part plus an offset.
 
     Every g1 and g2 of the program is affine, so the Jacobian is the same at
     every x: ``jacobian_apply(xi)`` and ``jacobian_adjoint(y)`` take only the
     direction, and ``rhess_apply`` and the condition checks take the second
-    derivative to be zero.  A nonlinear map does not fit this interface.
-    ``support`` marks a map that reads x entrywise: at these flat indices
-    value(x) = x + value(0), and elsewhere value(x) = value(0), which does
-    not depend on x (None: no such structure).  The merit then reads x at
-    the support only.
+    derivative to be zero.  ``value`` and ``out_shape`` derive from the linear
+    part and ``offset``.  ``support`` marks a map that reads x entrywise: at
+    these flat indices value(x) = x + offset, and elsewhere value(x) = offset
+    (None: no such structure).  The merit then reads x at the support only.
     """
 
-    value: Callable[[np.ndarray], np.ndarray]
     jacobian_apply: Callable[[np.ndarray], np.ndarray]
     jacobian_adjoint: Callable[[np.ndarray], np.ndarray]
-    out_shape: tuple
+    offset: np.ndarray
     support: Optional[np.ndarray] = None
+
+    @property
+    def out_shape(self) -> tuple:
+        return self.offset.shape
+
+    def value(self, x) -> np.ndarray:
+        return self.jacobian_apply(x) + self.offset
 
 
 @dataclass(frozen=True)
@@ -171,16 +176,14 @@ def circle_problem() -> ProblemInstance:
         ehess_apply=lambda x, xi: np.array([0.0, 2.0 * xi[1]]),
     )
     g1 = SmoothMap(
-        value=lambda x: np.array([x[0] - x[1]]),
         jacobian_apply=lambda xi: np.array([xi[0] - xi[1]]),
         jacobian_adjoint=lambda y: float(y[0]) * np.array([1.0, -1.0]),
-        out_shape=(1,),
+        offset=np.zeros(1),
     )
     g2 = SmoothMap(
-        value=lambda x: np.array([2.0 * x[0] + x[1]]),
         jacobian_apply=lambda xi: np.array([2.0 * xi[0] + xi[1]]),
         jacobian_adjoint=lambda z: float(z[0]) * np.array([2.0, 1.0]),
-        out_shape=(1,),
+        offset=np.zeros(1),
     )
     return ProblemInstance(
         manifold=Sphere(2),
@@ -207,10 +210,9 @@ def sphere_l1_problem(a, mu: float) -> ProblemInstance:
 
     f = Objective(value_grad=value_grad, ehess_apply=lambda x, xi: -2.0 * (ata @ xi))
     g1 = SmoothMap(
-        value=lambda x: x.copy(),
         jacobian_apply=lambda xi: xi.copy(),
         jacobian_adjoint=lambda y: y.copy(),
-        out_shape=(n,),
+        offset=np.zeros(n),
     )
     return ProblemInstance(
         manifold=Sphere(n),
@@ -233,10 +235,9 @@ def rmc_problem(a, mask, r: int) -> ProblemInstance:
     zero.setflags(write=False)
     f = Objective(value_grad=lambda x: (0.0, zero), ehess_apply=lambda x, xi: zero)
     g1 = SmoothMap(
-        value=lambda x: proj * (x - a),
         jacobian_apply=lambda xi: proj * xi,
         jacobian_adjoint=lambda y: proj * y,  # masking is self-adjoint
-        out_shape=(m, n),
+        offset=proj * -a,
         # P_Omega(X - A) is X - A on the observed entries and 0 elsewhere; a
         # full mask leaves nothing to skip
         support=None if mask.all() else np.flatnonzero(mask),
@@ -290,10 +291,11 @@ def merit_shifts(p: ProblemInstance, w, p_mult, rho: float) -> MeritShifts:
 
     Without a support the shift is w/rho and the envelope runs on every
     entry, so the off-support terms are 0.  With a support S the shift is
-    g1(0) + w/rho at S, to which ``merit_eval`` adds x at S.  Off S the
-    envelope argument u0 = g1(0) + w/rho does not depend on x, and neither
-    does the multiplier step there: ``env_off`` is the envelope of u0 and
-    ``gap_off`` is |rho clamp(u0) - w|^2 over those entries.
+    g1's offset plus w/rho at S, to which ``merit_eval`` adds x at S; no map
+    is evaluated.  Off S the envelope argument u0 = offset + w/rho does not
+    depend on x, and neither does the multiplier step there: ``env_off`` is
+    the envelope of u0 and ``gap_off`` is |rho clamp(u0) - w|^2 over those
+    entries.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -304,7 +306,7 @@ def merit_shifts(p: ProblemInstance, w, p_mult, rho: float) -> MeritShifts:
     support = p.g1.support
     if support is None:
         return MeritShifts(w_shift, p_shift, 0.0, w, p_mult, 0.0)
-    u0 = (p.g1.value(np.zeros(p.manifold.ambient_shape)) + w_shift).ravel()
+    u0 = (p.g1.offset + w_shift).ravel()
     off = np.ones(u0.size, dtype=bool)
     off[support] = False
     u_off = u0[off]
@@ -390,8 +392,8 @@ def aug_lagrangian(p: ProblemInstance, x: Point, w, p_mult, rho: float):
 def tilted_instance(p: ProblemInstance, a=None, b=None, c=None) -> ProblemInstance:
     """Perturbed copy: f - <a, x> (ambient tilt), g1 + b and g2 + c shifts.
 
-    The original instance is untouched; the calmness probe builds many of
-    these.
+    A shift moves a map's offset and shares its linear part.  The original
+    instance is untouched; the calmness probe builds many of these.
     """
     new = p
     if a is not None:
@@ -404,17 +406,11 @@ def tilted_instance(p: ProblemInstance, a=None, b=None, c=None) -> ProblemInstan
 
         new = replace(new, f=replace(f0, value_grad=value_grad))
     if b is not None:
-        b = np.asarray(b, dtype=float)
-        g1 = p.g1
-        new_g1 = replace(g1, value=lambda x, _g=g1, _b=b: _g.value(x) + _b)
-        new = replace(new, g1=new_g1)
+        new = replace(new, g1=replace(p.g1, offset=p.g1.offset + b))
     if c is not None:
         if p.g2 is None:
             raise ValueError("cannot shift g2: instance has no set constraint")
-        c = np.asarray(c, dtype=float)
-        g2 = p.g2
-        new_g2 = replace(g2, value=lambda x, _g=g2, _c=c: _g.value(x) + _c)
-        new = replace(new, g2=new_g2)
+        new = replace(new, g2=replace(p.g2, offset=p.g2.offset + c))
     return replace(new, label=p.label + "+tilt")
 
 

@@ -107,10 +107,9 @@ class TestNaturalMap:
 
 def constant_zero_map(n):
     return SmoothMap(
-        value=lambda x: np.zeros(1),
         jacobian_apply=lambda xi: np.zeros(1),
         jacobian_adjoint=lambda y: np.zeros(n),
-        out_shape=(1,),
+        offset=np.zeros(1),
     )
 
 
@@ -202,10 +201,9 @@ def dense_msrcq_rank(p, x, y, z, tol=1e-8, cone_tol=1e-8):
 
 def affine_map(mat, offset):
     return SmoothMap(
-        value=lambda x: mat @ x - offset,
         jacobian_apply=lambda xi: mat @ xi,
         jacobian_adjoint=lambda w: mat.T @ w,
-        out_shape=(mat.shape[0],),
+        offset=-offset,
     )
 
 
@@ -308,10 +306,9 @@ class TestMsosc:
                 ehess_apply=lambda x, xi: np.array([-2.0 * xi[0], 0.0]),
             ),
             g1=SmoothMap(
-                value=lambda x: x.copy(),
                 jacobian_apply=lambda xi: xi.copy(),
                 jacobian_adjoint=lambda y: y.copy(),
-                out_shape=(n,),
+                offset=np.zeros(n),
             ),
             theta=ScaledL1(0.0),
             label="saddle",
@@ -334,10 +331,9 @@ class TestMsosc:
                 ehess_apply=lambda x, xi: np.array([2.0 * xi[0], 0.0]),
             ),
             g1=SmoothMap(
-                value=lambda x: x.copy(),
                 jacobian_apply=lambda xi: xi.copy(),
                 jacobian_adjoint=lambda y: y.copy(),
-                out_shape=(n,),
+                offset=np.zeros(n),
             ),
             theta=ScaledL1(0.0),
             label="minimum",

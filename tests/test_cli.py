@@ -157,12 +157,20 @@ class TestCommandOutputs:
             ["analyze", "--fixed-rho"],
             ["rmc", "--max", "4"],
             ["solve", "--tau", "0.5"],
+            ["figure1", "--out", "{tmp}/file"],
+            ["figure1", "--out", "{tmp}/file/sub"],
+            ["solve", "--config", "{tmp}"],
         ],
         ids=["unknown-flag", "bad-choice", "bad-int", "removed-jobs", "removed-fixed-rho",
-             "prefix-of-a-flag", "removed-tau"],
+             "prefix-of-a-flag", "removed-tau", "out-is-a-file", "out-under-a-file",
+             "config-is-a-directory"],
     )
     def test_usage_error_exits_one_line(self, tmp_path, capsys, argv):
-        code = main(argv + ["--out", str(tmp_path / "o")])
+        (tmp_path / "file").write_text("")
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "o")]
+        code = main(argv)
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

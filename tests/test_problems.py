@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -427,6 +429,74 @@ class TestTiltedInstance:
         p = sphere_l1_problem(np.eye(2), 1.0)
         with pytest.raises(ValueError):
             tilted_instance(p, c=np.ones(2))
+
+
+class MapEvaluated(Exception):
+    pass
+
+
+def refuse(xi):
+    raise MapEvaluated
+
+
+class TestAffineMap:
+    """Each map is a linear part plus an offset; value and out_shape derive from them."""
+
+    @pytest.mark.parametrize("tilt", [False, True], ids=["plain", "tilted"])
+    @pytest.mark.parametrize("name", ["circle", "sphere-l1", "rmc"])
+    def test_value_is_linear_part_plus_offset_bitwise(self, name, tilt):
+        p = make_families()[name]
+        rng = np.random.default_rng(43)
+        if tilt:
+            c = rng.standard_normal(p.g2.out_shape) if p.q is not None else None
+            p = tilted_instance(p, b=rng.standard_normal(p.g1.out_shape), c=c)
+        assert (p.g1.support is not None) == (name == "rmc")
+        for _ in range(5):
+            x = random_point(p.manifold, rng).ambient
+            for g in (p.g1, p.g2):
+                if g is None:
+                    continue
+                assert g.out_shape == g.offset.shape
+                assert np.array_equal(g.value(x), g.jacobian_apply(x) + g.offset)
+
+    def test_rmc_value_is_the_difference_on_the_mask_bitwise(self):
+        p, a, mask = rmc_random_30()
+        x = random_point(p.manifold, np.random.default_rng(47)).ambient
+        value = p.g1.value(x)
+        assert np.array_equal(value[mask], (x - a)[mask])
+        assert not value[~mask].any()
+
+    @pytest.mark.parametrize("name", ["circle", "sphere-l1", "rmc"])
+    def test_tilt_moves_only_the_offset(self, name):
+        p = make_families()[name]
+        rng = np.random.default_rng(53)
+        b = rng.standard_normal(p.g1.out_shape)
+        c = rng.standard_normal(p.g2.out_shape) if p.q is not None else None
+        pt = tilted_instance(p, b=b, c=c)
+        for g, gt, shift in ((p.g1, pt.g1, b), (p.g2, pt.g2, c)):
+            if g is None:
+                assert gt is None
+                continue
+            assert gt.jacobian_apply is g.jacobian_apply
+            assert gt.jacobian_adjoint is g.jacobian_adjoint
+            assert gt.support is g.support
+            assert np.array_equal(gt.offset, g.offset + shift)
+
+    @pytest.mark.parametrize("tilt", [False, True], ids=["rmc", "tilted"])
+    def test_merit_shifts_evaluates_no_map(self, tilt):
+        p, _, mask = rmc_random_30()
+        rng = np.random.default_rng(59)
+        if tilt:
+            # b moves the offset off the support too
+            p = tilted_instance(p, b=2.0 * rng.standard_normal(mask.shape))
+        blind = replace(p, g1=replace(p.g1, jacobian_apply=refuse))
+        with pytest.raises(MapEvaluated):
+            blind.g1.value(np.zeros(mask.shape))
+        w = 3.0 * rng.standard_normal(mask.shape)  # nonzero off the support
+        shifts, expected = merit_shifts(blind, w, None, 10.0), merit_shifts(p, w, None, 10.0)
+        assert shifts.env_off > 0 and shifts.gap_off > 0
+        for got, want in zip(shifts, expected):
+            assert np.array_equal(got, want) if want is not None else got is None
 
 
 def second_difference(p, x, z, v, h=1e-3):

@@ -39,7 +39,7 @@ EVERY_COMMAND = [cmd for make in workloads.WORKLOADS.values() for cmd in make(0)
 DIGESTS = {
     "figure1": "ae171f69d7b95f02",
     "analyze-circle/seed0": "c539e53b64329e89",
-    "analyze-rmc-basic5x5": "eba0e256dab9be69",
+    "analyze-rmc-basic5x5": "0868a67fed75b140",
     "sphere-l1-builtin5x5": "e5d712bc053c6702",
     "rmc-basic5x5": "21b4601abb80de72",
     "analyze-rmc-20/seed1": "3e7cfcca54fc9a7c",
