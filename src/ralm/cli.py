@@ -1,13 +1,16 @@
 """Command-line driver for the solver experiments and the analysis suite.
 
-Subcommands: ``solve``, ``figure1``, ``sphere-l1``, ``rmc``, ``analyze``.
+Subcommands: ``solve``, ``figure1``, ``sphere-l1``, ``rmc``, ``analyze``;
+``rmc`` is ``solve`` with the family fixed.
 All artifacts are UTF-8 comma-separated files with ``.`` decimal points,
 written into the --out directory.
 
 Exit codes: 0 success, 1 usage/config error, a rank-deficient instance, a
-non-finite KKT residual or an analysis instance above the size cap, 2 partial
-convergence or failed polish (one stderr line says why), 3 a reproduction
-check failed (known-solution mismatch, rate-ordering violation).
+non-finite KKT residual, an allocation NumPy refuses or an analysis instance
+above the size cap, 2 partial convergence or failed polish (one stderr line
+says why), 3 a reproduction check failed (known-solution mismatch,
+rate-ordering violation).  Exits 2 and 3 leave a command as ``_Stop``, which
+``main`` turns into the stderr line and the code.
 """
 from __future__ import annotations
 
@@ -84,7 +87,7 @@ def build_problem(cfg: RunConfig):
         a, mask, a_exact = generate_rmc_instance(s["m"], s["n"], s["r"], s["oversample"], s["seed"])
         x0, r = rmc_spectral_init(a, mask, s["r"]), s["r"]
     else:
-        a, mask, a_exact = rmc_basic_instance(s["seed"])
+        a, mask, a_exact = rmc_basic_instance()
         x0, r = nearest_rank_r(FixedRank(5, 5, 3), a), 3
     return rmc_problem(a, mask, r), x0, None, a_exact
 
@@ -158,18 +161,37 @@ def write_probe_csv(path: Path, calm, ebfit) -> None:
 # commands
 
 
+class _Stop(Exception):
+    """Ends a command with exit ``code`` and ``message`` as its one stderr line."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 def _status(res) -> str:
     """The summary's status line, from whether the run converged."""
     return "converged" if res.converged else "partial-convergence"
 
 
-def _not_converged(command: str, reason: str) -> int:
-    """Say on stderr why ``command`` exits 2, in one line."""
-    print(f"{command}: the solve did not converge (stop reason {reason})", file=sys.stderr)
-    return EXIT_PARTIAL
+def _not_converged(command: str, reason: str) -> _Stop:
+    """Exit 2, saying why ``command`` stopped."""
+    return _Stop(EXIT_PARTIAL, f"{command}: the solve did not converge (stop reason {reason})")
 
 
-def _summary_entries(p, res, elapsed, a_exact=None):
+def _solve(command: str, cfg: RunConfig, out: Path, history: bool = True, conditions: bool = False):
+    """Solve the instance ``cfg`` names and return (problem, result, summary
+    entries), writing history.csv with ``history``.  With ``conditions``, an
+    instance too large for the condition checks is refused before the solve;
+    a partial solve writes the entries as the summary and stops ``command``."""
+    p, x0, ref, a_exact = build_problem(cfg)
+    if conditions:
+        check_condition_size(p)
+    t0 = time.perf_counter()
+    res = alm_run(p, cfg.alm, x0, reference=ref)
+    elapsed = time.perf_counter() - t0
+    if history:
+        write_history_csv(out / "history.csv", res.history)
     comps = kkt_residual_components(p, res.x, res.y, res.z)
     entries = {
         "family": p.label,
@@ -183,29 +205,29 @@ def _summary_entries(p, res, elapsed, a_exact=None):
     }
     if a_exact is not None:
         entries["recovery_error"] = float(np.linalg.norm(res.x.ambient - a_exact))
-    return entries
+        entries["m"], entries["n"] = a_exact.shape
+        entries["r"] = p.manifold.r
+    if not res.converged:
+        write_summary(out / "summary.txt", entries)
+        raise _not_converged(command, res.reason)
+    return p, res, entries
 
 
-def _solve(cfg: RunConfig, conditions: bool = False):
-    """Returns (problem, result, solve seconds, exact-matrix-or-None); with
-    ``conditions``, an instance too large for the condition checks is refused
-    before the solve, not after it."""
-    p, x0, ref, a_exact = build_problem(cfg)
-    if conditions:
-        check_condition_size(p)
-    t0 = time.perf_counter()
-    res = alm_run(p, cfg.alm, x0, reference=ref)
-    return p, res, time.perf_counter() - t0, a_exact
+def cmd_solve(command: str, cfg: RunConfig, out: Path) -> int:
+    _, _, entries = _solve(command, cfg, out)
+    write_summary(out / "summary.txt", entries)
+    if instance_settings(cfg)[0] == "basic5x5" and (
+        entries["recovery_error"] > 1e-6 or entries["max_kkt_residual"] > 1e-7
+    ):
+        raise _Stop(
+            EXIT_CHECK_FAILED,
+            f"rmc basic5x5 check failed: recovery {entries['recovery_error']:.3e}, "
+            f"max residual {entries['max_kkt_residual']:.3e}",
+        )
+    return EXIT_OK
 
 
-def cmd_solve(cfg: RunConfig, out: Path) -> int:
-    p, res, elapsed, a_exact = _solve(cfg)
-    write_history_csv(out / "history.csv", res.history)
-    write_summary(out / "summary.txt", _summary_entries(p, res, elapsed, a_exact))
-    return EXIT_OK if res.converged else _not_converged("solve", res.reason)
-
-
-def cmd_figure1(cfg: RunConfig, out: Path) -> int:
+def cmd_figure1(command: str, cfg: RunConfig, out: Path) -> int:
     # figure1 takes no setting: cfg is the default, the circle
     p, x0, ref, _ = build_problem(cfg)
     results = [alm_run(p, figure1_config(rho), x0, reference=ref) for rho in FIGURE1_RHOS]
@@ -240,10 +262,9 @@ def cmd_figure1(cfg: RunConfig, out: Path) -> int:
     write_summary(out / "summary.txt", entries)
     failed = [f"{res.reason} at rho {rho:g}" for rho, res in zip(FIGURE1_RHOS, results) if not res.converged]
     if failed:
-        return _not_converged("figure1", ", ".join(failed))
+        raise _not_converged(command, ", ".join(failed))
     if not ordered:
-        print("figure1: fitted slopes are not strictly decreasing in rho", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        raise _Stop(EXIT_CHECK_FAILED, f"{command}: fitted slopes are not strictly decreasing in rho")
     return EXIT_OK
 
 
@@ -269,32 +290,23 @@ def _write_figure1_gnuplot(path: Path) -> None:
 def _polish_and_check(command: str, p, res, entries: dict, out: Path, tol: float):
     """Polish a converged solve to ``tol``, write conditions.txt and return
     (triple, report); past ``POLISHED_KKT_GATE``, write the solve ``entries``
-    and ``polished_residual`` as the summary, say so on stderr, return (None, None)."""
+    and ``polished_residual`` as the summary and stop ``command`` with exit 2."""
     trip = polish_kkt(p, res.x, res.y, res.z, tol=tol)
     if trip.residual > POLISHED_KKT_GATE:
         write_summary(out / "summary.txt", {**entries, "polished_residual": trip.residual})
-        print(f"{command}: polish failed: residual {trip.residual:.3e}", file=sys.stderr)
-        return None, None
+        raise _Stop(EXIT_PARTIAL, f"{command}: polish failed: residual {trip.residual:.3e}")
     report = condition_report(p, trip.x, trip.y, trip.z)
     write_conditions(out / "conditions.txt", report)
     report.msosc.raise_if_refused()  # once the file holds the M-SRCQ answer
     return trip, report
 
 
-def cmd_sphere_l1(cfg: RunConfig, out: Path) -> int:
-    p, res, elapsed, _ = _solve(cfg, conditions=True)
-    write_history_csv(out / "history.csv", res.history)
-    entries = _summary_entries(p, res, elapsed)
-    if not res.converged:
-        write_summary(out / "summary.txt", entries)
-        return _not_converged("sphere-l1", res.reason)
-    trip, report = _polish_and_check("sphere-l1", p, res, entries, out, tol=1e-10)
-    if trip is None:
-        return EXIT_PARTIAL
+def cmd_sphere_l1(command: str, cfg: RunConfig, out: Path) -> int:
+    p, res, entries = _solve(command, cfg, out, conditions=True)
+    trip, report = _polish_and_check(command, p, res, entries, out, tol=1e-10)
     entries["msrcq"] = "pass" if report.msrcq.passed else "fail"
     entries["msosc"] = report.msosc.status
-
-    code = EXIT_OK
+    failure = None
     if instance_settings(cfg)[0] == "builtin5x5":
         x = trip.x.ambient
         sign = 1.0 if x[1] >= 0 else -1.0
@@ -305,52 +317,23 @@ def cmd_sphere_l1(cfg: RunConfig, out: Path) -> int:
         entries["x_abs_error"] = x_err
         entries["multiplier_error"] = y_err
         if x_err > 1e-6 or y_err > 1e-6 or not report.msrcq.passed:
-            print(
-                f"sphere-l1 builtin5x5 check failed: x error {x_err:.3e}, "
-                f"multiplier error {y_err:.3e}, msrcq {entries['msrcq']}",
-                file=sys.stderr,
-            )
-            code = EXIT_CHECK_FAILED
+            failure = (f"sphere-l1 builtin5x5 check failed: x error {x_err:.3e}, "
+                       f"multiplier error {y_err:.3e}, msrcq {entries['msrcq']}")
     write_summary(out / "summary.txt", entries)
-    return code
-
-
-def cmd_rmc(cfg: RunConfig, out: Path) -> int:
-    p, res, elapsed, a_exact = _solve(cfg)
-    write_history_csv(out / "history.csv", res.history)
-    entries = _summary_entries(p, res, elapsed, a_exact)
-    entries["m"], entries["n"] = a_exact.shape
-    entries["r"] = p.manifold.r
-    write_summary(out / "summary.txt", entries)
-    if not res.converged:
-        return _not_converged("rmc", res.reason)
-    if instance_settings(cfg)[0] == "basic5x5" and (
-        entries["recovery_error"] > 1e-6 or entries["max_kkt_residual"] > 1e-7
-    ):
-        print(
-            f"rmc basic5x5 check failed: recovery {entries['recovery_error']:.3e}, "
-            f"max residual {entries['max_kkt_residual']:.3e}",
-            file=sys.stderr,
-        )
-        return EXIT_CHECK_FAILED
+    if failure:
+        raise _Stop(EXIT_CHECK_FAILED, failure)
     return EXIT_OK
 
 
-def cmd_analyze(cfg: RunConfig, out: Path) -> int:
-    p, res, elapsed, a_exact = _solve(cfg, conditions=True)
-    entries = _summary_entries(p, res, elapsed, a_exact)
-    if not res.converged:
-        write_summary(out / "summary.txt", entries)
-        return _not_converged("analyze", res.reason)
-    trip, report = _polish_and_check("analyze", p, res, entries, out, tol=1e-12)
-    if trip is None:
-        return EXIT_PARTIAL
+def cmd_analyze(command: str, cfg: RunConfig, out: Path) -> int:
+    p, res, entries = _solve(command, cfg, out, history=False, conditions=True)
+    trip, report = _polish_and_check(command, p, res, entries, out, tol=1e-12)
     seed = cfg.seed if cfg.seed is not None else 0
     calm = calmness_probe(p, trip.x, trip.y, trip.z, seed=seed)
     ebfit = error_bound_fit(p, trip.x, trip.y, trip.z, seed=seed)
     write_probe_csv(out / "probe.csv", calm, ebfit)
-    summary = {
-        "family": p.label,
+    write_summary(out / "summary.txt", {
+        **entries,
         "polished_residual": trip.residual,
         "msrcq": "pass" if report.msrcq.passed else "fail",
         "msosc": report.msosc.status,
@@ -358,8 +341,7 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> int:
         "kappa_bounded": calm.bounded,
         "errorbound_c1": ebfit.c1,
         "errorbound_c2": ebfit.c2,
-    }
-    write_summary(out / "summary.txt", summary)
+    })
     return EXIT_OK
 
 
@@ -373,7 +355,7 @@ COMMANDS = {
     "solve": (cmd_solve, "run the solver on a problem family", "*"),
     "figure1": (cmd_figure1, "fixed-penalty rate study on the circle instance", None),
     "sphere-l1": (cmd_sphere_l1, "l1-penalised quadratic on the sphere", "sphere-l1"),
-    "rmc": (cmd_rmc, "robust matrix completion on the fixed-rank manifold", "rmc"),
+    "rmc": (cmd_solve, "robust matrix completion on the fixed-rank manifold", "rmc"),
     "analyze": (cmd_analyze, "optimality conditions, calmness and error-bound probes", "*"),
 }
 
@@ -430,8 +412,11 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         handler = COMMANDS[args.command][0]
-        return handler(cfg, out)
-    except (ConfigError, OSError, ValueError, RankDeficiencyError) as exc:
+        return handler(args.command, cfg, out)
+    except _Stop as stop:
+        print(stop, file=sys.stderr)
+        return stop.code
+    except (ConfigError, OSError, ValueError, RankDeficiencyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -71,7 +71,7 @@ FAMILIES = {
     "circle": {None: {}},
     "sphere-l1": {"builtin5x5": {"mu": 0.25, "matrix": SPHERE_L1_DEMO_A},
                   "random": {"n": 20, "mu": 0.25, "seed": 0}},
-    "rmc": {"basic5x5": {"seed": 42},
+    "rmc": {"basic5x5": {},
             "random": {"m": 200, "n": 20, "r": 5, "oversample": 3.0, "seed": 1}},
 }
 

@@ -37,7 +37,7 @@ class SmoothMap:
 
     Every g1 and g2 of the program is affine, so the Jacobian is the same at
     every x: ``jacobian_apply(xi)`` and ``jacobian_adjoint(y)`` take only the
-    direction, and ``rhess_apply`` and the condition checks take the second
+    direction, and ``rhess_operator`` and the condition checks take the second
     derivative to be zero.  ``value`` and ``out_shape`` derive from the linear
     part and ``offset``.  ``support`` marks a map that reads x entrywise: at
     these flat indices value(x) = x + offset, and elsewhere value(x) = offset
@@ -108,12 +108,12 @@ def circle_reference():
     return sphere_point([s2, s2]), np.array([s2]), np.array([0.0])
 
 
-def rmc_basic_instance(seed: int):
+def rmc_basic_instance():
     """The fixed 5x5 rank-3 instance with outliers in the lower-right block.
 
-    The seed draws the outliers.  At seed 42 (the basic5x5 default in
-    ``config.FAMILIES``) the ground truth stays the global optimum, which the
-    known-answer checks compare against; most other draws lose that.
+    The outliers come from the constant seed 42: with that draw the ground
+    truth stays the global optimum, which the known-answer checks compare
+    against; most other draws lose that, so the instance takes no seed.
     """
     s2 = math.sqrt(2.0) / 2.0
     u = np.array(
@@ -127,7 +127,7 @@ def rmc_basic_instance(seed: int):
     e_out = np.zeros((5, 5))
     # outliers live in the normal space of A_exact; scale 0.5 keeps A_exact the
     # global optimum
-    e_out[3:, 3:] = 0.5 * np.random.default_rng(seed).standard_normal((2, 2))
+    e_out[3:, 3:] = 0.5 * np.random.default_rng(42).standard_normal((2, 2))
     return a_exact + e_out, np.ones((5, 5), dtype=bool), a_exact
 
 
@@ -415,8 +415,16 @@ def tilted_instance(p: ProblemInstance, a=None, b=None, c=None) -> ProblemInstan
 
 
 def rhess_operator(p: ProblemInstance, x: Point, z):
-    """xi -> ``rhess_apply(p, x, z, xi)``, with the ambient gradient G taken
-    once for every direction (z required with Q)."""
+    """xi -> Hess_x l(x, z)[xi] for l = f + <z, g2> and a tangent xi (z
+    required with Q), as a dense ambient array, with the ambient gradient G
+    taken once for every direction.
+
+    The projected Euclidean Hessian P_x(ehess f(x) xi) plus the manifold's
+    Weingarten map at G = egrad f + Dg2^T z (``weingarten``); g2 is affine, so
+    it enters through G only.  <y, g1> is left out: g1 is affine too, so what
+    it would add is the Weingarten map at Dg1^T y.  Whether M-SOSC should carry
+    that part is open (ROADMAP.md, item 13).
+    """
     require_set_multiplier(p, z, "z")
     xa = x.ambient
     g = p.f.value_grad(xa)[1]
@@ -430,24 +438,10 @@ def rhess_operator(p: ProblemInstance, x: Point, z):
     return apply
 
 
-def rhess_apply(p: ProblemInstance, x: Point, z, xi) -> np.ndarray:
-    """Hess_x l(x, z)[xi] for l = f + <z, g2> and a tangent xi (z required
-    with Q), as a dense ambient array.
-
-    The projected Euclidean Hessian P_x(ehess f(x) xi) plus the manifold's
-    Weingarten map at the ambient gradient G = egrad f + Dg2^T z
-    (``weingarten``); g2 is affine, so it enters through G only.  <y, g1> is
-    left out: g1 is affine too, so what it would add is the Weingarten map at
-    Dg1^T y.  Whether M-SOSC should carry that part is open (ROADMAP.md,
-    item 13).
-    """
-    return rhess_operator(p, x, z)(xi)
-
-
 def hess_quadform(p: ProblemInstance, x: Point, z, xi) -> float:
-    """<xi, Hess_x l(x, z) xi> for l = f + <z, g2>, from ``rhess_apply``."""
+    """<xi, Hess_x l(x, z) xi> for l = f + <z, g2>, from ``rhess_operator``."""
     xi = np.asarray(xi, dtype=float)
-    return float((xi * rhess_apply(p, x, z, xi)).sum())
+    return float((xi * rhess_operator(p, x, z)(xi)).sum())
 
 
 def objective_value(p: ProblemInstance, x: Point) -> float:

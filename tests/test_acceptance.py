@@ -128,7 +128,7 @@ def test_criterion_4_srcq_on_random_sphere_instances():
 def test_criterion_5_rmc_basic_recovery():
     with criterion(5, "5x5 rank-3 instance with block outliers recovers the ground truth"):
         t0 = time.perf_counter()
-        a, mask, a_exact = rmc_basic_instance(42)
+        a, mask, a_exact = rmc_basic_instance()
         p = rmc_problem(a, mask, 3)
         x0 = nearest_rank_r(FixedRank(5, 5, 3), a)
         res = alm_run(p, ALMConfig(), x0)

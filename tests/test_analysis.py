@@ -35,7 +35,7 @@ from ralm.problems import (
     ProblemInstance,
     SmoothMap,
     circle_problem,
-    rhess_apply,
+    rhess_operator,
     rmc_problem,
     sphere_l1_problem,
     tilted_instance,
@@ -347,7 +347,7 @@ class TestMsosc:
         from ralm.manifolds import FixedRank, nearest_rank_r
         from ralm.problems import rmc_basic_instance
 
-        a, mask, a_exact = rmc_basic_instance(42)
+        a, mask, a_exact = rmc_basic_instance()
         p = rmc_problem(a, mask, 3)
         x0 = nearest_rank_r(FixedRank(5, 5, 3), a)
         res = alm_run(p, ALMConfig(), x0)
@@ -456,7 +456,7 @@ class TestHessMatrix:
         p = tilted_instance(p, a=rng.standard_normal(p.manifold.ambient_shape))
         x = random_point(p.manifold, rng)
         dirs = tangent_basis(p.manifold, x)
-        hdirs = np.array([rhess_apply(p, x, z, d) for d in dirs])
+        hdirs = np.array([rhess_operator(p, x, z)(d) for d in dirs])
         want = hdirs.reshape(len(dirs), -1) @ dirs.reshape(len(dirs), -1).T
         assert np.array_equal(_hess_matrix(p, x, z, dirs), want)
 
@@ -557,7 +557,7 @@ def solved_rmc_basic():
     from ralm.manifolds import FixedRank, nearest_rank_r
     from ralm.problems import rmc_basic_instance
 
-    a, mask, _ = rmc_basic_instance(42)
+    a, mask, _ = rmc_basic_instance()
     p = rmc_problem(a, mask, 3)
     res = alm_run(p, ALMConfig(), nearest_rank_r(FixedRank(5, 5, 3), a))
     return p, polish_kkt(p, res.x, res.y, res.z, tol=1e-10)

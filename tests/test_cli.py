@@ -176,6 +176,17 @@ class TestCommandOutputs:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [["rmc", "--mode", "random"], ["sphere-l1", "--mode", "random"]],
+                             ids=["rmc", "sphere-l1"])
+    def test_refused_allocation_exits_one_line(self, tmp_path, capsys, monkeypatch, argv):
+        def refuse(cfg):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
+
+        monkeypatch.setattr(ralm.cli, "build_problem", refuse)
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)\n"
+
     @pytest.mark.parametrize("argv", [["solve", "--family", "circle"], ["sphere-l1"], ["rmc"]],
                              ids=["solve", "sphere-l1", "rmc"])
     def test_partial_run_says_why_on_stderr(self, tmp_path, capsys, argv):
@@ -556,6 +567,13 @@ class TestFigure1Command:
         assert err == f"figure1: the solve did not converge (stop reason {reasons})\n"
         assert "rho1000_status = converged" in (tmp_path / "summary.txt").read_text()
 
+    def test_slopes_out_of_order_exit_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ralm.cli, "fit_log_linear", lambda values: (-1.0, 1.0))
+        assert main(["figure1", "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
+        err = capsys.readouterr().err
+        assert err == "figure1: fitted slopes are not strictly decreasing in rho\n"
+        assert "slopes_strictly_decreasing = False" in (tmp_path / "summary.txt").read_text()
+
     def test_fit_log_linear_on_exact_geometric(self):
         slope, r2 = fit_log_linear([10.0 ** (-k) for k in range(8)])
         assert slope == pytest.approx(-1.0)
@@ -664,10 +682,38 @@ class TestRmcCommand:
         summary = (out / "summary.txt").read_text()
         assert "m = 40" in summary and "r = 3" in summary
 
+    @pytest.mark.parametrize("command", [["rmc"], ["solve", "--family", "rmc"]], ids=["rmc", "solve"])
+    def test_basic_check_failure_exits_three(self, tmp_path, capsys, monkeypatch, command):
+        real = ralm.cli.rmc_basic_instance
+
+        def shifted():
+            a, mask, a_exact = real()
+            return a, mask, a_exact + 1
+
+        monkeypatch.setattr(ralm.cli, "rmc_basic_instance", shifted)
+        out = tmp_path / "o"
+        assert main([*command, "--mode", "basic5x5", "--out", str(out)]) == EXIT_CHECK_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith("rmc basic5x5 check failed: ") and err.count("\n") == 1
+        assert (out / "summary.txt").exists()
+
+    def test_basic_instance_reads_no_seed(self, tmp_path):
+        runs = {"plain": [], "seeded": ["--seed", "2"]}
+        for name, extra in runs.items():
+            assert main(["rmc", "--mode", "basic5x5", *extra, "--out", str(tmp_path / name)]) == EXIT_OK
+        plain, seeded = (strip_wall_time(read_csv(tmp_path / name / "history.csv")) for name in runs)
+        assert seeded == plain
+
+    def test_solve_summary_names_the_sizes(self, tmp_path):
+        argv = ["solve", "--family", "rmc", "--mode", "random", "--m", "30", "--n", "20", "--r", "2"]
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+        summary = (tmp_path / "summary.txt").read_text().splitlines()
+        assert {"m = 30", "n = 20", "r = 2"} <= set(summary)
+
     def test_full_mask_no_outliers_converges_fast(self, tmp_path):
         # directly through the data generator: force zero outlier count by
         # constructing the instance without noise
-        a, mask, a_exact = rmc_basic_instance(seed=42)
+        a, mask, a_exact = rmc_basic_instance()
         assert mask.all()
         assert np.linalg.norm(a - a_exact) > 0  # outliers present in the builtin
 

@@ -460,7 +460,7 @@ class TestFactoredTangent:
 
 @functools.cache
 def rmc_merit(m, n, r):
-    """RMC instance (seed 1; the basic instance at 5 x 5), its start, and the
+    """Random RMC instance of seed 1 (the basic one at 5 x 5), its start and the
     merit gradient of the first subproblem (w = 0, rho = 1) as a function of x."""
     dims = {} if (m, n, r) == (5, 5, 3) else dict(mode="random", m=m, n=n, r=r)
     p, x0, _, _ = build_problem(RunConfig(family="rmc", seed=1, **dims))

@@ -190,7 +190,7 @@ def reference_multiplier_step(p, x, w, p_mult, rho):
 
 
 def acceptance_families():
-    a, mask, _ = rmc_basic_instance(42)
+    a, mask, _ = rmc_basic_instance()
     return {
         "circle": circle_problem(),
         "sphere-l1-builtin5x5": sphere_l1_problem(SPHERE_L1_DEMO_A, 0.25),
@@ -367,7 +367,7 @@ class TestSubproblemEvaluationReuse:
             p = sphere_l1_problem(SPHERE_L1_DEMO_A, 0.25)
             w, pm, x0 = np.zeros(5), None, random_point(p.manifold, rng)
         else:
-            a, mask, _ = rmc_basic_instance(42)
+            a, mask, _ = rmc_basic_instance()
             p = rmc_problem(a, mask, 3)
             w, pm, x0 = np.zeros((5, 5)), None, random_point(p.manifold, rng)
         counts = {"moreau_env": 0, "retract": 0, "value_grad": 0}
