@@ -385,8 +385,9 @@ def calmness_probe(
             )
         )
     kappa = max((r.max_ratio for r in records if r.ratios), default=float("nan"))
+    # with no converged trial there is no ratio to bound
     ordered = sorted((r for r in records if r.ratios), key=lambda r: -r.radius)
-    bounded = all(
+    bounded = bool(ordered) and all(
         ordered[i + 1].max_ratio <= 2.0 * ordered[i].max_ratio for i in range(len(ordered) - 1)
     )
     return CalmnessReport(records=records, kappa_hat=kappa, bounded=bounded)

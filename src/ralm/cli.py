@@ -179,19 +179,18 @@ def _not_converged(command: str, reason: str) -> _Stop:
     return _Stop(EXIT_PARTIAL, f"{command}: the solve did not converge (stop reason {reason})")
 
 
-def _solve(command: str, cfg: RunConfig, out: Path, history: bool = True, conditions: bool = False):
-    """Solve the instance ``cfg`` names and return (problem, result, summary
-    entries), writing history.csv with ``history``.  With ``conditions``, an
-    instance too large for the condition checks is refused before the solve;
-    a partial solve writes the entries as the summary and stops ``command``."""
+def _solve(command: str, cfg: RunConfig, out: Path, conditions: bool = False):
+    """Solve the instance ``cfg`` names, write history.csv and return
+    (problem, result, summary entries).  With ``conditions``, an instance
+    too large for the condition checks is refused before the solve; a
+    partial solve writes the entries as the summary and stops ``command``."""
     p, x0, ref, a_exact = build_problem(cfg)
     if conditions:
         check_condition_size(p)
     t0 = time.perf_counter()
     res = alm_run(p, cfg.alm, x0, reference=ref)
     elapsed = time.perf_counter() - t0
-    if history:
-        write_history_csv(out / "history.csv", res.history)
+    write_history_csv(out / "history.csv", res.history)
     comps = kkt_residual_components(p, res.x, res.y, res.z)
     entries = {
         "family": p.label,
@@ -326,7 +325,7 @@ def cmd_sphere_l1(command: str, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_analyze(command: str, cfg: RunConfig, out: Path) -> int:
-    p, res, entries = _solve(command, cfg, out, history=False, conditions=True)
+    p, res, entries = _solve(command, cfg, out, conditions=True)
     trip, report = _polish_and_check(command, p, res, entries, out, tol=1e-12)
     seed = cfg.seed if cfg.seed is not None else 0
     calm = calmness_probe(p, trip.x, trip.y, trip.z, seed=seed)

@@ -167,23 +167,17 @@ class FixedRankTangent:
     J. Optim. 2013).
 
     ``t * xi`` scales the factors.  ``np.asarray(xi)`` is the dense ambient
-    matrix: it is formed on first use and kept, and a scaled copy forms its
-    own from the original's, so a vector and its scaled copies form one
-    dense matrix between them.  ``factors()`` is likewise formed once.
+    matrix L R^T of ``factors()``, which is formed once.
     """
 
-    __slots__ = ("x", "m", "u_p", "v_p", "_ambient", "_factors", "_scaled_from")
+    __slots__ = ("x", "m", "u_p", "v_p", "_factors")
 
     def __init__(self, x: Point, m, u_p, v_p):
         self.x, self.m, self.u_p, self.v_p = x, m, u_p, v_p
-        self._ambient = None
         self._factors = None
-        self._scaled_from = None  # (t, xi) for the copy t * xi
 
     def __rmul__(self, t):
-        out = FixedRankTangent(self.x, t * self.m, t * self.u_p, t * self.v_p)
-        out._scaled_from = (t, self)
-        return out
+        return FixedRankTangent(self.x, t * self.m, t * self.u_p, t * self.v_p)
 
     def factors(self):
         """(L, R) with xi = L R^T = [U M + U_p, U] [V, V_p]^T."""
@@ -196,15 +190,9 @@ class FixedRankTangent:
         return self._factors
 
     def __array__(self, dtype=None, copy=None):
-        if self._ambient is None:
-            if self._scaled_from is not None:
-                t, xi = self._scaled_from
-                self._ambient = t * np.asarray(xi)
-            else:
-                left, right = self.factors()
-                self._ambient = left @ right.T
-        out = self._ambient if dtype is None else self._ambient.astype(dtype, copy=False)
-        return out.copy() if copy else out
+        left, right = self.factors()
+        out = left @ right.T
+        return out if dtype is None else out.astype(dtype, copy=False)
 
 
 def tangent_vector(manifold: Manifold, x: Point, v):

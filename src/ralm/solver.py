@@ -143,6 +143,9 @@ def kkt_blocks(p: ProblemInstance, x: Point, y, z=None):
     theta block:   g1(x) - prox_theta(g1(x) + y)
     set block:     g2(x) - proj_Q(g2(x) + z)   (None without Q; z required with Q)
     """
+    for name, mult, g in (("y", y, p.g1), ("z", z, p.g2)):
+        if g is not None and mult is not None and np.shape(mult) != g.out_shape:
+            raise ValueError(f"multiplier {name} has shape {np.shape(mult)}, expected {g.out_shape}")
     grad = lagrangian_rgrad(p, x, y, z)  # rejects an omitted z with Q
     g1 = p.g1.value(x.ambient)
     theta_block = g1 - prox(p.theta, g1 + np.asarray(y))

@@ -40,7 +40,7 @@ from ralm.problems import (
     sphere_l1_problem,
     tilted_instance,
 )
-from ralm.solver import ALMConfig, alm_run, kkt_blocks, kkt_residual
+from ralm.solver import ALMConfig, ALMResult, alm_run, kkt_blocks, kkt_residual
 
 from helpers import ray_cone_instance
 
@@ -510,6 +510,18 @@ class TestCalmnessProbe:
         rep = calmness_probe(p, x, y, z, radii=(1e-2, 1e-3), trials_per_radius=5, seed=0)
         assert all(r.failures == 0 for r in rep.records)
         assert np.isfinite(rep.kappa_hat)
+
+    def test_not_bounded_without_a_converged_trial(self, monkeypatch):
+        def failing(p, config, x0, y0=None, z0=None, reference=None):
+            return ALMResult("max_outer", x0, y0, z0, [])
+
+        monkeypatch.setattr(analysis, "alm_run", failing)
+        p = circle_problem()
+        x, y, z = circle_solution()
+        rep = calmness_probe(p, x, y, z, radii=(1e-2, 1e-3), trials_per_radius=3)
+        assert [r.failures for r in rep.records] == [3, 3]
+        assert np.isnan(rep.kappa_hat)
+        assert not rep.bounded
 
     def test_requires_polished_point(self):
         p = circle_problem()

@@ -132,7 +132,7 @@ WRITTEN_FILES = {
     "figure1": ["figure1.csv", "figure1.gp", "summary.txt"],
     "sphere-l1": ["conditions.txt", "history.csv", "summary.txt"],
     "rmc": ["history.csv", "summary.txt"],
-    "analyze": ["conditions.txt", "probe.csv", "summary.txt"],
+    "analyze": ["conditions.txt", "history.csv", "probe.csv", "summary.txt"],
 }
 
 
@@ -760,6 +760,14 @@ class TestAnalyzeCommand:
         c1 = float(summary.split("errorbound_c1 = ")[1].splitlines()[0])
         assert c1 > 0
 
+    def test_history_matches_solve(self, tmp_path):
+        rows = []
+        for command in ("analyze", "solve"):
+            out = tmp_path / command
+            assert main([command, "--family", "circle", "--out", str(out)]) == EXIT_OK
+            rows.append(strip_wall_time(read_csv(out / "history.csv")))
+        assert rows[0] == rows[1]
+
     def test_partial_solve_says_why_it_stopped(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["analyze", "--family", "circle", "--max-outer", "1", "--out", str(out)])
@@ -769,11 +777,11 @@ class TestAnalyzeCommand:
         summary = (out / "summary.txt").read_text()
         assert "status = partial-convergence" in summary
         assert "stop_reason = max_outer" in summary
-        assert sorted(p.name for p in out.iterdir()) == ["summary.txt"]
+        assert sorted(p.name for p in out.iterdir()) == ["history.csv", "summary.txt"]
 
     @pytest.mark.parametrize(
         "argv, files",
-        [(["analyze", "--family", "circle"], ["summary.txt"]),
+        [(["analyze", "--family", "circle"], ["history.csv", "summary.txt"]),
          (["sphere-l1", "--mode", "builtin5x5"], ["history.csv", "summary.txt"])],
         ids=["analyze", "sphere-l1"],
     )

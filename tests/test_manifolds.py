@@ -418,15 +418,25 @@ class TestFactoredTangent:
         assert tangent_norm(-0.3 * xi) == pytest.approx(0.3 * dense, rel=1e-13)
 
     @pytest.mark.parametrize("m,n,r", FACTOR_SIZES)
-    def test_scaled_copy_shares_the_dense_matrix(self, m, n, r):
+    def test_scaled_copy_scales_the_dense_matrix(self, m, n, r):
         manifold = FixedRank(m, n, r)
         rng = np.random.default_rng(3)
         x = random_point(manifold, rng)
         xi = tangent_vector(manifold, x, rng.standard_normal((m, n)))
         scaled = -0.25 * xi
         np.testing.assert_array_equal(scaled.u_p, -0.25 * xi.u_p)
-        assert np.array_equal(np.asarray(scaled), -0.25 * np.asarray(xi))
-        assert np.asarray(xi) is np.asarray(xi)
+        dense = np.asarray(xi)
+        assert np.linalg.norm(np.asarray(scaled) + 0.25 * dense) <= 1e-14 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("m,n,r", FACTOR_SIZES)
+    def test_dense_matrix_is_the_product_of_its_own_factors(self, m, n, r):
+        manifold = FixedRank(m, n, r)
+        rng = np.random.default_rng(4)
+        x = random_point(manifold, rng)
+        xi = tangent_vector(manifold, x, rng.standard_normal((m, n)))
+        for vec in (xi, -0.25 * xi, 3.0 * (0.5 * xi)):
+            left, right = vec.factors()
+            assert np.array_equal(np.asarray(vec), left @ right.T)
 
     # min(m, n) <= 50 takes the dense-SVD branch, 200 x 200 the orthographic
     # retraction

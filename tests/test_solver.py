@@ -81,6 +81,18 @@ class TestKKTResidual:
         with pytest.raises(ValueError, match="set constraint"):
             update_multipliers(p, x, y, None, 1.0)
 
+    def test_multiplier_of_the_wrong_shape_is_rejected(self):
+        p = sphere_l1_problem(SPHERE_L1_DEMO_A, 0.25)
+        x0 = sphere_point(np.ones(5) / np.sqrt(5))
+        y = np.array([0.3])
+        with pytest.raises(ValueError, match=r"multiplier y has shape \(1,\), expected \(5,\)"):
+            kkt_residual(p, x0, y)
+        with pytest.raises(ValueError, match="multiplier y"):
+            alm_run(p, ALMConfig(), x0, y0=y)
+        circle = circle_problem()
+        with pytest.raises(ValueError, match=r"multiplier z has shape \(3,\), expected \(1,\)"):
+            alm_run(circle, ALMConfig(), sphere_point([1.0, 0.0]), z0=np.zeros(3))
+
     def test_nonnegative_on_random_triples(self):
         p = sphere_l1_problem(np.eye(4), 0.5)
         rng = np.random.default_rng(0)
