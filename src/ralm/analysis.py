@@ -51,10 +51,14 @@ class KKTTriple:
 
 
 def polish_kkt(p: ProblemInstance, x: Point, y, z=None, tol: float = 1e-10) -> KKTTriple:
-    """Refine an approximate KKT triple with a tight warm-started run."""
+    """Refine an approximate KKT triple with a tight warm-started run; a run
+    that ends above its k = 0 residual hands back the input triple."""
     cfg = ALMConfig(rho0=100.0, kkt_tol=tol, max_outer=400)
     res = alm_run(p, cfg, x, y, z)
-    return KKTTriple(res.x, res.y, res.z, res.history[-1].kkt_residual)
+    start, end = res.history[0].kkt_residual, res.history[-1].kkt_residual
+    if end > start:
+        return KKTTriple(x, y, z, start)
+    return KKTTriple(res.x, res.y, res.z, end)
 
 
 def check_condition_size(p: ProblemInstance) -> None:

@@ -10,7 +10,8 @@ non-finite KKT residual, an allocation NumPy refuses or an analysis instance
 above the size cap, 2 partial convergence or failed polish (one stderr line
 says why), 3 a reproduction check failed (known-solution mismatch,
 rate-ordering violation).  Exits 2 and 3 leave a command as ``_Stop``, which
-``main`` turns into the stderr line and the code.
+``main`` turns into the stderr line and the code.  Commands fill one summary
+dict as they go; ``main`` writes it once, on every exit where it is not empty.
 """
 from __future__ import annotations
 
@@ -120,12 +121,16 @@ HISTORY_COLUMNS = {
 }
 
 
-def write_history_csv(path: Path, history) -> None:
+def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(HISTORY_COLUMNS)
-        for rec in history:
-            writer.writerow([_fmt(getattr(rec, name)) for name in HISTORY_COLUMNS.values()])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_history_csv(path: Path, history) -> None:
+    rows = ([_fmt(getattr(rec, name)) for name in HISTORY_COLUMNS.values()] for rec in history)
+    _write_csv(path, HISTORY_COLUMNS, rows)
 
 
 def write_summary(path: Path, entries: dict) -> None:
@@ -147,14 +152,10 @@ def write_conditions(path: Path, report) -> None:
 
 
 def write_probe_csv(path: Path, calm, ebfit) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["record", "radius", "trial", "ratio", "dist", "residual"])
-        for rec in calm.records:
-            for i, ratio in enumerate(rec.ratios):
-                writer.writerow(["calmness", _fmt(rec.radius), i, _fmt(ratio), "", ""])
-        for i, (dist, res) in enumerate(ebfit.samples):
-            writer.writerow(["errorbound", "", i, "", _fmt(dist), _fmt(res)])
+    rows = [["calmness", _fmt(rec.radius), i, _fmt(ratio), "", ""]
+            for rec in calm.records for i, ratio in enumerate(rec.ratios)]
+    rows += [["errorbound", "", i, "", _fmt(dist), _fmt(res)] for i, (dist, res) in enumerate(ebfit.samples)]
+    _write_csv(path, ["record", "radius", "trial", "ratio", "dist", "residual"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +180,11 @@ def _not_converged(command: str, reason: str) -> _Stop:
     return _Stop(EXIT_PARTIAL, f"{command}: the solve did not converge (stop reason {reason})")
 
 
-def _solve(command: str, cfg: RunConfig, out: Path, conditions: bool = False):
-    """Solve the instance ``cfg`` names, write history.csv and return
-    (problem, result, summary entries).  With ``conditions``, an instance
-    too large for the condition checks is refused before the solve; a
-    partial solve writes the entries as the summary and stops ``command``."""
+def _solve(command: str, cfg: RunConfig, out: Path, summary: dict, conditions: bool = False):
+    """Solve the instance ``cfg`` names, write history.csv, add the solve's
+    entries to ``summary`` and return (problem, result).  With
+    ``conditions``, an instance too large for the condition checks is
+    refused before the solve; a partial solve stops ``command``."""
     p, x0, ref, a_exact = build_problem(cfg)
     if conditions:
         check_condition_size(p)
@@ -192,7 +193,7 @@ def _solve(command: str, cfg: RunConfig, out: Path, conditions: bool = False):
     elapsed = time.perf_counter() - t0
     write_history_csv(out / "history.csv", res.history)
     comps = kkt_residual_components(p, res.x, res.y, res.z)
-    entries = {
+    summary.update({
         "family": p.label,
         "status": _status(res),
         "stop_reason": res.reason,
@@ -201,70 +202,54 @@ def _solve(command: str, cfg: RunConfig, out: Path, conditions: bool = False):
         "max_kkt_residual": float(max(comps)),
         "sum_kkt_residual": float(sum(comps)),
         "objective": objective_value(p, res.x),
-    }
+    })
     if a_exact is not None:
-        entries["recovery_error"] = float(np.linalg.norm(res.x.ambient - a_exact))
-        entries["m"], entries["n"] = a_exact.shape
-        entries["r"] = p.manifold.r
+        summary["recovery_error"] = float(np.linalg.norm(res.x.ambient - a_exact))
+        summary["m"], summary["n"] = a_exact.shape
+        summary["r"] = p.manifold.r
     if not res.converged:
-        write_summary(out / "summary.txt", entries)
         raise _not_converged(command, res.reason)
-    return p, res, entries
+    return p, res
 
 
-def cmd_solve(command: str, cfg: RunConfig, out: Path) -> int:
-    _, _, entries = _solve(command, cfg, out)
-    write_summary(out / "summary.txt", entries)
+def cmd_solve(command: str, cfg: RunConfig, out: Path, summary: dict) -> None:
+    _solve(command, cfg, out, summary)
     if instance_settings(cfg)[0] == "basic5x5" and (
-        entries["recovery_error"] > 1e-6 or entries["max_kkt_residual"] > 1e-7
+        summary["recovery_error"] > 1e-6 or summary["max_kkt_residual"] > 1e-7
     ):
-        raise _Stop(
-            EXIT_CHECK_FAILED,
-            f"rmc basic5x5 check failed: recovery {entries['recovery_error']:.3e}, "
-            f"max residual {entries['max_kkt_residual']:.3e}",
-        )
-    return EXIT_OK
+        raise _Stop(EXIT_CHECK_FAILED, f"rmc basic5x5 check failed: recovery {summary['recovery_error']:.3e}, "
+                                       f"max residual {summary['max_kkt_residual']:.3e}")
 
 
-def cmd_figure1(command: str, cfg: RunConfig, out: Path) -> int:
+def cmd_figure1(command: str, cfg: RunConfig, out: Path, summary: dict) -> None:
     # figure1 takes no setting: cfg is the default, the circle
     p, x0, ref, _ = build_problem(cfg)
     results = [alm_run(p, figure1_config(rho), x0, reference=ref) for rho in FIGURE1_RHOS]
 
-    header = ["k"]
-    for rho in FIGURE1_RHOS:
-        header += [f"R_rho{rho:g}", f"dist_rho{rho:g}"]
-    n_rows = max(len(r.history) for r in results)
-    with open(out / "figure1.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(n_rows):
-            row = [k]
-            for res in results:
-                if k < len(res.history):
-                    rec = res.history[k]
-                    row += [_fmt(rec.kkt_residual), _fmt(rec.dist_to_reference)]
-                else:
-                    row += ["", ""]
-            writer.writerow(row)
+    header = ["k", *(f"{col}_rho{rho:g}" for rho in FIGURE1_RHOS for col in ("R", "dist"))]
+    rows = []
+    for k in range(max(len(r.history) for r in results)):
+        row = [k]
+        for res in results:
+            rec = res.history[k] if k < len(res.history) else None
+            row += [_fmt(rec.kkt_residual), _fmt(rec.dist_to_reference)] if rec else ["", ""]
+        rows.append(row)
+    _write_csv(out / "figure1.csv", header, rows)
     _write_figure1_gnuplot(out / "figure1.gp")
 
     fits = [fit_log_linear(figure1_tail(res.history)) for res in results]
-    entries = {}
     for rho, res, (slope, r2) in zip(FIGURE1_RHOS, results, fits):
-        entries[f"rho{rho:g}_status"] = _status(res)
-        entries[f"rho{rho:g}_slope"] = slope
-        entries[f"rho{rho:g}_r2"] = r2
+        summary[f"rho{rho:g}_status"] = _status(res)
+        summary[f"rho{rho:g}_slope"] = slope
+        summary[f"rho{rho:g}_r2"] = r2
     slopes = [f[0] for f in fits]
     ordered = all(slopes[i + 1] < slopes[i] for i in range(len(slopes) - 1))
-    entries["slopes_strictly_decreasing"] = ordered
-    write_summary(out / "summary.txt", entries)
+    summary["slopes_strictly_decreasing"] = ordered
     failed = [f"{res.reason} at rho {rho:g}" for rho, res in zip(FIGURE1_RHOS, results) if not res.converged]
     if failed:
         raise _not_converged(command, ", ".join(failed))
     if not ordered:
         raise _Stop(EXIT_CHECK_FAILED, f"{command}: fitted slopes are not strictly decreasing in rho")
-    return EXIT_OK
 
 
 def _write_figure1_gnuplot(path: Path) -> None:
@@ -286,62 +271,46 @@ def _write_figure1_gnuplot(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _polish_and_check(command: str, p, res, entries: dict, out: Path, tol: float):
-    """Polish a converged solve to ``tol``, write conditions.txt and return
-    (triple, report); past ``POLISHED_KKT_GATE``, write the solve ``entries``
-    and ``polished_residual`` as the summary and stop ``command`` with exit 2."""
+def _polish_and_check(command: str, p, res, summary: dict, out: Path, tol: float):
+    """Polish a converged solve to ``tol`` (past ``POLISHED_KKT_GATE``, exit 2),
+    write conditions.txt, add ``polished_residual``, ``msrcq`` and ``msosc``
+    to ``summary`` and return the polished triple."""
     trip = polish_kkt(p, res.x, res.y, res.z, tol=tol)
+    summary["polished_residual"] = trip.residual
     if trip.residual > POLISHED_KKT_GATE:
-        write_summary(out / "summary.txt", {**entries, "polished_residual": trip.residual})
         raise _Stop(EXIT_PARTIAL, f"{command}: polish failed: residual {trip.residual:.3e}")
     report = condition_report(p, trip.x, trip.y, trip.z)
     write_conditions(out / "conditions.txt", report)
-    report.msosc.raise_if_refused()  # once the file holds the M-SRCQ answer
-    return trip, report
+    summary["msrcq"] = "pass" if report.msrcq.passed else "fail"
+    summary["msosc"] = report.msosc.status
+    report.msosc.raise_if_refused()  # once the files hold the M-SRCQ answer
+    return trip
 
 
-def cmd_sphere_l1(command: str, cfg: RunConfig, out: Path) -> int:
-    p, res, entries = _solve(command, cfg, out, conditions=True)
-    trip, report = _polish_and_check(command, p, res, entries, out, tol=1e-10)
-    entries["msrcq"] = "pass" if report.msrcq.passed else "fail"
-    entries["msosc"] = report.msosc.status
-    failure = None
+def cmd_sphere_l1(command: str, cfg: RunConfig, out: Path, summary: dict) -> None:
+    p, res = _solve(command, cfg, out, summary, conditions=True)
+    trip = _polish_and_check(command, p, res, summary, out, tol=1e-10)
     if instance_settings(cfg)[0] == "builtin5x5":
         x = trip.x.ambient
         sign = 1.0 if x[1] >= 0 else -1.0
-        e2 = np.zeros(x.size)
-        e2[1] = 1.0
+        e2 = np.eye(x.size)[1]
         x_err = float(np.linalg.norm(np.abs(x) - e2))
         y_err = float(np.linalg.norm(trip.y - sign * p.theta.mu * e2))
-        entries["x_abs_error"] = x_err
-        entries["multiplier_error"] = y_err
-        if x_err > 1e-6 or y_err > 1e-6 or not report.msrcq.passed:
-            failure = (f"sphere-l1 builtin5x5 check failed: x error {x_err:.3e}, "
-                       f"multiplier error {y_err:.3e}, msrcq {entries['msrcq']}")
-    write_summary(out / "summary.txt", entries)
-    if failure:
-        raise _Stop(EXIT_CHECK_FAILED, failure)
-    return EXIT_OK
+        summary["x_abs_error"], summary["multiplier_error"] = x_err, y_err
+        if x_err > 1e-6 or y_err > 1e-6 or summary["msrcq"] != "pass":
+            raise _Stop(EXIT_CHECK_FAILED, f"sphere-l1 builtin5x5 check failed: x error {x_err:.3e}, "
+                                           f"multiplier error {y_err:.3e}, msrcq {summary['msrcq']}")
 
 
-def cmd_analyze(command: str, cfg: RunConfig, out: Path) -> int:
-    p, res, entries = _solve(command, cfg, out, conditions=True)
-    trip, report = _polish_and_check(command, p, res, entries, out, tol=1e-12)
+def cmd_analyze(command: str, cfg: RunConfig, out: Path, summary: dict) -> None:
+    p, res = _solve(command, cfg, out, summary, conditions=True)
+    trip = _polish_and_check(command, p, res, summary, out, tol=1e-12)
     seed = cfg.seed if cfg.seed is not None else 0
     calm = calmness_probe(p, trip.x, trip.y, trip.z, seed=seed)
+    summary["kappa_hat"], summary["kappa_bounded"] = calm.kappa_hat, calm.bounded
     ebfit = error_bound_fit(p, trip.x, trip.y, trip.z, seed=seed)
+    summary["errorbound_c1"], summary["errorbound_c2"] = ebfit.c1, ebfit.c2
     write_probe_csv(out / "probe.csv", calm, ebfit)
-    write_summary(out / "summary.txt", {
-        **entries,
-        "polished_residual": trip.residual,
-        "msrcq": "pass" if report.msrcq.passed else "fail",
-        "msosc": report.msosc.status,
-        "kappa_hat": calm.kappa_hat,
-        "kappa_bounded": calm.bounded,
-        "errorbound_c1": ebfit.c1,
-        "errorbound_c2": ebfit.c2,
-    })
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +372,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    summary = {}
     try:
         args = make_parser().parse_args(argv)
         # figure1 takes no --config
@@ -410,8 +380,12 @@ def main(argv=None) -> int:
         cfg = apply_flag_overrides(cfg, args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        handler = COMMANDS[args.command][0]
-        return handler(args.command, cfg, out)
+        try:
+            COMMANDS[args.command][0](args.command, cfg, out, summary)
+        finally:
+            if summary:
+                write_summary(out / "summary.txt", summary)
+        return EXIT_OK
     except _Stop as stop:
         print(stop, file=sys.stderr)
         return stop.code

@@ -601,6 +601,14 @@ class TestBuiltinFamilyProbes:
         # polish_kkt reads R from the run's last record: the same float
         assert kkt_residual(p, trip.x, trip.y, trip.z) == trip.residual
 
+    def test_stalled_polish_hands_back_its_start(self):
+        # at mu = 1e6 the warm-started polish stalls above the solve's residual
+        p, x0, _, _ = build_problem(RunConfig(family="sphere-l1", mode="random", n=4, mu=1e6))
+        res = alm_run(p, ALMConfig(), x0)
+        trip = polish_kkt(p, res.x, res.y, res.z, tol=1e-10)
+        assert trip.residual <= kkt_residual(p, res.x, res.y, res.z)
+        assert kkt_residual(p, trip.x, trip.y, trip.z) == trip.residual
+
     def test_error_bound_positive_for_all_families(self):
         p_c = circle_problem()
         x, y, z = circle_solution()

@@ -1,13 +1,19 @@
+import argparse
+import contextlib
 import csv
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ralm.analysis
 import ralm.cli
@@ -22,6 +28,7 @@ from ralm.cli import (
     write_conditions,
 )
 from ralm.config import (
+    FAMILIES,
     PROBLEM_KEYS,
     ConfigError,
     RunConfig,
@@ -160,13 +167,15 @@ class TestCommandOutputs:
             ["figure1", "--out", "{tmp}/file"],
             ["figure1", "--out", "{tmp}/file/sub"],
             ["solve", "--config", "{tmp}"],
+            ["solve", "--out", "{tmp}/busy"],
         ],
         ids=["unknown-flag", "bad-choice", "bad-int", "removed-jobs", "removed-fixed-rho",
              "prefix-of-a-flag", "removed-tau", "out-is-a-file", "out-under-a-file",
-             "config-is-a-directory"],
+             "config-is-a-directory", "summary-is-a-directory"],
     )
     def test_usage_error_exits_one_line(self, tmp_path, capsys, argv):
         (tmp_path / "file").write_text("")
+        (tmp_path / "busy" / "summary.txt").mkdir(parents=True)
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         if "--out" not in argv:
             argv += ["--out", str(tmp_path / "o")]
@@ -588,6 +597,7 @@ class TestSphereL1Command:
         summary = (out / "summary.txt").read_text()
         assert "msrcq = pass" in summary
         assert "msosc = vacuous" in summary
+        assert "polished_residual = " in summary
         assert (out / "conditions.txt").exists()
 
     def test_random_mode_runs_conditions(self, tmp_path):
@@ -782,17 +792,21 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize(
         "argv, files",
         [(["analyze", "--family", "circle"], ["history.csv", "summary.txt"]),
-         (["sphere-l1", "--mode", "builtin5x5"], ["history.csv", "summary.txt"])],
-        ids=["analyze", "sphere-l1"],
+         (["sphere-l1", "--mode", "builtin5x5"], ["history.csv", "summary.txt"]),
+         # here the polish stalls above the solve's residual by itself
+         (["sphere-l1", "--mode", "random", "--n", "4", "--mu", "1e6"], ["history.csv", "summary.txt"])],
+        ids=["analyze", "sphere-l1", "sphere-l1-stalled"],
     )
     def test_failed_polish_writes_the_solve_summary(self, tmp_path, capsys, monkeypatch, argv, files):
         monkeypatch.setattr(ralm.cli, "POLISHED_KKT_GATE", -1.0)
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == EXIT_PARTIAL
-        err = capsys.readouterr().err
-        assert err.startswith(f"{argv[0]}: polish failed: residual ") and err.count("\n") == 1
         summary = (out / "summary.txt").read_text()
-        assert "status = converged" in summary and "polished_residual = " in summary
+        assert "status = converged" in summary
+        polished = float(summary.split("polished_residual = ")[1].splitlines()[0])
+        # the polish never hands back a triple worse than the solve's
+        assert polished <= float(summary.split("sum_kkt_residual = ")[1].splitlines()[0])
+        assert capsys.readouterr().err == f"{argv[0]}: polish failed: residual {polished:.3e}\n"
         assert sorted(p.name for p in out.iterdir()) == files
 
     @pytest.mark.parametrize(
@@ -834,7 +848,70 @@ class TestRefusedMsosc:
         lines = (tmp_path / "conditions.txt").read_text().splitlines()
         assert lines[1].startswith("msrcq = pass (rank 10/10")
         assert lines[2] == f"msosc = refused ({refusal})"
-        assert not (tmp_path / "summary.txt").exists()
+        summary = (tmp_path / "summary.txt").read_text().splitlines()
+        assert {"msrcq = pass", "msosc = refused"} <= set(summary)
+
+
+def parser_flags():
+    """{subcommand: (its parser, {flag: its action})} from make_parser(),
+    without --help, --out and --config."""
+    sub = next(a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: (ps, {a.option_strings[0]: a for a in ps._actions
+                        if a.option_strings and a.dest not in ("help", "out", "config")})
+            for name, ps in sub.choices.items()}
+
+
+FUZZ_FLAGS = parser_flags()
+HOSTILE = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", "abc")
+MODES = (*sorted({mode for modes in FAMILIES.values() for mode in modes if mode}), "xyz")
+
+
+def fuzz_value(draw, action):
+    """A hostile value one time in four, else a plain one or an unknown mode."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(HOSTILE))
+    if action.choices:
+        return draw(st.sampled_from((*action.choices, "xyz")))
+    plain = {int: ("1", "2", "5", "10"), float: ("0.5", "2", "10"), str: MODES}[action.type]
+    return draw(st.sampled_from(plain))
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A subcommand with some of its flags; sizes stay at most 10 and
+    --max-outer at 5 unless drawn."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    ps, flags = FUZZ_FLAGS[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=3)) if flags else []
+    values = {flag: fuzz_value(draw, flags[flag]) for flag in chosen}
+    # a random mode reads sizes up to 200 by default: draw the ones left unset
+    family = values.get("--family", ps.get_default("family") or "circle")
+    for key in FAMILIES.get(family, {}).get(values.get("--mode"), ()):
+        if key in ("m", "n", "r") and "--" + key not in values:
+            values["--" + key] = fuzz_value(draw, flags["--" + key])
+    if "--max-outer" in flags:
+        values.setdefault("--max-outer", "5")
+    return [command, *(arg for item in values.items() for arg in item)]
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(argv=fuzz_argv())
+    def test_every_input_exits_0_to_3_and_fails_on_one_line(self, argv):
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([*argv, "--out", tmp])
+            written = {p.name for p in Path(tmp).iterdir()}
+        err = err.getvalue()
+        assert code in (EXIT_OK, EXIT_ERROR, EXIT_PARTIAL, EXIT_CHECK_FAILED), argv
+        assert "Traceback" not in err, argv
+        if code != EXIT_OK:
+            # a warning would print its own stderr lines
+            assert err.count("\n") == 1 and err.endswith("\n") and not caught, (argv, err)
+        if argv[0] != "figure1":
+            assert ("summary.txt" in written) == ("history.csv" in written), (argv, written)
 
 
 class TestColdStart:

@@ -63,6 +63,8 @@ def test_command_passes_its_check_or_fails_as_known(cmd, tmp_path):
     code = main([*cmd.argv, "--out", str(out)])
     if cmd.known_failure is not None:
         assert workloads.is_known_failure(cmd, code, out)
+        summary = workloads.read_summary(out)
+        assert summary["msrcq"] == "fail" and "polished_residual" in summary
     else:
         assert code == 0
         assert cmd.check(workloads.read_summary(out)) == []
