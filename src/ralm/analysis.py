@@ -12,7 +12,9 @@ The checks operate at (approximate) KKT triples:
   eigenvectors of the form compressed to each face of the cone.
 * ``calmness_probe`` and ``error_bound_fit`` estimate the Lipschitz modulus
   of the KKT solution under perturbations and the two-sided residual bound
-  constants.
+  constants.  The error-bound fit draws its samples one by one and then
+  evaluates all of them in one stacked pass (the stack convention of
+  ``ralm.manifolds``).
 * ``figure1_config``, ``figure1_tail`` and ``fit_log_linear`` run the rate study.
 """
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import Optional
 import numpy as np
 
 from .convex import psi_conjugate
-from .manifolds import Point, distance, norm, project_tangent, retract, tangent_basis
+from .manifolds import Point, distance, item_norm, norm, project_tangent, retract, tangent_basis
 from .problems import ProblemInstance, hess_quadform, rhess_operator, tilted_instance
-from .solver import ALMConfig, alm_run, distance_to_reference, kkt_residual
+from .solver import ALMConfig, alm_run, distance_to_reference, kkt_residual, kkt_residual_components
 
 KKT_GATE = 1e-6
 # the residual a polished triple must reach before the probes run
@@ -135,9 +137,9 @@ def _condition_system(p: ProblemInstance, x: Point, y, z):
     xa = x.ambient
     basis = tangent_basis(p.manifold, x)
     maps = (p.g1,) if p.q is None else (p.g1, p.g2)
-    img = np.column_stack(
-        [np.concatenate([np.ravel(g.jacobian_apply(b)) for g in maps]) for b in basis]
-    )
+    # the basis is a stack of tangent vectors: one Jacobian call per map,
+    # then one row per constraint coordinate
+    img = np.concatenate([g.jacobian_apply(basis).reshape(len(basis), -1) for g in maps], axis=1).T
     masks = _ctheta_generator_signs(p.theta, p.g1.value(xa), y, CONE_TOL)
     if p.q is not None:
         masks_q = _tq_capz_generators(p.q, p.g2.value(xa), z, CONE_TOL)
@@ -200,8 +202,9 @@ class MsoscReport:
 def _null_space(a):
     """Orthonormal basis of the null space of ``a``, by the SVD rule of
     ``scipy.linalg.null_space`` with rcond = 1e-10: singular values above
-    1e-10 * max(s) count as rank."""
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    1e-10 * max(s) count as rank.  A tall ``a`` needs only its thin SVD: its
+    V is square already."""
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     num = int(np.sum(s > np.max(s, initial=0.0) * 1e-10))
     return vh[num:].T
 
@@ -406,33 +409,47 @@ def error_bound_fit(
     radius: float = 0.05,
     seed: int = 0,
 ) -> ErrorBoundFit:
-    """Fit the two-sided constants of dist <= c R and R <= dist / c around a KKT point."""
+    """Fit the two-sided constants of dist <= c R and R <= dist / c around a KKT point.
+
+    Each sample moves x along a random tangent direction by a uniform
+    length below ``radius`` (a zero direction keeps x), and each multiplier
+    by a random vector of such a length.  The samples are drawn one by one,
+    then evaluated as one stack: one retraction, one distance and one KKT
+    residual call for all of them.
+    """
     _require_kkt(p, x, y, z, POLISHED_KKT_GATE)
     rng = np.random.default_rng(seed)
-    y = np.asarray(y, dtype=float)
-    samples = []
-    ratios = []
-    for _ in range(n_samples):
-        xi = project_tangent(p.manifold, x, rng.standard_normal(p.manifold.ambient_shape))
-        nrm = norm(xi)
-        r = rng.uniform(0.0, radius)
-        x_s = retract(p.manifold, x, (r / nrm) * xi) if nrm > 0 else x
-        dy = rng.standard_normal(y.shape)
-        dy *= rng.uniform(0.0, radius) / max(norm(dy), 1e-300)
-        dist_val = distance(p.manifold, x_s, x) + norm(dy)
-        z_s = None
-        if z is not None:
-            dz = rng.standard_normal(np.asarray(z).shape)
-            dz *= rng.uniform(0.0, radius) / max(norm(dz), 1e-300)
-            z_s = np.asarray(z) + dz
-            dist_val += norm(dz)
-        r_val = kkt_residual(p, x_s, y + dy, z_s)
-        samples.append((dist_val, r_val))
-        if r_val > 1e-14:
-            ratios.append(dist_val / r_val)
-    if not ratios:
+    mults = [np.asarray(m, dtype=float) for m in ((y,) if z is None else (y, z))]
+    shapes = [p.manifold.ambient_shape] + [m.shape for m in mults]
+    # sample by sample: a direction and a length for x, then for each multiplier
+    draws = [[(rng.standard_normal(shape), rng.uniform(0.0, radius)) for shape in shapes] for _ in range(n_samples)]
+    # per part: the stacked directions and their lengths
+    (dirs, lengths), *mult_draws = [tuple(map(np.array, zip(*part))) for part in zip(*draws)]
+
+    def per_item(a, shape):  # a (k,) array against a stack of items of ``shape``
+        return a.reshape(a.shape + (1,) * len(shape))
+
+    xi = project_tangent(p.manifold, x, dirs)
+    nrm = item_norm(xi, len(shapes[0]))
+    moved = nrm > 0
+    step = np.divide(lengths, nrm, out=np.zeros_like(nrm), where=moved)
+    x_s = retract(p.manifold, x, per_item(step, shapes[0]) * xi)
+    if not moved.all():  # a zero direction keeps x itself
+        x_s = Point(*(b if a is None else np.where(per_item(moved, b.shape), a, b)
+                      for a, b in zip(vars(x_s).values(), vars(x).values())))
+    dist = distance(p.manifold, x_s, x)
+    shifted = []
+    for mult, (d, length) in zip(mults, mult_draws):
+        d *= per_item(length / np.maximum(item_norm(d, mult.ndim), 1e-300), mult.shape)
+        dist += item_norm(d, mult.ndim)
+        shifted.append(mult + d)
+    res = sum(kkt_residual_components(p, x_s, *shifted))
+    samples = list(zip(dist.tolist(), res.tolist()))
+    kept = res > 1e-14
+    if not kept.any():
         return ErrorBoundFit(float("nan"), float("nan"), samples, degenerate=True)
-    return ErrorBoundFit(c1=min(ratios), c2=max(ratios), samples=samples)
+    ratios = dist[kept] / res[kept]
+    return ErrorBoundFit(c1=float(ratios.min()), c2=float(ratios.max()), samples=samples)
 
 
 # ---------------------------------------------------------------------------

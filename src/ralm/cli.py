@@ -65,18 +65,31 @@ EXIT_PARTIAL = 2
 EXIT_CHECK_FAILED = 3
 
 FIGURE1_RHOS = (1.0, 10.0, 100.0, 1000.0)
+# Dense entries one instance array may hold: RMC's m x n data, mask and
+# iterates, and the sphere's n x n A^T A.  RMC at 2000 x 2000 needs 4e6.
+MAX_INSTANCE_ENTRIES = 25 * 10**6
 
 
 # ---------------------------------------------------------------------------
 # problem builder
 
 
+def _check_instance_size(what: str, entries: int) -> None:
+    if entries > MAX_INSTANCE_ENTRIES:
+        raise ValueError(f"instance too large: {what} needs {entries:.3g} dense entries per array, "
+                         f"above the cap of {MAX_INSTANCE_ENTRIES:.3g}")
+
+
 def build_problem(cfg: RunConfig):
-    """Returns (problem, x0, reference-triple-or-None, exact-matrix-or-None)."""
+    """Returns (problem, x0, reference-triple-or-None, exact-matrix-or-None).
+    An instance above ``MAX_INSTANCE_ENTRIES`` is refused before any of its
+    arrays is allocated."""
     mode, s = instance_settings(cfg)
     if cfg.family == "circle":
         return circle_problem(), sphere_point([1.0, 0.0]), circle_reference(), None
     if cfg.family == "sphere-l1":
+        n = s["n"] if mode == "random" else s["matrix"].shape[0]
+        _check_instance_size(f"sphere-l1 with n = {n}", n * n)
         if mode == "random":
             a = np.random.default_rng(s["seed"]).standard_normal((s["n"], s["n"]))
             p = sphere_l1_problem(a, s["mu"])
@@ -85,6 +98,7 @@ def build_problem(cfg: RunConfig):
         x0 = sphere_point(np.ones(a.shape[0]) / math.sqrt(a.shape[0]))
         return sphere_l1_problem(a, s["mu"]), x0, None, None
     if mode == "random":
+        _check_instance_size(f"rmc {s['m']} x {s['n']}", s["m"] * s["n"])
         a, mask, a_exact = generate_rmc_instance(s["m"], s["n"], s["r"], s["oversample"], s["seed"])
         x0, r = rmc_spectral_init(a, mask, s["r"]), s["r"]
     else:
@@ -329,6 +343,21 @@ COMMANDS = {
 
 
 FLAG_HELP = {"seed": "random seed", "gamma": "penalty growth factor (1 keeps the penalty fixed)"}
+NUMERIC_FLAGS = frozenset("--" + k.replace("_", "-") for k, t in {**PROBLEM_KEYS, **ALM_KEYS}.items() if t is not str)
+
+
+def _attach_dashed_values(argv) -> list:
+    """Join a numeric flag and a following value that starts with "-" into
+    one ``--flag=value`` token.  argparse takes only plain negative numbers
+    such as -1 or -0.5 as values and reads -inf, -nan or -1e3 as an option;
+    joined, such a value reaches its setting's own check."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in NUMERIC_FLAGS and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -374,7 +403,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     summary = {}
     try:
-        args = make_parser().parse_args(argv)
+        args = make_parser().parse_args(_attach_dashed_values(sys.argv[1:] if argv is None else argv))
         # figure1 takes no --config
         cfg = parse_problem_file(args.config) if getattr(args, "config", None) else RunConfig()
         cfg = apply_flag_overrides(cfg, args)

@@ -147,9 +147,10 @@ class Box:
 
 
 def project_set(q: Box, v) -> np.ndarray:
+    """Projection onto Q of v, or of each item of a stack along leading axes."""
     v = np.asarray(v, dtype=float)
-    if v.shape != tuple(q.shape):
-        raise ValueError(f"shape mismatch: expected {tuple(q.shape)}, got {v.shape}")
+    if v.shape[v.ndim - len(q.shape) :] != q.shape:
+        raise ValueError(f"shape mismatch: expected {q.shape}, got {v.shape}")
     return v.clip(q.lower, q.upper)
 
 

@@ -18,6 +18,17 @@ vectors back onto the manifold:
   min(m, n) <= 50, and above that the orthographic retraction, built from
   the tangent factors with r x r factorizations only; the orthographic path
   made the small analysis commands slower, so small sizes keep the SVD.
+
+Stacks.  Every array may carry leading axes, a stack of k items: a stacked
+``Point`` has ``ambient`` of shape (k, *ambient_shape) and, on fixed rank,
+``u`` (k, m, r), ``s`` (k, r) and ``v`` (k, n, r); a stacked
+``FixedRankTangent`` has stacked ``m``, ``u_p`` and ``v_p``.
+``tangent_vector``, ``project_tangent``, ``retract`` and ``distance`` act
+item by item, and a single point broadcasts against a stack of vectors or
+points.  ``item_norm`` is the norm of each item.  A single point is the
+stack-free case of the same code, with the same floating-point operations
+per item, so a stack of k items gives the results of k single calls bit for
+bit.
 """
 from __future__ import annotations
 
@@ -33,6 +44,9 @@ SV_RANK_TOL = 1e-12
 # entrywise orthonormality and relative reconstruction errors of fixed-rank factors
 SPHERE_NORM_TOL = 1e-12
 FACTOR_TOL = 1e-10
+# The least positive float: added to a norm, it changes none above 1e-307
+# and turns a zero norm into a positive divisor.
+_TINY = math.ulp(0.0)
 
 
 class RankDeficiencyError(RuntimeError):
@@ -84,7 +98,8 @@ Manifold = Union[Sphere, FixedRank]
 
 @dataclass(frozen=True)
 class Point:
-    """A feasible point; fixed-rank points also carry their thin-SVD factors."""
+    """A feasible point; fixed-rank points also carry their thin-SVD factors.
+    Leading axes on every array make a stack of points."""
 
     ambient: np.ndarray
     u: Optional[np.ndarray] = None
@@ -111,21 +126,22 @@ def fixed_rank_point_from_factors(u, s, v) -> Point:
     u = np.asarray(u, dtype=float)
     s = np.asarray(s, dtype=float)
     v = np.asarray(v, dtype=float)
-    if np.any(s <= SV_RANK_TOL):
+    if s.min() <= SV_RANK_TOL:
         raise RankDeficiencyError(f"singular value below threshold: min(s) = {s.min():.3e}")
-    ambient = (u * s) @ v.T
+    ambient = (u * s[..., None, :]) @ v.mT
     return Point(ambient=_readonly(ambient), u=_readonly(u), s=_readonly(s), v=_readonly(v))
 
 
 def nearest_rank_r(manifold: FixedRank, ambient) -> Point:
-    """Best rank-r approximation (truncated SVD) of an arbitrary matrix."""
+    """Best rank-r approximation (truncated SVD) of an arbitrary matrix, or
+    of each matrix of a stack."""
     ambient = np.asarray(ambient, dtype=float)
     uu, ss, vvt = np.linalg.svd(ambient, full_matrices=False)
     r = manifold.r
-    if ss[r - 1] <= SV_RANK_TOL:
+    if min(ss[..., r - 1].flat) <= SV_RANK_TOL:
         raise RankDeficiencyError(f"matrix has numerical rank below {r}")
     # copies, so the point does not keep the whole thin SVD alive
-    return fixed_rank_point_from_factors(uu[:, :r].copy(), ss[:r].copy(), vvt[:r].T.copy())
+    return fixed_rank_point_from_factors(uu[..., :r].copy(), ss[..., :r].copy(), vvt[..., :r, :].mT.copy())
 
 
 def check_point(manifold: Manifold, x: Point) -> None:
@@ -155,9 +171,11 @@ def check_point(manifold: Manifold, x: Point) -> None:
 
 
 def _check_shape(manifold: Manifold, arr: np.ndarray) -> np.ndarray:
+    """``arr`` as floats, if its trailing axes are the ambient shape."""
     arr = np.asarray(arr, dtype=float)
-    if arr.shape != manifold.ambient_shape:
-        raise ValueError(f"shape mismatch: expected {manifold.ambient_shape}, got {arr.shape}")
+    shape = manifold.ambient_shape
+    if arr.shape[-len(shape) :] != shape:
+        raise ValueError(f"shape mismatch: expected {shape}, got {arr.shape}")
     return arr
 
 
@@ -183,15 +201,15 @@ class FixedRankTangent:
         """(L, R) with xi = L R^T = [U M + U_p, U] [V, V_p]^T."""
         if self._factors is None:
             u, v = self.x.u, self.x.v
-            self._factors = (
-                np.concatenate((u @ self.m + self.u_p, u), axis=1),
-                np.concatenate((v, self.v_p), axis=1),
-            )
+            left = u @ self.m + self.u_p
+            if left.shape != u.shape:  # a single point's factors meet a stack
+                u, v = np.broadcast_to(u, left.shape), np.broadcast_to(v, self.v_p.shape)
+            self._factors = (np.concatenate((left, u), axis=-1), np.concatenate((v, self.v_p), axis=-1))
         return self._factors
 
     def __array__(self, dtype=None, copy=None):
         left, right = self.factors()
-        out = left @ right.T
+        out = left @ right.mT
         return out if dtype is None else out.astype(dtype, copy=False)
 
 
@@ -205,13 +223,13 @@ def tangent_vector(manifold: Manifold, x: Point, v):
     """
     v = _check_shape(manifold, v)
     if isinstance(manifold, Sphere):
-        return v - x.ambient * float(x.ambient @ v)
+        return v - x.ambient * np.vecdot(x.ambient, v)[..., None]
     # P_U C + C P_V - P_U C P_V in factors: with B = C V, A = C^T U and
     # M = U^T B, U_p = B - U M and V_p = A - V M^T
     u, vv = x.u, x.v
     b = v @ vv
-    m_core = u.T @ b
-    return FixedRankTangent(x, m_core, b - u @ m_core, v.T @ u - vv @ m_core.T)
+    m_core = u.mT @ b
+    return FixedRankTangent(x, m_core, b - u @ m_core, v.mT @ u - vv @ m_core.mT)
 
 
 def project_tangent(manifold: Manifold, x: Point, v) -> np.ndarray:
@@ -224,6 +242,19 @@ def norm(v: np.ndarray) -> float:
     ``np.linalg.norm(v)``, bit for bit, without its dispatch."""
     w = v.ravel(order="K")
     return math.sqrt(w.dot(w))
+
+
+def item_norm(v: np.ndarray, ndim: int, keepdims: bool = False):
+    """``norm`` of each item of a stack whose items are the last ``ndim``
+    axes: an array over the leading axes, followed by ``ndim`` axes of
+    length 1 with ``keepdims`` (so that it scales the items); for a single
+    item, ``norm`` itself, a float.  A C-contiguous item's norm is ``norm``
+    of that item, bit for bit."""
+    if v.ndim == ndim:
+        return norm(v)
+    w = v.reshape(v.shape[: v.ndim - ndim] + (-1,))
+    out = np.sqrt(np.vecdot(w, w))
+    return out.reshape(out.shape + (1,) * ndim) if keepdims else out
 
 
 def tangent_norm(xi) -> float:
@@ -254,11 +285,11 @@ def weingarten(manifold: Manifold, x: Point, g, xi) -> np.ndarray:
 
 
 def _sphere_exp(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    nrm = norm(xi)
-    if nrm == 0.0:
-        return x.copy()
-    out = np.cos(nrm) * x + np.sin(nrm) * (xi / nrm)
-    return out / norm(out)  # kill norm drift over long iterations
+    nrm = item_norm(xi, 1, keepdims=True)
+    # a zero vector takes no step, and x comes back up to rounding
+    out = np.cos(nrm) * x + np.sin(nrm) * (xi / (nrm + _TINY))
+    out /= item_norm(out, 1, keepdims=True)  # kill norm drift over long iterations
+    return out
 
 
 def _fixed_rank_retract(manifold: FixedRank, x: Point, xi) -> Point:
@@ -275,22 +306,26 @@ def _fixed_rank_retract(manifold: FixedRank, x: Point, xi) -> Point:
     if not isinstance(xi, FixedRankTangent):
         xi = tangent_vector(manifold, x, xi)
     k = xi.m.copy()
-    k.flat[:: manifold.r + 1] += x.s
+    k.reshape(k.shape[:-2] + (-1,))[..., :: manifold.r + 1] += x.s  # each item's diagonal, in place
     try:
         k_inv = np.linalg.inv(k)
         left = x.u + xi.u_p @ k_inv
-        right = x.v + xi.v_p @ k_inv.T
-        chol = np.linalg.cholesky(np.array((left.T @ left, right.T @ right)))
-        w, s_new, zt = np.linalg.svd(chol[0].T @ k @ chol[1])
-        rot = np.linalg.solve(chol.transpose(0, 2, 1), np.array((w, zt.T)))
+        right = x.v + xi.v_p @ k_inv.mT
+        # the pair (left, right) is the leading axis, ahead of a stack's
+        chol = np.linalg.cholesky(np.array((left.mT @ left, right.mT @ right)))
+        w, s_new, zt = np.linalg.svd(chol[0].mT @ k @ chol[1])
+        rot = np.linalg.solve(chol.mT, np.array((w, zt.mT)))
     except np.linalg.LinAlgError:  # K or a factor is singular
         raise RankDeficiencyError("retraction dropped rank") from None
-    if not s_new[-1] > SV_RANK_TOL:
+    if not min(s_new[..., -1].flat) > SV_RANK_TOL:  # the least of the items' last values
         raise RankDeficiencyError("retraction dropped rank")
     u_new, v_new = left @ rot[0], right @ rot[1]
     # s_new is checked above, so skip fixed_rank_point_from_factors' checks
     return Point(
-        ambient=_readonly((u_new * s_new) @ v_new.T), u=_readonly(u_new), s=_readonly(s_new), v=_readonly(v_new)
+        ambient=_readonly((u_new * s_new[..., None, :]) @ v_new.mT),
+        u=_readonly(u_new),
+        s=_readonly(s_new),
+        v=_readonly(v_new),
     )
 
 
@@ -303,7 +338,7 @@ def retract(manifold: Manifold, x: Point, xi) -> Point:
     orthographic retraction from the factors of xi, which agrees with the
     metric projection to third order in xi and costs O((m + n) r^2) plus
     one r x r SVD.  Both raise RankDeficiencyError where the result would
-    drop below rank r.
+    drop below rank r, for a stack where any item would.
     """
     if isinstance(xi, FixedRankTangent):
         if xi.x is not x:
@@ -337,12 +372,12 @@ def bb_pair(x: Point, x_new: Point, grad, grad_new, t: float, gn: float, gn_new:
     return float((s_vec * s_vec).sum()), float((s_vec * y_vec).sum()), float(y_vec @ y_vec)
 
 
-def distance(manifold: Manifold, x: Point, y: Point) -> float:
-    """Geodesic distance on the sphere; ambient Frobenius surrogate on fixed rank."""
+def distance(manifold: Manifold, x: Point, y: Point):
+    """Geodesic distance on the sphere; ambient Frobenius surrogate on fixed
+    rank.  One distance per item of a stack."""
     if isinstance(manifold, Sphere):
-        c = float(np.clip(x.ambient @ y.ambient, -1.0, 1.0))
-        return float(np.arccos(c))
-    return norm(x.ambient - y.ambient)
+        return np.arccos(np.clip(np.vecdot(x.ambient, y.ambient), -1.0, 1.0))
+    return item_norm(x.ambient - y.ambient, 2)
 
 
 def random_point(manifold: Manifold, seed) -> Point:

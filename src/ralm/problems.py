@@ -8,6 +8,13 @@ with an inequality constraint (``circle_problem``), an l1-penalised quadratic
 on the sphere (``sphere_l1_problem``), and robust matrix completion on the
 fixed-rank manifold (``rmc_problem``).  The instance data of the experiments (the circle's KKT
 triple, the RMC instances and their initial point) live here too.
+
+Every map and objective takes a stack along leading axes (see
+``ralm.manifolds``): ``value_grad`` of a stack of points returns one value per
+point and the stacked gradients, and ``jacobian_apply``, ``jacobian_adjoint``
+and ``ehess_apply`` map each item.  ``lagrangian_rgrad`` at a stacked point,
+with stacked multipliers, gives the stacked gradients.  A single point is the
+stack-free case, with the same floating-point operations.
 """
 from __future__ import annotations
 
@@ -62,7 +69,8 @@ class Objective:
     """The smooth term f in ambient coordinates: ``value_grad(x)`` returns
     (f(x), egrad f(x)) from one call, since the two share work (A^T A x on
     the sphere) and the merit wants both at each trial point;
-    ``ehess_apply(x, xi)`` is the Euclidean Hessian of f at x applied to xi."""
+    ``ehess_apply(x, xi)`` is the Euclidean Hessian of f at x applied to xi.
+    On a stack of points f(x) has one value per point."""
 
     value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
     ehess_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -83,6 +91,11 @@ class ProblemInstance:
             raise ValueError("g2 and Q must be supplied together")
         if self.g2 is not None and self.g2.out_shape != tuple(self.q.shape):
             raise ValueError("g2 output shape inconsistent with Q")
+
+
+def _per_point(value):
+    """f at a single point as a float; at a stack of points, one value per point."""
+    return float(value) if value.ndim == 0 else value
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +184,20 @@ def rmc_spectral_init(a, mask, r) -> Point:
 
 def circle_problem() -> ProblemInstance:
     """min x2^2 + |x1 - x2|  s.t.  2 x1 + x2 >= 0  on the unit circle."""
+    d2f = np.array([0.0, 2.0])  # the Hessian's diagonal: egrad f(x) = d2f * x
     f = Objective(
-        value_grad=lambda x: (float(x[1] ** 2), np.array([0.0, 2.0 * x[1]])),
-        ehess_apply=lambda x, xi: np.array([0.0, 2.0 * xi[1]]),
+        value_grad=lambda x: (_per_point(x[..., 1] ** 2), d2f * x),
+        ehess_apply=lambda x, xi: d2f * xi,
     )
+    d1, d2 = np.array([1.0, -1.0]), np.array([2.0, 1.0])  # the rows of Dg1, Dg2
     g1 = SmoothMap(
-        jacobian_apply=lambda xi: np.array([xi[0] - xi[1]]),
-        jacobian_adjoint=lambda y: float(y[0]) * np.array([1.0, -1.0]),
+        jacobian_apply=lambda xi: xi[..., :1] - xi[..., 1:],
+        jacobian_adjoint=lambda y: y[..., :1] * d1,
         offset=np.zeros(1),
     )
     g2 = SmoothMap(
-        jacobian_apply=lambda xi: np.array([2.0 * xi[0] + xi[1]]),
-        jacobian_adjoint=lambda z: float(z[0]) * np.array([2.0, 1.0]),
+        jacobian_apply=lambda xi: 2.0 * xi[..., :1] + xi[..., 1:],
+        jacobian_adjoint=lambda z: z[..., :1] * d2,
         offset=np.zeros(1),
     )
     return ProblemInstance(
@@ -205,10 +220,10 @@ def sphere_l1_problem(a, mu: float) -> ProblemInstance:
     ata = a.T @ a
 
     def value_grad(x):
-        g = ata @ x
-        return float(-x @ g), -2.0 * g
+        g = np.matvec(ata, x)
+        return _per_point(np.vecdot(-x, g)), -2.0 * g
 
-    f = Objective(value_grad=value_grad, ehess_apply=lambda x, xi: -2.0 * (ata @ xi))
+    f = Objective(value_grad=value_grad, ehess_apply=lambda x, xi: -2.0 * np.matvec(ata, xi))
     g1 = SmoothMap(
         jacobian_apply=lambda xi: xi.copy(),
         jacobian_adjoint=lambda y: y.copy(),
@@ -233,7 +248,13 @@ def rmc_problem(a, mask, r: int) -> ProblemInstance:
     proj = mask.astype(float)
     zero = np.zeros((m, n))
     zero.setflags(write=False)
-    f = Objective(value_grad=lambda x: (0.0, zero), ehess_apply=lambda x, xi: zero)
+
+    def value_grad(x):  # f = 0: a zero value per point and a zero gradient
+        if x.shape == zero.shape:  # the solver's case, without a broadcast view
+            return 0.0, zero
+        return np.zeros(x.shape[:-2]), np.broadcast_to(zero, x.shape)
+
+    f = Objective(value_grad=value_grad, ehess_apply=lambda x, xi: np.broadcast_to(zero, xi.shape))
     g1 = SmoothMap(
         jacobian_apply=lambda xi: proj * xi,
         jacobian_adjoint=lambda y: proj * y,  # masking is self-adjoint
@@ -262,7 +283,7 @@ def require_set_multiplier(p: ProblemInstance, z, name: str) -> None:
 
 def lagrangian_rgrad(p: ProblemInstance, x: Point, y, z=None) -> np.ndarray:
     """Riemannian gradient of L(., y, z): projected ambient gradient (z
-    required with Q)."""
+    required with Q).  Stacked points and multipliers give stacked gradients."""
     require_set_multiplier(p, z, "z")
     g = p.f.value_grad(x.ambient)[1] + p.g1.jacobian_adjoint(np.asarray(y, dtype=float))
     if p.g2 is not None:
@@ -398,11 +419,12 @@ def tilted_instance(p: ProblemInstance, a=None, b=None, c=None) -> ProblemInstan
     new = p
     if a is not None:
         a = np.asarray(a, dtype=float)
+        item_axes = tuple(range(-a.ndim, 0))
         f0 = p.f
 
         def value_grad(x):
             val, grad = f0.value_grad(x)
-            return val - float((a * x).sum()), grad - a
+            return _per_point(val - (a * x).sum(axis=item_axes)), grad - a
 
         new = replace(new, f=replace(f0, value_grad=value_grad))
     if b is not None:

@@ -29,6 +29,7 @@ from .manifolds import (
     bb_pair,
     check_point,
     distance,
+    item_norm,
     norm,
     retract,
     tangent_norm,
@@ -142,10 +143,15 @@ def kkt_blocks(p: ProblemInstance, x: Point, y, z=None):
     stationarity:  grad_x L(x, y, z)
     theta block:   g1(x) - prox_theta(g1(x) + y)
     set block:     g2(x) - proj_Q(g2(x) + z)   (None without Q; z required with Q)
+
+    A stacked x, y or z (leading axes) gives stacked blocks.
     """
     for name, mult, g in (("y", y, p.g1), ("z", z, p.g2)):
-        if g is not None and mult is not None and np.shape(mult) != g.out_shape:
-            raise ValueError(f"multiplier {name} has shape {np.shape(mult)}, expected {g.out_shape}")
+        if g is None or mult is None:
+            continue
+        shape, want = np.shape(mult), g.out_shape
+        if shape[len(shape) - len(want) :] != want:
+            raise ValueError(f"multiplier {name} has shape {shape}, expected {want}")
     grad = lagrangian_rgrad(p, x, y, z)  # rejects an omitted z with Q
     g1 = p.g1.value(x.ambient)
     theta_block = g1 - prox(p.theta, g1 + np.asarray(y))
@@ -156,16 +162,18 @@ def kkt_blocks(p: ProblemInstance, x: Point, y, z=None):
     return grad, theta_block, set_block
 
 
-def _block_norms(blocks):
+def _block_norms(p: ProblemInstance, blocks):
     grad, theta_block, set_block = blocks
-    set_norm = 0.0 if set_block is None else norm(set_block)
-    return norm(grad), norm(theta_block), set_norm
+    theta_norm = item_norm(theta_block, len(p.g1.out_shape))
+    # without Q: zeros, one per item
+    set_norm = 0.0 * theta_norm if set_block is None else item_norm(set_block, len(p.g2.out_shape))
+    return item_norm(grad, len(p.manifold.ambient_shape)), theta_norm, set_norm
 
 
 def kkt_residual_components(p: ProblemInstance, x: Point, y, z=None):
     """The norms of the three ``kkt_blocks``; their sum is the KKT residual R
-    (the set norm is 0 when Q is absent)."""
-    return _block_norms(kkt_blocks(p, x, y, z))
+    (the set norm is 0 when Q is absent).  One norm per item of a stack."""
+    return _block_norms(p, kkt_blocks(p, x, y, z))
 
 
 def kkt_residual(p: ProblemInstance, x: Point, y, z=None) -> float:
@@ -426,7 +434,7 @@ def alm_run(
         y_new, z_new, gaps = update_multipliers(p, x, w, p_mult, rho)
         v_new = max(gaps)
         blocks = kkt_blocks(p, x, y_new, z_new)
-        comps = _block_norms(blocks)
+        comps = _block_norms(p, blocks)
         r_new = _finite_residual(comps, k + 1)
 
         # invariant diagnostics (see module tests): chain identity, multiplier

@@ -107,8 +107,8 @@ class TestNaturalMap:
 
 def constant_zero_map(n):
     return SmoothMap(
-        jacobian_apply=lambda xi: np.zeros(1),
-        jacobian_adjoint=lambda y: np.zeros(n),
+        jacobian_apply=lambda xi: np.zeros(xi.shape[:-1] + (1,)),
+        jacobian_adjoint=lambda y: np.zeros(y.shape[:-1] + (n,)),
         offset=np.zeros(1),
     )
 
@@ -201,8 +201,8 @@ def dense_msrcq_rank(p, x, y, z, tol=1e-8, cone_tol=1e-8):
 
 def affine_map(mat, offset):
     return SmoothMap(
-        jacobian_apply=lambda xi: mat @ xi,
-        jacobian_adjoint=lambda w: mat.T @ w,
+        jacobian_apply=lambda xi: xi @ mat.T,  # a stack of xi maps item by item
+        jacobian_adjoint=lambda w: w @ mat,
         offset=-offset,
     )
 
@@ -368,6 +368,8 @@ NULL_SPACE_CASES = {
     "wide": _rng.standard_normal((3, 7)),
     "tall": _rng.standard_normal((7, 3)),
     "all-zero": np.zeros((4, 3)),
+    # more rows than columns and a null space, as in M-SOSC on analyze-rmc-20
+    "tall-rank-deficient": _rng.standard_normal((40, 5)) @ _rng.standard_normal((5, 8)),
 }
 
 

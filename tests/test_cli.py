@@ -196,6 +196,42 @@ class TestCommandOutputs:
         err = capsys.readouterr().err
         assert err == "error: Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["rmc", "--mode", "random", "--m", "1000000", "--n", "1000000", "--r", "1"],
+         ["sphere-l1", "--mode", "random", "--n", "1000000"]],
+        ids=["rmc", "sphere-l1"],
+    )
+    def test_oversized_instance_is_refused_before_allocation(self, tmp_path, argv):
+        # a child under a 1 GiB address-space limit: an allocation of the
+        # instance would raise MemoryError there, not exhaust this machine
+        resource = pytest.importorskip("resource")
+        code = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({1 << 30}, {1 << 30}))\n"
+            "from ralm.cli import main\n"
+            f"sys.exit(main({argv + ['--out', str(tmp_path / 'o')]!r}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1"))
+        assert proc.returncode == EXIT_ERROR
+        assert re.fullmatch(r"error: instance too large: .*1e\+12 dense entries .*cap of 2\.5e\+07\n", proc.stderr)
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-1e3"])
+    @pytest.mark.parametrize("flag", sorted(ralm.cli.NUMERIC_FLAGS))
+    def test_dashed_value_reaches_its_setting_check(self, tmp_path, capsys, flag, value):
+        # "--mu -inf" must fail as "--mu=-inf" does, not as a missing value
+        command = ["rmc", "--mode", "random"] if flag in ("--m", "--r", "--oversample") else ["solve"]
+        if flag in ("--n", "--mu"):
+            command = ["sphere-l1", "--mode", "random"]
+        out = ["--out", str(tmp_path / "o")]
+        assert main([*command, flag, value, *out]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert main([*command, f"{flag}={value}", *out]) == EXIT_ERROR
+        assert err == capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "expected one argument" not in err
+
     @pytest.mark.parametrize("argv", [["solve", "--family", "circle"], ["sphere-l1"], ["rmc"]],
                              ids=["solve", "sphere-l1", "rmc"])
     def test_partial_run_says_why_on_stderr(self, tmp_path, capsys, argv):
