@@ -241,10 +241,7 @@ def _hess_matrix(p: ProblemInstance, x: Point, z, dirs):
     """The matrix of <xi, Hess_x l(x, z) xi> on the orthonormal tangent
     directions ``dirs``, symmetric up to rounding (eigh reads its lower
     triangle)."""
-    hess = rhess_operator(p, x, z)
-    hdirs = np.empty_like(dirs)
-    for d, out in zip(dirs, hdirs):
-        out[...] = hess(d)
+    hdirs = rhess_operator(p, x, z)(dirs)
     return hdirs.reshape(len(dirs), -1) @ dirs.reshape(len(dirs), -1).T
 
 

@@ -39,6 +39,7 @@ from .analysis import (
 from .config import (
     ALM_KEYS,
     FAMILIES,
+    MAX_INSTANCE_ENTRIES,
     PROBLEM_KEYS,
     ConfigError,
     RunConfig,
@@ -65,9 +66,6 @@ EXIT_PARTIAL = 2
 EXIT_CHECK_FAILED = 3
 
 FIGURE1_RHOS = (1.0, 10.0, 100.0, 1000.0)
-# Dense entries one instance array may hold: RMC's m x n data, mask and
-# iterates, and the sphere's n x n A^T A.  RMC at 2000 x 2000 needs 4e6.
-MAX_INSTANCE_ENTRIES = 25 * 10**6
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ instances all derive from them.
 Format: ``[section]`` headers followed by ``key=value`` lines; the optional
 ``[matrix]`` section holds whitespace-separated matrix rows, one row per
 line.  Unknown sections and keys warn (stderr) once and are skipped;
-unparseable values raise ``ConfigError`` carrying the line number.
+unparseable values, and the row that takes the matrix above
+``MAX_INSTANCE_ENTRIES``, raise ``ConfigError`` carrying the line number.
 """
 from __future__ import annotations
 
@@ -55,6 +56,10 @@ def _scalar_fields(cls) -> dict:
             keys[name] = typ
     return keys
 
+
+# Dense entries one instance array may hold (RMC's m x n data, the sphere's
+# n x n A^T A, a [matrix] section as it is read); RMC at 2000 x 2000 needs 4e6.
+MAX_INSTANCE_ENTRIES = 25 * 10**6
 
 # RunConfig's alm and matrix fields are the [alm] and [matrix] sections
 PROBLEM_KEYS = _scalar_fields(RunConfig)
@@ -122,6 +127,9 @@ def parse_problem_file(path: str) -> RunConfig:
                 if not np.isfinite(row).all():
                     raise ConfigError(f"non-finite entry in matrix row {line!r}", lineno)
                 matrix_rows.append(row)
+                if len(matrix_rows) * len(row) > MAX_INSTANCE_ENTRIES:
+                    raise ConfigError(f"instance too large: the [matrix] section holds more than "
+                                      f"{MAX_INSTANCE_ENTRIES:.3g} entries", lineno)
                 continue
             if section not in (None, "problem", "alm"):
                 continue  # under an unknown section, warned about above

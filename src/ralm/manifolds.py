@@ -269,7 +269,8 @@ def weingarten(manifold: Manifold, x: Point, g, xi) -> np.ndarray:
     """The Weingarten map at the ambient vector G applied to the tangent
     vector xi (Absil, Mahony & Trumpf, GSI 2013): what the manifold's
     curvature adds to P_x(ehess f(x) xi) in Hess f(x) xi when G is the
-    ambient gradient of f.  A dense ambient array.
+    ambient gradient of f.  A dense ambient array; a stack of directions xi
+    at one point gives one map per direction.
 
     Sphere: -<x, G> xi.  Fixed rank: P_U^perp G V_p S^-1 V^T + U S^-1 U_p^T G P_V^perp
     with (M, U_p, V_p) the factors of xi (Vandereycken, SIAM J. Optim. 2013).
@@ -278,7 +279,7 @@ def weingarten(manifold: Manifold, x: Point, g, xi) -> np.ndarray:
         return -float((x.ambient * g).sum()) * np.asarray(xi, dtype=float)
     xi = tangent_vector(manifold, x, xi)
     u, v = x.u, x.v
-    gv, ug = g @ xi.v_p, xi.u_p.T @ g
+    gv, ug = g @ xi.v_p, xi.u_p.mT @ g
     left = (gv - u @ (u.T @ gv)) / x.s
     right = (ug - (ug @ v) @ v.T) / x.s[:, None]
     return left @ v.T + u @ right

@@ -48,7 +48,8 @@ class SmoothMap:
     derivative to be zero.  ``value`` and ``out_shape`` derive from the linear
     part and ``offset``.  ``support`` marks a map that reads x entrywise: at
     these flat indices value(x) = x + offset, and elsewhere value(x) = offset
-    (None: no such structure).  The merit then reads x at the support only.
+    (None: no such structure).  Where the offset and the multiplier vanish
+    off the support, the merit reads x at the support only (``merit_shifts``).
     """
 
     jacobian_apply: Callable[[np.ndarray], np.ndarray]
@@ -294,71 +295,64 @@ def lagrangian_rgrad(p: ProblemInstance, x: Point, y, z=None) -> np.ndarray:
 class MeritShifts(NamedTuple):
     """The constants of one subproblem's merit, from ``merit_shifts``.
 
-    ``w_shift``, ``p_shift`` and ``env_off`` enter L_rho (``merit_eval``);
-    ``w_on``, ``p_mult`` and ``gap_off`` are the parts of the multiplier gap
-    that do not depend on x (``multiplier_gap``).
+    ``w_shift``, ``p_shift`` and ``support`` enter L_rho (``merit_eval``);
+    ``w_on`` and ``p_mult`` are the parts of the multiplier gap that do not
+    depend on x (``multiplier_gap``).
     """
 
     w_shift: np.ndarray  # the envelope argument's constant part
     p_shift: Optional[np.ndarray]  # p/rho (None without Q)
-    env_off: float  # the envelope off the support
     w_on: np.ndarray  # w where the envelope runs
     p_mult: Optional[np.ndarray]  # p (None without Q)
-    gap_off: float  # |y+ - w|^2 off the support
+    support: Optional[np.ndarray]  # where the envelope runs (None: every entry)
 
 
 def merit_shifts(p: ProblemInstance, w, p_mult, rho: float) -> MeritShifts:
     """The constants inside L_rho and its multiplier gap, once per subproblem.
 
-    Without a support the shift is w/rho and the envelope runs on every
-    entry, so the off-support terms are 0.  With a support S the shift is
-    g1's offset plus w/rho at S, to which ``merit_eval`` adds x at S; no map
-    is evaluated.  Off S the envelope argument u0 = offset + w/rho does not
-    depend on x, and neither does the multiplier step there: ``env_off`` is
-    the envelope of u0 and ``gap_off`` is |rho clamp(u0) - w|^2 over those
-    entries.
+    The envelope runs on g1's support S when g1 has one and both its offset
+    and w vanish off S: there the envelope argument is 0 whatever x is, and
+    adds exactly 0 to the value, the gradient and the multiplier gap.  The
+    shift is then g1's offset plus w/rho at S, to which ``merit_eval`` adds
+    x at S; no map is evaluated.  Otherwise (no support, a tilt b or a
+    multiplier w off S) the shift is w/rho and the envelope runs on every
+    entry of g1(x).
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     p_mult = None if p.q is None else np.asarray(p_mult)
     p_shift = None if p_mult is None else p_mult / rho
     w = np.asarray(w)
-    w_shift = w / rho
     support = p.g1.support
-    if support is None:
-        return MeritShifts(w_shift, p_shift, 0.0, w, p_mult, 0.0)
-    u0 = (p.g1.offset + w_shift).ravel()
-    off = np.ones(u0.size, dtype=bool)
-    off[support] = False
-    u_off = u0[off]
-    # 0 for RMC itself, whose multipliers stay 0 off the observed entries; a
-    # tilt or a warm-started multiplier may move it
-    env_off, y_off = moreau_env(p.theta, u_off, rho) if u_off.any() else (0.0, 0.0)
-    w_flat = w.ravel()
-    gap_off = float(np.sum((y_off - w_flat[off]) ** 2))
-    return MeritShifts(u0[support], p_shift, env_off, w_flat[support], p_mult, gap_off)
+    if support is not None:
+        offset, w_flat = p.g1.offset.ravel(), w.ravel()
+        offset_on, w_on = offset[support], w_flat[support]
+        # every nonzero of the offset and of w lies on S: both vanish off it
+        nnz = np.count_nonzero
+        if nnz(offset_on) == nnz(offset) and nnz(w_on) == nnz(w_flat):
+            return MeritShifts(offset_on + w_on / rho, p_shift, w_on, p_mult, support)
+    return MeritShifts(w / rho, p_shift, w, p_mult, None)
 
 
 def merit_eval(p: ProblemInstance, x: Point, shifts: MeritShifts, rho: float):
     """L_rho(x, w, p) together with the envelope and distance gradients.
 
     L_rho(x, w, p) = f(x) + env_rho(g1(x) + w/rho) + (rho/2) dist^2(g2(x) + p/rho, Q),
-    with ``shifts`` from ``merit_shifts``.  When g1 has a support, the
-    envelope runs on the support entries only, and the shifts supply the
-    constant term of the others.  f is evaluated once, value and gradient
-    together.  Returns ``(value, (f_grad, env_grad, d_grad))`` (env_grad over
-    the support entries, d_grad None without Q); ``merit_rgrad`` completes
-    the Riemannian gradient from these, so a point whose gradient is needed
-    is still evaluated only once.
+    with ``shifts`` from ``merit_shifts``.  On the support path the envelope
+    runs on the support entries of x only.  f is evaluated once, value and
+    gradient together.  Returns ``(value, (f_grad, env_grad, d_grad))``
+    (env_grad over the entries the envelope ran on, d_grad None without Q);
+    ``merit_rgrad`` completes the Riemannian gradient from these, so a point
+    whose gradient is needed is still evaluated only once.
     """
     xa = x.ambient
-    if p.g1.support is None:
+    if shifts.support is None:
         u = p.g1.value(xa) + shifts.w_shift
     else:
-        u = xa.ravel()[p.g1.support] + shifts.w_shift
+        u = xa.ravel()[shifts.support] + shifts.w_shift
     env_val, env_grad = moreau_env(p.theta, u, rho)
     f_val, f_grad = p.f.value_grad(xa)
-    val = f_val + env_val + shifts.env_off
+    val = f_val + env_val
     d_grad = None
     if p.q is not None:
         d_val, d_grad = dist2_grad(p.q, p.g2.value(xa) + shifts.p_shift, rho)
@@ -366,18 +360,18 @@ def merit_eval(p: ProblemInstance, x: Point, shifts: MeritShifts, rho: float):
     return val, (f_grad, env_grad, d_grad)
 
 
-def merit_rgrad(p: ProblemInstance, x: Point, grads):
+def merit_rgrad(p: ProblemInstance, x: Point, shifts: MeritShifts, grads):
     """Riemannian gradient of L_rho at x from the gradients ``merit_eval``
-    returned: the envelope/distance chain rule followed by a tangent
-    projection (``tangent_vector``).  With a support, the chain rule
-    scatters the envelope gradient back to the support entries."""
+    returned with ``shifts``: the envelope/distance chain rule followed by a
+    tangent projection (``tangent_vector``).  On the support path, the chain
+    rule scatters the envelope gradient back to the support entries."""
     f_grad, env_grad, d_grad = grads
-    if p.g1.support is None:
+    if shifts.support is None:
         ambient = f_grad + p.g1.jacobian_adjoint(env_grad)
     else:
         # a copy: f_grad may be shared (RMC's read-only zero)
         ambient = np.array(f_grad, dtype=float)
-        ambient.reshape(-1)[p.g1.support] += env_grad
+        ambient.reshape(-1)[shifts.support] += env_grad
     if d_grad is not None:
         ambient = ambient + p.g2.jacobian_adjoint(d_grad)
     return tangent_vector(p.manifold, x, ambient)
@@ -387,13 +381,13 @@ def multiplier_gap(shifts: MeritShifts, grads, rho: float) -> float:
     """The penalty rule's V = max(|y+ - w|, |z+ - p|) / rho at the point where
     ``merit_eval`` returned ``grads``, with no further evaluation.
 
-    The multiplier step y+ is the envelope gradient (on the support; the
-    constant rest is in ``shifts.gap_off``) and z+ is the distance gradient,
-    so V equals ``max(update_multipliers(...)[2])`` up to rounding.
+    The multiplier step y+ is the envelope gradient (on the support path it
+    is 0 off the support, as w is) and z+ is the distance gradient, so V
+    equals ``max(update_multipliers(...)[2])`` up to rounding.
     """
     _, env_grad, d_grad = grads
     diff = env_grad - shifts.w_on
-    gap = math.sqrt(float(np.vdot(diff, diff)) + shifts.gap_off) / rho
+    gap = math.sqrt(float(np.vdot(diff, diff))) / rho
     if d_grad is not None:
         diff = d_grad - shifts.p_mult
         gap = max(gap, math.sqrt(float(np.vdot(diff, diff))) / rho)
@@ -406,8 +400,9 @@ def aug_lagrangian_value(p: ProblemInstance, x: Point, w, p_mult, rho: float) ->
 
 def aug_lagrangian(p: ProblemInstance, x: Point, w, p_mult, rho: float):
     """Augmented Lagrangian value and its exact Riemannian gradient."""
-    val, grads = merit_eval(p, x, merit_shifts(p, w, p_mult, rho), rho)
-    return val, merit_rgrad(p, x, grads)
+    shifts = merit_shifts(p, w, p_mult, rho)
+    val, grads = merit_eval(p, x, shifts, rho)
+    return val, merit_rgrad(p, x, shifts, grads)
 
 
 def tilted_instance(p: ProblemInstance, a=None, b=None, c=None) -> ProblemInstance:
@@ -439,7 +434,7 @@ def tilted_instance(p: ProblemInstance, a=None, b=None, c=None) -> ProblemInstan
 def rhess_operator(p: ProblemInstance, x: Point, z):
     """xi -> Hess_x l(x, z)[xi] for l = f + <z, g2> and a tangent xi (z
     required with Q), as a dense ambient array, with the ambient gradient G
-    taken once for every direction.
+    taken once for every direction, or stack of directions at x.
 
     The projected Euclidean Hessian P_x(ehess f(x) xi) plus the manifold's
     Weingarten map at G = egrad f + Dg2^T z (``weingarten``); g2 is affine, so

@@ -286,7 +286,7 @@ def subproblem_solve(
     shifts = merit_shifts(p, w, p_mult, rho)
     x = x_init
     val, grads = merit_eval(p, x, shifts, rho)
-    grad = merit_rgrad(p, x, grads)
+    grad = merit_rgrad(p, x, shifts, grads)
     grad_norm = tangent_norm(grad)
 
     def tolerance(grads):
@@ -322,7 +322,7 @@ def subproblem_solve(
             elif val_try <= ref_val + slack:
                 # requested decrease is unresolvable in floating point; keep
                 # polishing as long as the gradient norm stays within reference
-                grad_try = merit_rgrad(p, x_try, grads)
+                grad_try = merit_rgrad(p, x_try, shifts, grads)
                 gn_try = tangent_norm(grad_try)
                 if gn_try <= ref_gn:
                     accepted = True
@@ -331,7 +331,7 @@ def subproblem_solve(
         if not accepted:
             break
         if grad_try is None:
-            grad_try = merit_rgrad(p, x_try, grads)
+            grad_try = merit_rgrad(p, x_try, shifts, grads)
             gn_try = tangent_norm(grad_try)
         # s is the tangent step -t grad on fixed rank, x_try - x on the sphere
         step = abb_step(*bb_pair(x, x_try, grad, grad_try, t, grad_norm, gn_try), t)

@@ -303,7 +303,7 @@ class TestMsosc:
             manifold=Sphere(n),
             f=Objective(
                 value_grad=lambda x: (-float(x[0] ** 2), np.array([-2.0 * x[0], 0.0])),
-                ehess_apply=lambda x, xi: np.array([-2.0 * xi[0], 0.0]),
+                ehess_apply=lambda x, xi: xi * np.array([-2.0, 0.0]),
             ),
             g1=SmoothMap(
                 jacobian_apply=lambda xi: xi.copy(),
@@ -328,7 +328,7 @@ class TestMsosc:
             manifold=Sphere(n),
             f=Objective(
                 value_grad=lambda x: (float(x[0] ** 2), np.array([2.0 * x[0], 0.0])),
-                ehess_apply=lambda x, xi: np.array([2.0 * xi[0], 0.0]),
+                ehess_apply=lambda x, xi: xi * np.array([2.0, 0.0]),
             ),
             g1=SmoothMap(
                 jacobian_apply=lambda xi: xi.copy(),

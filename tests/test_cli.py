@@ -10,6 +10,7 @@ import tempfile
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import ralm.analysis
 import ralm.cli
+import ralm.config
 from ralm.analysis import MAX_RAY_ROWS, condition_report, fit_log_linear
 from ralm.cli import (
     EXIT_CHECK_FAILED,
@@ -28,6 +30,7 @@ from ralm.cli import (
     write_conditions,
 )
 from ralm.config import (
+    ALM_KEYS,
     FAMILIES,
     PROBLEM_KEYS,
     ConfigError,
@@ -549,6 +552,21 @@ class TestConfigParsing:
         code = main(["sphere-l1", "--config", str(f), "--out", str(tmp_path / "o")])
         assert code == EXIT_ERROR
 
+    def test_matrix_above_the_cap_stops_at_the_crossing_row(self, tmp_path, monkeypatch, capsys):
+        # rows x width first exceeds a cap of 5 at the third row (line 6); the
+        # malformed row after it is not read
+        f = tmp_path / "big.cfg"
+        f.write_text("[problem]\nfamily=sphere-l1\n[matrix]\n1 2\n3 4\n5 6\nnot a row\n")
+        with pytest.raises(ConfigError) as err:
+            parse_problem_file(str(f))
+        assert err.value.line == 7  # under the real cap, the malformed row
+        monkeypatch.setattr(ralm.config, "MAX_INSTANCE_ENTRIES", 5)
+        with pytest.raises(ConfigError) as err:
+            parse_problem_file(str(f))
+        assert err.value.line == 6
+        assert main(["sphere-l1", "--config", str(f), "--out", str(tmp_path / "o")]) == EXIT_ERROR
+        message = "line 6: instance too large: the [matrix] section holds more than 5 entries"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("family, command", [("circle", "solve"), ("rmc", "solve"), ("sphere-l1", "rmc")])
     def test_matrix_section_outside_sphere_l1_rejected(self, tmp_path, capsys, family, command):
@@ -912,35 +930,124 @@ def fuzz_value(draw, action):
     return draw(st.sampled_from(plain))
 
 
+def fuzz_flags(draw, commands):
+    """One of ``commands`` and some of its flags, as (command, {flag: value})."""
+    command = draw(st.sampled_from(commands))
+    _, flags = FUZZ_FLAGS[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=3)) if flags else []
+    return command, {flag: fuzz_value(draw, flags[flag]) for flag in chosen}
+
+
+def draw_sizes(draw, command, values, problem=None):
+    """Draw the sizes a random mode would read at their defaults (up to 200)
+    into the flags ``values``, or into the [problem] entries ``problem`` when
+    given, and set --max-outer to 5 unless drawn."""
+    ps, flags = FUZZ_FLAGS[command]
+    entries = {} if problem is None else problem
+    # flags win over the file, and a family command's own family over both
+    family = values.get("--family") or ps.get_default("family") or entries.get("family", "circle")
+    mode = values.get("--mode") or entries.get("mode")
+    for key in FAMILIES.get(family, {}).get(mode, ()):
+        if key in ("m", "n", "r") and "--" + key not in values and key not in entries:
+            raw = fuzz_value(draw, flags["--" + key])
+            if problem is None:
+                values["--" + key] = raw
+            else:
+                problem[key] = raw
+    if "--max-outer" in flags:
+        values.setdefault("--max-outer", "5")
+
+
 @st.composite
 def fuzz_argv(draw):
     """A subcommand with some of its flags; sizes stay at most 10 and
     --max-outer at 5 unless drawn."""
-    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
-    ps, flags = FUZZ_FLAGS[command]
-    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=3)) if flags else []
-    values = {flag: fuzz_value(draw, flags[flag]) for flag in chosen}
-    # a random mode reads sizes up to 200 by default: draw the ones left unset
-    family = values.get("--family", ps.get_default("family") or "circle")
-    for key in FAMILIES.get(family, {}).get(values.get("--mode"), ()):
-        if key in ("m", "n", "r") and "--" + key not in values:
-            values["--" + key] = fuzz_value(draw, flags["--" + key])
-    if "--max-outer" in flags:
-        values.setdefault("--max-outer", "5")
+    command, values = fuzz_flags(draw, sorted(FUZZ_FLAGS))
+    draw_sizes(draw, command, values)
     return [command, *(arg for item in values.items() for arg in item)]
 
 
+# [matrix] entries a config case may hold; a patched cap, so that a drawn
+# matrix can cross it
+FUZZ_MATRIX_CAP = 12
+CONFIG_HOSTILE = ("-inf", "nan", "1e400", "abc", "0", "-1")
+ROW_HOSTILE = ("nan", "-inf", "1e400", "x")
+
+
+def config_value(draw, key):
+    """A raw value for a config key: hostile one time in four, else a plain one."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(CONFIG_HOSTILE))
+    if key == "family":
+        return draw(st.sampled_from((*FAMILIES, "xyz")))
+    typ = {**PROBLEM_KEYS, **ALM_KEYS}.get(key, str)
+    return draw(st.sampled_from({int: ("1", "2", "5", "10"), float: ("1e-6", "0.5", "2", "10"), str: MODES}[typ]))
+
+
+def config_entries(draw, keys):
+    """{key: raw value} over some known keys and perhaps an unknown one."""
+    chosen = draw(st.lists(st.sampled_from((*sorted(keys), "foo")), unique=True, max_size=4))
+    return {key: config_value(draw, key) for key in chosen}
+
+
+def matrix_rows(draw):
+    """Rows of a [matrix] section, up to 5 x 4 entries (above
+    ``FUZZ_MATRIX_CAP``): one row in six is one entry short or holds a
+    hostile entry."""
+    width = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        row = [str(draw(st.integers(-3, 3))) for _ in range(width)]
+        flaw = draw(st.integers(0, 11))
+        if flaw == 0 and width > 1:
+            row.pop()
+        elif flaw == 1:
+            row[-1] = draw(st.sampled_from(ROW_HOSTILE))
+        rows.append(" ".join(row))
+    return rows
+
+
+@st.composite
+def fuzz_config_case(draw):
+    """A subcommand that takes --config, some of its flags, and the text of
+    its config file: [problem], [alm], [matrix] and unknown sections in any
+    order, known and unknown keys, hostile values and ragged rows."""
+    # figure1 takes no --config
+    command, values = fuzz_flags(draw, sorted(set(FUZZ_FLAGS) - {"figure1"}))
+    sections = draw(st.lists(st.sampled_from(("problem", "alm", "matrix", "xyz")), unique=True, min_size=1))
+    problem = config_entries(draw, PROBLEM_KEYS) if "problem" in sections else {}
+    draw_sizes(draw, command, values, problem)
+    if problem and "problem" not in sections:
+        sections.append("problem")
+    body = {
+        "problem": [f"{k}={v}" for k, v in problem.items()],
+        "alm": [f"{k}={v}" for k, v in config_entries(draw, ALM_KEYS).items()],
+        "matrix": matrix_rows(draw),
+        "xyz": ["rho=1", "not a pair"],
+    }
+    text = "".join(f"[{name}]\n" + "".join(line + "\n" for line in body[name]) for name in sections)
+    return [command, *(arg for item in values.items() for arg in item)], text
+
+
+def run_main(argv):
+    """main(argv) into a fresh --out directory: (exit code, stderr, Python
+    warnings, the names of the files written)."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", tmp])
+        written = {p.name for p in Path(tmp).iterdir()}
+    return code, err.getvalue(), caught, written
+
+
 class TestFuzz:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    # deadlines of 10x the slowest case measured (2 shared cores, 1 BLAS
+    # thread): 0.15 s here, 0.055 s below
+    @settings(max_examples=300, deadline=1500, derandomize=True)
     @given(argv=fuzz_argv())
     def test_every_input_exits_0_to_3_and_fails_on_one_line(self, argv):
-        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = main([*argv, "--out", tmp])
-            written = {p.name for p in Path(tmp).iterdir()}
-        err = err.getvalue()
+        code, err, caught, written = run_main(argv)
         assert code in (EXIT_OK, EXIT_ERROR, EXIT_PARTIAL, EXIT_CHECK_FAILED), argv
         assert "Traceback" not in err, argv
         if code != EXIT_OK:
@@ -948,6 +1055,26 @@ class TestFuzz:
             assert err.count("\n") == 1 and err.endswith("\n") and not caught, (argv, err)
         if argv[0] != "figure1":
             assert ("summary.txt" in written) == ("history.csv" in written), (argv, written)
+
+    @settings(max_examples=200, deadline=500, derandomize=True)
+    @given(case=fuzz_config_case())
+    def test_every_config_file_exits_0_to_3_and_fails_on_one_line(self, case):
+        argv, text = case
+        with tempfile.TemporaryDirectory() as cfg_dir, \
+                mock.patch.object(ralm.config, "MAX_INSTANCE_ENTRIES", FUZZ_MATRIX_CAP):
+            path = Path(cfg_dir) / "run.cfg"
+            path.write_text(text, encoding="utf-8")
+            code, err, caught, written = run_main([*argv, "--config", str(path)])
+        seen = (argv, text, err)
+        assert code in (EXIT_OK, EXIT_ERROR, EXIT_PARTIAL, EXIT_CHECK_FAILED), seen
+        assert "Traceback" not in err and not caught and err.endswith("\n") == bool(err), seen
+        # config warnings first, then the one error or stop line
+        lines = err.splitlines()
+        warned = lines if code == EXIT_OK else lines[:-1]
+        assert all(line.startswith("warning: ") for line in warned), seen
+        if code != EXIT_OK:
+            assert lines and not lines[-1].startswith("warning: "), seen
+        assert ("summary.txt" in written) == ("history.csv" in written), (seen, written)
 
 
 class TestColdStart:

@@ -475,7 +475,7 @@ def rmc_merit(m, n, r):
     dims = {} if (m, n, r) == (5, 5, 3) else dict(mode="random", m=m, n=n, r=r)
     p, x0, _, _ = build_problem(RunConfig(family="rmc", seed=1, **dims))
     shifts = merit_shifts(p, np.zeros((m, n)), None, 1.0)
-    return p, x0, lambda x: merit_rgrad(p, x, merit_eval(p, x, shifts, 1.0)[1])
+    return p, x0, lambda x: merit_rgrad(p, x, shifts, merit_eval(p, x, shifts, 1.0)[1])
 
 
 class TestFactoredBBPair:

@@ -18,6 +18,7 @@ from ralm.problems import (
     merit_eval,
     merit_rgrad,
     merit_shifts,
+    multiplier_gap,
     objective_value,
     rhess_operator,
     rmc_basic_instance,
@@ -336,9 +337,10 @@ class TestFusedMerit:
                 x = random_point(p.manifold, rng)
                 w, pm = multipliers_like(p, rng, scale=3.0)
                 ref_val, ref_grad = reference_aug_lagrangian(p, x, w, pm, rho)
-                val, grads = merit_eval(p, x, merit_shifts(p, w, pm, rho), rho)
+                shifts = merit_shifts(p, w, pm, rho)
+                val, grads = merit_eval(p, x, shifts, rho)
                 assert val == ref_val
-                assert np.array_equal(merit_rgrad(p, x, grads), ref_grad)
+                assert np.array_equal(merit_rgrad(p, x, shifts, grads), ref_grad)
                 assert aug_lagrangian_value(p, x, w, pm, rho) == ref_val
                 wrap_val, wrap_grad = aug_lagrangian(p, x, w, pm, rho)
                 assert wrap_val == ref_val
@@ -370,10 +372,41 @@ class TestObservedEntryMerit:
             x = random_point(q.manifold, rng)
             w, pm = multipliers_like(q, rng, scale=3.0)  # nonzero off the support too
             ref_val, ref_grad = reference_aug_lagrangian(q, x, w, pm, rho)
-            val, grads = merit_eval(q, x, merit_shifts(q, w, pm, rho), rho)
+            shifts = merit_shifts(q, w, pm, rho)
+            val, grads = merit_eval(q, x, shifts, rho)
             assert abs(val - ref_val) <= 1e-12 * abs(ref_val)
-            grad = np.asarray(merit_rgrad(q, x, grads))
+            grad = np.asarray(merit_rgrad(q, x, shifts, grads))
             assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+
+    @pytest.mark.parametrize("off", ["nothing", "tilt", "multiplier"])
+    def test_off_support_terms_take_the_dense_path_bitwise(self, off):
+        # a tilt b or a multiplier w nonzero off the support takes the dense
+        # path: the merit of the same instance without a support, bit for bit
+        p, _, mask = rmc_random_30()
+        rng = np.random.default_rng(61)
+        w = np.where(mask, 3.0 * rng.standard_normal(mask.shape), 0.0)
+        if off == "tilt":
+            p = tilted_instance(p, b=rng.standard_normal(mask.shape))
+        elif off == "multiplier":
+            w[~mask] = rng.standard_normal(int((~mask).sum()))
+        dense = replace(p, g1=replace(p.g1, support=None))
+        for rho in (0.3, 1.0, 10.0, 1e4):
+            shifts, ref_shifts = merit_shifts(p, w, None, rho), merit_shifts(dense, w, None, rho)
+            assert (shifts.support is None) == (off != "nothing")
+            for _ in range(3):
+                x = random_point(p.manifold, rng)
+                val, grads = merit_eval(p, x, shifts, rho)
+                ref_val, ref_grads = merit_eval(dense, x, ref_shifts, rho)
+                grad = np.asarray(merit_rgrad(p, x, shifts, grads))
+                ref_grad = np.asarray(merit_rgrad(dense, x, ref_shifts, ref_grads))
+                gap, ref_gap = multiplier_gap(shifts, grads, rho), multiplier_gap(ref_shifts, ref_grads, rho)
+                if off == "nothing":  # the support path sums fewer terms
+                    assert abs(val - ref_val) <= 1e-12 * abs(ref_val)
+                    assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+                    assert abs(gap - ref_gap) <= 1e-12 * ref_gap
+                else:
+                    assert val == ref_val and gap == ref_gap
+                    assert np.array_equal(grad, ref_grad)
 
     def test_full_mask_keeps_the_dense_path(self):
         a, mask, _ = rmc_basic_instance()
@@ -494,7 +527,7 @@ class TestAffineMap:
             blind.g1.value(np.zeros(mask.shape))
         w = 3.0 * rng.standard_normal(mask.shape)  # nonzero off the support
         shifts, expected = merit_shifts(blind, w, None, 10.0), merit_shifts(p, w, None, 10.0)
-        assert shifts.env_off > 0 and shifts.gap_off > 0
+        assert shifts.support is None  # w off the support takes the dense path
         for got, want in zip(shifts, expected):
             assert np.array_equal(got, want) if want is not None else got is None
 

@@ -298,8 +298,9 @@ class TestSubproblem:
         # rho <= 1 keeps the unit step
         p = circle_problem()
         w, pm, x0 = np.array([0.3]), np.array([0.1]), sphere_point([0.0, 1.0])
-        _, grads = merit_eval(p, x0, merit_shifts(p, w, pm, rho), rho)
-        grad = merit_rgrad(p, x0, grads)
+        shifts = merit_shifts(p, w, pm, rho)
+        _, grads = merit_eval(p, x0, shifts, rho)
+        grad = merit_rgrad(p, x0, shifts, grads)
         directions = []
         retract_fn = ralm.solver.retract
 
@@ -516,10 +517,11 @@ class TestNonmonotoneAcceptance:
         for call in calls:
             _, w, p_mult, rho, _ = call["args"]
             res = call["result"]
+            shifts = merit_shifts(p, w, p_mult, rho)
 
             def merit(x):
                 val, grads = call["evals"][id(x)]
-                grad = merit_rgrad(p, x, grads)
+                grad = merit_rgrad(p, x, shifts, grads)
                 return val, grad, tangent_norm(grad)
 
             accepted = accepted_iterates(call)
@@ -542,8 +544,8 @@ class TestNonmonotoneAcceptance:
                     rises += val_try > vals[j] + slack or gns[j + 1] > gns[j]
             assert res.grad_norm == min(gns)
             assert any(x is res.x for x in accepted)
-            _, grads_at_x = merit_eval(p, res.x, merit_shifts(p, w, p_mult, rho), rho)
-            assert np.array_equal(res.grad, merit_rgrad(p, res.x, grads_at_x))
+            _, grads_at_x = merit_eval(p, res.x, shifts, rho)
+            assert np.array_equal(res.grad, merit_rgrad(p, res.x, shifts, grads_at_x))
         # the memory is exercised: some accepted steps beat only an older iterate
         assert rises > 0
 
@@ -561,7 +563,8 @@ class TestNonmonotoneAcceptance:
 def gap_instances():
     """name -> (problem, w, p_mult) on the four structures of the multiplier
     gap: a set constraint, a dense envelope, an envelope on a support, and a
-    support with a nonzero off-support term."""
+    map with a support whose tilt and multiplier are nonzero off it (the
+    dense path)."""
     rng = np.random.default_rng(23)
     rmc20, _, _, _ = build_problem(RunConfig(family="rmc", mode="random", m=20, n=20, r=2, seed=1))
     off = np.ones(400, dtype=bool)
@@ -574,6 +577,24 @@ def gap_instances():
         "rmc-20": (rmc20, np.where(off.reshape(20, 20), 0.0, rng.standard_normal((20, 20))), None),
         "rmc-20-off-support": (tilted, 3.0 * rng.standard_normal((20, 20)), None),
     }
+
+
+def test_rmc_subproblems_take_the_support_path(monkeypatch):
+    # the multipliers of an RMC run stay 0 off the observed entries
+    p, x0, _, _ = build_problem(RunConfig(family="rmc", mode="random", m=20, n=20, r=2, seed=1))
+    supports = []
+    shifts_fn = ralm.solver.merit_shifts
+
+    def logged(*args):
+        shifts = shifts_fn(*args)
+        supports.append(shifts.support)
+        return shifts
+
+    monkeypatch.setattr(ralm.solver, "merit_shifts", logged)
+    res = alm_run(p, ALMConfig(), x0)
+    # one subproblem per outer iteration after the k = 0 record
+    assert len(supports) == len(res.history) - 1 > 0
+    assert all(s is p.g1.support for s in supports)
 
 
 GAP_CASES = pytest.mark.parametrize("name", ["circle", "sphere-l1", "rmc-20", "rmc-20-off-support"])
@@ -589,7 +610,7 @@ class TestRelativeStop:
         rng = np.random.default_rng(29)
         for rho in (0.3, 1.0, 10.0, 1e4):
             shifts = merit_shifts(p, w, pm, rho)
-            assert (shifts.gap_off > 0) == (name == "rmc-20-off-support")
+            assert (shifts.support is not None) == (name == "rmc-20")
             for _ in range(5):
                 x = random_point(p.manifold, rng)
                 gap = multiplier_gap(shifts, merit_eval(p, x, shifts, rho)[1], rho)
